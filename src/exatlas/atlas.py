@@ -10,7 +10,7 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from .archive import Archive
-from .composer import ComposerConfig, Composition, assess
+from .composer import ComposerConfig, Composition, FeatureStore, assess_row
 from .evaluator import TargetResult, loo_run, sign, sign_match
 
 DEFAULT_GAP_NEIGHBORS = 5
@@ -130,20 +130,26 @@ def isolated_ratio(archive: Archive, features: Mapping[str, np.ndarray],
     nodes) to every pool; they can change the geometry but are not counted
     in the ratio.
     """
-    extra = dict(extra_features or {})
-    ids = archive.ids()
-    composable: dict[str, bool] = {}
-    receives_weight: dict[str, bool] = {i: False for i in ids}
-    for exp in archive:
-        pool = {i: features[i] for i in ids if i != exp.id}
-        pool.update(extra)
-        comp = assess(exp, features[exp.id], pool, None, cfg)
-        composable[exp.id] = comp.composable
+    store = FeatureStore.from_features(features, archive.ids())
+    return _isolated_ratio(store.extended(extra_features or {}), len(archive), cfg)
+
+
+def _isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
+                    memo: dict | None = None) -> float:
+    """:func:`isolated_ratio` over a store whose first ``n_real`` rows are the
+    archive and whose other rows are extra candidates; ``memo`` is passed to
+    :func:`assess_row`."""
+    real = store.ids[:n_real]
+    receives_weight = dict.fromkeys(real, False)
+    composable = []
+    for t in range(n_real):
+        comp = assess_row(store, t, None, cfg, memo)
+        composable.append(comp.composable)
         for cid, w in comp.weights.items():
             if w > 0.0 and cid in receives_weight:
                 receives_weight[cid] = True
-    isolated = [i for i in ids if not composable[i] and not receives_weight[i]]
-    return len(isolated) / len(ids)
+    isolated = [i for i, ok in zip(real, composable) if not ok and not receives_weight[i]]
+    return len(isolated) / n_real
 
 
 _DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box",

@@ -23,7 +23,7 @@ from . import evaluator as evaluator_mod
 from . import generators as generators_mod
 from . import theory_lab
 from .archive import Archive, ArchiveError, load_archive, save_archive
-from .composer import ComposerConfig
+from .composer import ComposerConfig, ComposerError
 from .representation import (
     DEFAULT_REMOTE_MODEL,
     DeterministicStubProvider,
@@ -207,8 +207,7 @@ def cmd_embed(args, config) -> int:
 
 def _loo_results(args, config, arc: Archive, cfg: ComposerConfig):
     features = _features_for(args, config, arc)
-    jobs = int(_setting(args, config, "jobs", 1))
-    return evaluator_mod.loo_run(arc, features, cfg, jobs=jobs), features
+    return evaluator_mod.loo_run(arc, features, cfg), features
 
 
 def cmd_evaluate(args, config) -> int:
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vectors", help="precomputed feature-vector file")
         p.add_argument("--provider", help="embedding provider spec (default stub)")
         p.add_argument("--seed", type=int, help="seed for stub providers and sweeps")
-        p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+        p.add_argument("--jobs", type=int, help="parallel embedding workers (default 1)")
         p.add_argument("--cache-dir", dest="cache_dir", help="embedding cache directory")
         p.add_argument("--lambda", dest="lambda_", type=float,
                        help="composability threshold (default 0.462)")
@@ -444,8 +443,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config_file(args.config)
         return args.func(args, config)
-    except (ArchiveError, EmbeddingError, generators_mod.ChatError, CliError,
-            ValueError) as e:
+    except (ArchiveError, EmbeddingError, ComposerError, evaluator_mod.EvaluatorError,
+            generators_mod.ChatError, CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

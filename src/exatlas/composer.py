@@ -21,6 +21,11 @@ FALLBACK_UNIFORM = "fallback-uniform"
 
 WEIGHT_SUM_TOL = 1e-6
 _ZERO_RESIDUAL_TOL = 1e-12
+# A squared distance read off the Gram matrix is trusted to within this
+# fraction of ||x_j||^2 + ||x_t||^2. Its rounding error, and that of the exact
+# form, is a small multiple of (feature length) * 2**-53 of that sum: about
+# 1e-12 at length 2304, far inside the band.
+GRAM_BAND = 1e-9
 
 
 class ComposerError(Exception):
@@ -172,8 +177,8 @@ def solve_weights(target_x: np.ndarray, candidates: Sequence[np.ndarray],
         if not (np.all(np.isfinite(w)) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL
                 and w.min() >= -WEIGHT_SUM_TOL):
             raise ArithmeticError("solver returned an infeasible point")
-    except Exception:
-        # Conservative posture: any numerical failure degrades to uniform
+    except (ArithmeticError, np.linalg.LinAlgError):
+        # Conservative posture: a numerical failure degrades to uniform
         # weights rather than aborting the assessment.
         return np.full(n, 1.0 / n), FALLBACK_UNIFORM
     w = np.maximum(w, 0.0)
@@ -263,10 +268,14 @@ def residuals(target_x: np.ndarray, candidates: Sequence[np.ndarray],
     target_x = np.asarray(target_x, dtype=float)
     A = np.column_stack([np.asarray(c, dtype=float) for c in candidates])
     r = float(np.linalg.norm(target_x - A @ np.asarray(weights, dtype=float)))
+    return r, _normalized(r, local_scale)
+
+
+def _normalized(r: float, local_scale: float) -> float:
     if local_scale > 0:
-        return r, r / local_scale
+        return r / local_scale
     if r <= _ZERO_RESIDUAL_TOL:
-        return r, 0.0
+        return 0.0
     raise DegenerateScaleError(
         f"local scale is 0 but the residual is {r:.3g}"
     )
@@ -295,6 +304,12 @@ def assess(target: Experiment, target_x: np.ndarray,
     cand_vecs = [pool_features[c] for c in nb.candidate_ids]
     w, status = solve_weights(target_x, cand_vecs, cfg.ridge)
     r, rho = residuals(target_x, cand_vecs, w, nb.local_scale)
+    return _composition(nb, w, status, r, rho, pool_effects, cfg)
+
+
+def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
+                 rho: float, pool_effects: Mapping[str, float] | None,
+                 cfg: ComposerConfig) -> Composition:
     weights = {cid: float(wi) for cid, wi in zip(nb.candidate_ids, w)}
     positive = {k: v for k, v in weights.items() if v > 0.0}
     if pool_effects is not None and all(k in pool_effects for k in positive):
@@ -302,7 +317,7 @@ def assess(target: Experiment, target_x: np.ndarray,
     else:
         composed = None
     return Composition(
-        target_id=target.id,
+        target_id=nb.target_id,
         weights=weights,
         residual=r,
         normalized_residual=rho,
@@ -311,3 +326,141 @@ def assess(target: Experiment, target_x: np.ndarray,
         solver_status=status,
         neighborhood=nb,
     )
+
+
+class FeatureStore:
+    """Feature vectors as the rows of one contiguous matrix, with its Gram matrix.
+
+    Row ``i`` of ``matrix`` is the feature vector of ``ids[i]``; ``gram`` is
+    ``matrix @ matrix.T`` and ``sq_norms`` the squared row norms. Together
+    they give every pairwise squared distance to within GRAM_BAND, which
+    :func:`assess_row` uses to screen candidates. Rows are finite and of one
+    length; a store is not modified after it is built.
+    """
+
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray, gram: np.ndarray):
+        self.ids = tuple(ids)
+        self.matrix = matrix
+        self.gram = gram
+        self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+
+    @classmethod
+    def from_features(cls, features: Mapping[str, np.ndarray],
+                      ids: Sequence[str]) -> "FeatureStore":
+        """Stack ``features[i]`` for each of ``ids``, in that order."""
+        matrix = _feature_rows(features, ids, None)
+        return cls(ids, matrix, matrix @ matrix.T)
+
+    def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
+        """A store with ``extra``'s rows appended; the Gram block of the
+        existing rows is reused, so the cost is O(k * n * length)."""
+        if not extra:
+            return self
+        clash = sorted(set(extra) & set(self.ids))
+        if clash:
+            raise ValueError(f"ids already in the feature store: {clash[:5]}")
+        new_ids = tuple(extra)
+        rows = _feature_rows(extra, new_ids, self.matrix.shape[1])
+        n, k = len(self.ids), len(new_ids)
+        gram = np.empty((n + k, n + k))
+        gram[:n, :n] = self.gram
+        gram[n:, :n] = rows @ self.matrix.T
+        gram[:n, n:] = gram[n:, :n].T
+        gram[n:, n:] = rows @ rows.T
+        return FeatureStore(self.ids + new_ids, np.vstack([self.matrix, rows]), gram)
+
+
+def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
+                  width: int | None) -> np.ndarray:
+    rows = [np.asarray(features[i], dtype=float) for i in ids]
+    if not rows:
+        raise EmptyPoolError("feature store needs at least one row")
+    width = rows[0].size if width is None else width
+    for i, row in zip(ids, rows):
+        if row.shape != (width,):
+            raise DimensionError(width, row.size)
+        if not np.all(np.isfinite(row)):
+            raise ComposerError(f"feature vector of {i!r} has non-finite values")
+    return np.stack(rows)
+
+
+def _select_rows(store: FeatureStore, t: int,
+                 cfg: ComposerConfig) -> tuple[tuple[int, ...], tuple[float, ...], float]:
+    """:func:`select_candidates` for row ``t`` against every other row.
+
+    Each distance is bracketed from the Gram matrix; an exact norm is taken
+    only for rows that could be a middle value of the median or could make
+    the kept set, so scale, candidates and distances equal select_candidates'.
+    """
+    n = len(store.ids)
+    if n < 2:
+        raise EmptyPoolError("candidate pool is empty")
+    others = np.delete(np.arange(n), t)
+    sq = store.sq_norms
+    d2 = sq[t] + sq[others] - 2.0 * store.gram[t, others]
+    band = GRAM_BAND * (sq[t] + sq[others])
+    lo = np.sqrt(np.maximum(d2 - band, 0.0))
+    hi = np.sqrt(np.maximum(d2 + band, 0.0))
+    dist = np.zeros(others.size)
+    known = np.zeros(others.size, dtype=bool)
+
+    def refine(mask: np.ndarray) -> None:
+        # Row-wise norms sum each row alike however many rows there are, so
+        # these are select_candidates' distances bit for bit.
+        need = mask & ~known
+        dist[need] = np.linalg.norm(store.matrix[others[need]] - store.matrix[t], axis=1)
+        known[need] = True
+
+    # The median is the mean of order statistics k1..k2 (k1 == k2 for an odd
+    # count). Rows whose interval lies wholly below the k1-th lower bound
+    # precede them, rows wholly above the k2-th upper bound follow them.
+    k1, k2 = (others.size - 1) // 2, others.size // 2
+    floor = np.partition(lo, k1)[k1]
+    ceiling = np.partition(hi, k2)[k2]
+    middle = (lo <= ceiling) & (hi >= floor)
+    refine(middle)
+    below = int(np.count_nonzero(hi < floor))
+    local_scale = float(np.median(np.sort(dist[middle])[k1 - below:k2 - below + 1]))
+
+    # A row can be kept only if it may lie within the radius and fewer than
+    # max_candidates rows certainly lie within the radius and before it.
+    radius = cfg.radius_factor * local_scale
+    limit = radius
+    inside = hi[hi <= radius]
+    if inside.size >= cfg.max_candidates:
+        limit = min(limit, float(np.partition(inside, cfg.max_candidates - 1)
+                                 [cfg.max_candidates - 1]))
+    refine(lo <= limit)
+    kept = sorted((float(dist[p]), store.ids[others[p]], int(others[p]))
+                  for p in np.flatnonzero(known & (dist <= radius)))
+    kept = kept[: cfg.max_candidates]
+    return tuple(j for _, _, j in kept), tuple(d for d, _, _ in kept), local_scale
+
+
+def assess_row(store: FeatureStore, t: int,
+               pool_effects: Mapping[str, float] | None, cfg: ComposerConfig,
+               memo: dict | None = None) -> Composition:
+    """:func:`assess` of row ``t`` of ``store`` against every other row.
+
+    The result equals ``assess`` on the pool of every other row, byte for
+    byte. ``memo`` maps (t, candidate rows) to (weights, status, r) and skips
+    the solve when a target's candidates are unchanged; it is valid only
+    across a store and the stores :meth:`FeatureStore.extended` makes from it,
+    which keep every existing row where it is.
+    """
+    rows, dists, scale = _select_rows(store, t, cfg)
+    nb = Neighborhood(target_id=store.ids[t],
+                      candidate_ids=tuple(store.ids[j] for j in rows),
+                      distances=dists, local_scale=scale)
+    key = (t, rows)
+    if memo is not None and key in memo:
+        w, status, r = memo[key]
+        rho = _normalized(r, scale)
+    else:
+        target_x = store.matrix[t]
+        cand_vecs = [store.matrix[j] for j in rows]
+        w, status = solve_weights(target_x, cand_vecs, cfg.ridge)
+        r, rho = residuals(target_x, cand_vecs, w, scale)
+        if memo is not None:
+            memo[key] = (w, status, r)
+    return _composition(nb, w, status, r, rho, pool_effects, cfg)

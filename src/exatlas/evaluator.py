@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .archive import Archive
-from .composer import ComposerConfig, Composition, assess
+from .composer import ComposerConfig, Composition, FeatureStore, assess_row
 
 
 class EvaluatorError(Exception):
@@ -63,23 +62,25 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
             cfg: ComposerConfig, jobs: int = 1) -> list[TargetResult]:
     """Assess every experiment against the rest of the archive.
 
-    Results come back sorted by target id so the output is independent of
-    scheduling when ``jobs > 1``.
+    Every target is assessed over one shared :class:`FeatureStore` of the
+    archive's features, with the same results as ``assess`` over a per-target
+    pool. Results come back sorted by target id. ``jobs`` is accepted for
+    callers that pass it and ignored: the pass runs on one thread.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")
     missing = [i for i in archive.ids() if i not in features]
     if missing:
         raise EvaluatorError(f"features missing for ids: {missing[:5]}")
+    store = FeatureStore.from_features(features, archive.ids())
     effects = {exp.id: float(exp.effect_size) for exp in archive}
-
-    def one(exp) -> TargetResult:
-        pool = {i: features[i] for i in archive.ids() if i != exp.id}
-        pool_effects = {i: v for i, v in effects.items() if i != exp.id}
-        comp = assess(exp, features[exp.id], pool, pool_effects, cfg)
-        assert comp.composed_effect is not None
+    results = []
+    for t, exp in enumerate(archive):
+        comp = assess_row(store, t, effects, cfg)
+        if comp.composed_effect is None:
+            raise EvaluatorError(f"no effect prediction for target {exp.id!r}")
         matched = sign_match(comp.composed_effect, exp.effect_size) if comp.composable else None
-        return TargetResult(
+        results.append(TargetResult(
             target_id=exp.id,
             observed_effect=float(exp.effect_size),
             predicted_effect=float(comp.composed_effect),
@@ -87,13 +88,7 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
             composable=comp.composable,
             sign_matched=matched,
             composition=comp,
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, archive))
-    else:
-        results = [one(exp) for exp in archive]
+        ))
     return sorted(results, key=lambda r: r.target_id)
 
 

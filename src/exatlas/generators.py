@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .archive import Archive, Experiment
-from .atlas import Conflict, isolated_ratio
-from .composer import ComposerConfig, assess
+from .atlas import Conflict, _isolated_ratio
+from .composer import ComposerConfig, FeatureStore, assess_row
 from .representation import (
     EmbeddingError,
     EmbeddingProvider,
@@ -430,26 +430,34 @@ def bridge_loop(target: Experiment, archive: Archive,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    real_pool = {i: np.asarray(features[i], dtype=float)
-                 for i in archive.ids() if i != target.id}
-    target_x = np.asarray(features[target.id], dtype=float)
-    comp = assess(target, target_x, real_pool, None, cfg)
+    width = len(features[target.id])
+    if 3 * embedder.dimension != width:
+        raise EmbeddingError(
+            f"embedding provider dimension {embedder.dimension} gives features of "
+            f"length {3 * embedder.dimension}, but the archive's features have "
+            f"length {width}")
+    # One store grows by each round's proposals; the memo skips the solve for
+    # every target whose candidates a round leaves unchanged.
+    store = FeatureStore.from_features(features, archive.ids())
+    memo: dict = {}
+    row = archive.ids().index(target.id)
+    comp = assess_row(store, row, None, cfg, memo)
     if comp.composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
-    hypothetical: dict[str, np.ndarray] = {}
-    trace = [isolated_ratio(archive, features, cfg)]
+    trace = [_isolated_ratio(store, len(archive), cfg, memo)]
     proposals_all: list[BridgeProposal] = []
     known: list[str] = []
     rounds_run = 0
     final_composable = False
     for rnd in range(1, max_rounds + 1):
         nearest_real = [cid for cid in comp.neighborhood.candidate_ids
-                        if cid in real_pool][:literature_size]
+                        if cid in archive][:literature_size]
         literature = [archive.get(cid) for cid in nearest_real]
         request = build_bridge_prompt(target, literature, known)
         response = chat.complete(request)
         proposals = parse_bridge_response(response, round=rnd)
+        added: dict[str, np.ndarray] = {}
         for k, prop in enumerate(proposals):
             try:
                 t = embed_text(embedder, prop.parsed_treatment)
@@ -458,13 +466,13 @@ def bridge_loop(target: Experiment, archive: Archive,
                 logger.warning("dropping proposal %r (round %d): %s",
                                prop.text[:60], rnd, e)
                 continue
-            hypothetical[f"hypothetical:{target.id}:{rnd}:{k}"] = build_feature(t, o)
+            added[f"hypothetical:{target.id}:{rnd}:{k}"] = build_feature(t, o)
+        store = store.extended(added)
         proposals_all.extend(proposals)
         known.extend(p.text for p in proposals)
         rounds_run = rnd
-        comp = assess(target, target_x, {**real_pool, **hypothetical}, None, cfg)
-        trace.append(isolated_ratio(archive, features, cfg,
-                                    extra_features=hypothetical))
+        comp = assess_row(store, row, None, cfg, memo)
+        trace.append(_isolated_ratio(store, len(archive), cfg, memo))
         if comp.composable:
             final_composable = True
             break

@@ -307,6 +307,8 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
             except json.JSONDecodeError as e:
                 raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
             vec = np.asarray(rec["values"], dtype=float)
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingError(f"{path}:{line_no}: non-finite value")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

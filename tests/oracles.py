@@ -92,3 +92,30 @@ def random_reconstruction_instance(rng: np.random.Generator, d: int, n: int):
     y = rng.standard_normal(d)
     y /= np.linalg.norm(y)
     return A, y
+
+
+def reference_assess(target_id, features, pool_ids, effects, cfg, extra=None):
+    """``assess`` over a freshly built pool dict: the per-target path that
+    the feature store replaces."""
+    from types import SimpleNamespace
+
+    from exatlas.composer import assess
+
+    pool = {i: features[i] for i in pool_ids if i != target_id}
+    pool.update(extra or {})
+    return assess(SimpleNamespace(id=target_id), features[target_id], pool,
+                  effects, cfg)
+
+
+def reference_isolated_ratio(archive, features, cfg, extra=None) -> float:
+    """Isolated ratio with one ``assess`` per target over its own pool dict."""
+    ids = archive.ids()
+    composable = {}
+    receives = dict.fromkeys(ids, False)
+    for i in ids:
+        comp = reference_assess(i, features, ids, None, cfg, extra)
+        composable[i] = comp.composable
+        for cid, w in comp.weights.items():
+            if w > 0.0 and cid in receives:
+                receives[cid] = True
+    return sum(1 for i in ids if not composable[i] and not receives[i]) / len(ids)

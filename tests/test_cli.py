@@ -89,6 +89,50 @@ class TestEvaluate:
         assert report["n_composable"] >= 4
 
 
+class TestErrorsExitCleanly:
+    """Bad input ends in exit code 2 and a single ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def one_error_line(err: str) -> str:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    def test_non_finite_vector_file(self, tmp_path, capsys):
+        vec = tmp_path / "v.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[3])
+        rec["values"][5] = float("nan")
+        lines[3] = json.dumps(rec)
+        vec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for cmd in ("evaluate", "atlas"):
+            assert run(cmd, "--archive", TOY, "--vectors", str(vec)) == 2
+            line = self.one_error_line(capsys.readouterr().err)
+            assert line == f"error: {vec}:4: non-finite value"
+
+    def test_single_record_archive(self, tmp_path, capsys):
+        one = tmp_path / "one.jsonl"
+        with open(TOY, encoding="utf-8") as fh:
+            one.write_text(fh.readline(), encoding="utf-8")
+        assert run("evaluate", "--archive", str(one), "--provider", "stub:d=8") == 2
+        line = self.one_error_line(capsys.readouterr().err)
+        assert "at least 2 experiments" in line
+
+    def test_composer_error(self, monkeypatch, capsys):
+        from exatlas import evaluator as evaluator_mod
+        from exatlas.composer import EmptyPoolError
+
+        def fail(*args, **kwargs):
+            raise EmptyPoolError("candidate pool is empty")
+
+        monkeypatch.setattr(evaluator_mod, "loo_run", fail)
+        assert run("evaluate", "--archive", TOY, "--provider", "stub:d=8") == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            "error: candidate pool is empty"
+
+
 class TestCalibrate:
     def test_curve_csv_and_chosen_lambda(self, tmp_path, capsys):
         out = tmp_path / "cal"
@@ -215,6 +259,20 @@ class TestBridgeCommand:
                    "--chat", "stub", "--stub-transcript", str(transcript))
         assert code == 2
         assert "already composable" in capsys.readouterr().err
+
+
+    def test_provider_dimension_checked_before_round_one(self, tmp_path, capsys):
+        archive_path, _, feature_path, transcript = make_bridge_inputs(tmp_path)
+        code = run("bridge", "--archive", str(archive_path),
+                   "--vectors", str(feature_path), "--provider", "stub:d=32",
+                   "--target", "gap-t",
+                   "--chat", "stub", "--stub-transcript", str(transcript),
+                   "--out", str(tmp_path / "bridge"))
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "32" in err and "96" in err and "length 12" in err
+        assert list((tmp_path / "bridge" / "audit").iterdir()) == []  # no chat call
 
 
 class TestReconcileCommand:

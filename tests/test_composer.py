@@ -142,6 +142,16 @@ class TestSolveWeights:
         assert status == FALLBACK_UNIFORM
         np.testing.assert_allclose(w, [0.5, 0.5])
 
+    def test_programming_error_propagates(self, monkeypatch):
+        import exatlas.composer as composer_mod
+
+        def broken(A, y, ridge):
+            raise TypeError("bug in the solver")
+
+        monkeypatch.setattr(composer_mod, "_active_set_simplex", broken)
+        with pytest.raises(TypeError, match="bug in the solver"):
+            solve_weights(np.zeros(2), [np.ones(2), -np.ones(2)], 1e-2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_weights(np.zeros(3), [np.zeros(2)], 1e-2)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import reference_isolated_ratio
 
 from exatlas.archive import Archive, Experiment
 from exatlas.composer import assess
@@ -387,6 +388,27 @@ class TestBridgeLoop:
         assert len(trace) == 3
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert trace[-1] < trace[0]
+
+    def test_trace_matches_per_target_reference(self, tmp_path, default_cfg):
+        archive, features, provider = make_gap_fixture(tmp_path)
+        target = archive.get("gap-t")
+        pool = {i: features[i] for i in archive.ids() if i != "gap-t"}
+        comp0 = assess(target, features["gap-t"], pool, None, default_cfg)
+        literature = [archive.get(c) for c in comp0.neighborhood.candidate_ids[:5]]
+        response1 = "useless treatment increases common outcome"
+        stub = ScriptedStubChat.from_pairs({
+            build_bridge_prompt(target, literature, known=[]).prompt: response1,
+            build_bridge_prompt(target, literature, known=[response1]).prompt:
+                "planted bridge treatment increases common outcome",
+        })
+        result = bridge_loop(target, archive, features, provider, stub, default_cfg)
+        o = provider.embed("common outcome")
+        extra: dict = {}
+        want = [reference_isolated_ratio(archive, features, default_cfg)]
+        for rnd, treatment in ((1, "useless treatment"), (2, "planted bridge treatment")):
+            extra[f"hypothetical:gap-t:{rnd}:0"] = build_feature(provider.embed(treatment), o)
+            want.append(reference_isolated_ratio(archive, features, default_cfg, extra))
+        assert list(result.isolated_ratio_trace) == want
 
     def test_round_limit_respected_when_proposals_useless(self, tmp_path,
                                                           default_cfg):

@@ -82,6 +82,14 @@ class TestVectorFileProvider:
         with pytest.raises(DimensionMismatchError):
             read_vector_file(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": "a", "values": [1.0, 2.0]}\n'
+                        f'{{"id": "b", "values": [1.0, {bad}]}}\n', encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=f"^{path}:2: non-finite value$"):
+            read_vector_file(path)
+
 
 def make_fake_transport(dimension, calls):
     def transport(endpoint, payload, headers):
