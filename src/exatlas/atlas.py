@@ -10,7 +10,7 @@ from typing import Any, Mapping, Sequence, Union
 import numpy as np
 
 from .archive import Archive
-from .composer import ComposerConfig, Composition, FeatureStore, assess_row
+from .composer import ComposerConfig, Composition, FeatureStore, assess_rows
 from .evaluator import TargetResult, loo_run, sign, sign_match
 
 DEFAULT_GAP_NEIGHBORS = 5
@@ -138,12 +138,11 @@ def _isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
                     memo: dict | None = None) -> float:
     """:func:`isolated_ratio` over a store whose first ``n_real`` rows are the
     archive and whose other rows are extra candidates; ``memo`` is passed to
-    :func:`assess_row`."""
+    :func:`assess_rows`."""
     real = store.ids[:n_real]
     receives_weight = dict.fromkeys(real, False)
     composable = []
-    for t in range(n_real):
-        comp = assess_row(store, t, None, cfg, memo)
+    for comp in assess_rows(store, range(n_real), None, cfg, memo):
         composable.append(comp.composable)
         for cid, w in comp.weights.items():
             if w > 0.0 and cid in receives_weight:

@@ -37,6 +37,12 @@ from .representation import (
 
 _TOY_ARCHIVE = "data/toy_archive.jsonl"
 
+# Every setting a --config file may hold: the names that _setting reads.
+CONFIG_KEYS = frozenset({
+    "cache_dir", "chat", "grid", "jobs", "lambda_", "max_candidates", "max_rounds",
+    "provider", "radius_factor", "relax", "ridge", "seed", "stub_transcript", "vectors",
+})
+
 
 class CliError(Exception):
     pass
@@ -116,9 +122,16 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"config file {path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CliError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"unknown key in config file {path}: "
+                       + ", ".join(repr(k) for k in unknown))
     return doc
 
 
@@ -132,11 +145,12 @@ def _setting(args, config: Mapping[str, Any], name: str, default):
 
 
 def _composer_config(args, config: Mapping[str, Any]) -> ComposerConfig:
+    default = ComposerConfig()
     return ComposerConfig(
-        radius_factor=float(_setting(args, config, "radius_factor", 1.5)),
-        max_candidates=int(_setting(args, config, "max_candidates", 30)),
-        ridge=float(_setting(args, config, "ridge", 1e-2)),
-        lambda_=float(_setting(args, config, "lambda_", 0.462)),
+        radius_factor=float(_setting(args, config, "radius_factor", default.radius_factor)),
+        max_candidates=int(_setting(args, config, "max_candidates", default.max_candidates)),
+        ridge=float(_setting(args, config, "ridge", default.ridge)),
+        lambda_=float(_setting(args, config, "lambda_", default.lambda_)),
     )
 
 
@@ -297,7 +311,8 @@ def cmd_bridge(args, config) -> int:
         chat = generators_mod.AuditingChat(chat, out / "audit")
     result = generators_mod.bridge_loop(
         target, arc, features, provider, chat, cfg,
-        max_rounds=int(_setting(args, config, "max_rounds", 3)),
+        max_rounds=int(_setting(args, config, "max_rounds",
+                                generators_mod.DEFAULT_MAX_ROUNDS)),
     )
     print(f"target {result.target_id}: rounds={result.rounds_run} "
           f"composable={result.final_composable}")
@@ -378,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, help="parallel embedding workers (default 1)")
         p.add_argument("--cache-dir", dest="cache_dir", help="embedding cache directory")
         p.add_argument("--lambda", dest="lambda_", type=float,
-                       help="composability threshold (default 0.462)")
-        p.add_argument("--ridge", type=float, help="ridge penalty (default 1e-2)")
+                       help=f"composability threshold (default {ComposerConfig.lambda_:g})")
+        p.add_argument("--ridge", type=float,
+                       help=f"ridge penalty (default {ComposerConfig.ridge:g})")
         p.add_argument("--radius-factor", dest="radius_factor", type=float)
         p.add_argument("--max-candidates", dest="max_candidates", type=int)
 
@@ -444,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config_file(args.config)
         return args.func(args, config)
     except (ArchiveError, EmbeddingError, ComposerError, evaluator_mod.EvaluatorError,
-            generators_mod.ChatError, CliError, ValueError) as e:
+            generators_mod.ChatError, CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

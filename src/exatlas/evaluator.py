@@ -9,7 +9,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .archive import Archive
-from .composer import ComposerConfig, Composition, FeatureStore, assess_row
+from .composer import ComposerConfig, Composition, FeatureStore, assess_rows
 
 
 class EvaluatorError(Exception):
@@ -75,8 +75,7 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
     store = FeatureStore.from_features(features, archive.ids())
     effects = {exp.id: float(exp.effect_size) for exp in archive}
     results = []
-    for t, exp in enumerate(archive):
-        comp = assess_row(store, t, effects, cfg)
+    for exp, comp in zip(archive, assess_rows(store, range(len(archive)), effects, cfg)):
         if comp.composed_effect is None:
             raise EvaluatorError(f"no effect prediction for target {exp.id!r}")
         matched = sign_match(comp.composed_effect, exp.effect_size) if comp.composable else None

@@ -24,7 +24,7 @@ import numpy as np
 
 from .archive import Archive, Experiment
 from .atlas import Conflict, _isolated_ratio
-from .composer import ComposerConfig, FeatureStore, assess_row
+from .composer import ComposerConfig, FeatureStore, assess_rows
 from .representation import (
     EmbeddingError,
     EmbeddingProvider,
@@ -114,10 +114,18 @@ class ScriptedStubChat:
     def from_file(cls, path: str | Path) -> "ScriptedStubChat":
         transcript: dict[str, str] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ChatError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                if not isinstance(rec, dict):
+                    raise ChatError(f"{path}:{line_no}: expected a JSON object")
+                missing = [k for k in ("prompt_hash", "response") if k not in rec]
+                if missing:
+                    raise ChatError(f"{path}:{line_no}: missing field {missing[0]!r}")
                 transcript[rec["prompt_hash"]] = rec["response"]
         return cls(transcript)
 
@@ -441,7 +449,7 @@ def bridge_loop(target: Experiment, archive: Archive,
     store = FeatureStore.from_features(features, archive.ids())
     memo: dict = {}
     row = archive.ids().index(target.id)
-    comp = assess_row(store, row, None, cfg, memo)
+    (comp,) = assess_rows(store, [row], None, cfg, memo)
     if comp.composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
@@ -471,7 +479,7 @@ def bridge_loop(target: Experiment, archive: Archive,
         proposals_all.extend(proposals)
         known.extend(p.text for p in proposals)
         rounds_run = rnd
-        comp = assess_row(store, row, None, cfg, memo)
+        (comp,) = assess_rows(store, [row], None, cfg, memo)
         trace.append(_isolated_ratio(store, len(archive), cfg, memo))
         if comp.composable:
             final_composable = True

@@ -9,14 +9,16 @@ the provider returns them; no extra normalization is applied here.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import logging
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .archive import Archive
 ENV_EMBED_KEY = "EXATLAS_EMBED_KEY"
 DEFAULT_REMOTE_MODEL = "sentence-transformers/all-mpnet-base-v2"
 DEFAULT_REMOTE_DIMENSION = 768
+
+logger = logging.getLogger(__name__)
 
 
 class EmbeddingError(Exception):
@@ -118,7 +122,9 @@ class RemoteEmbeddingProvider:
     order. The API key is read from ``EXATLAS_EMBED_KEY`` unless given.
     Responses are cached in memory by (model, text) and, when ``cache_dir``
     is set, appended to ``<cache_dir>/<model-slug>.jsonl`` so reruns make no
-    remote calls. All cache access is lock-synchronized; concurrent batches
+    remote calls. An unterminated last line in that file, left by a write that
+    was cut short, is dropped with a warning and cut off the file before the
+    next append. All cache access is lock-synchronized; concurrent batches
     are limited by ``max_inflight``.
     """
 
@@ -153,11 +159,23 @@ class RemoteEmbeddingProvider:
         self._inflight = threading.Semaphore(max(1, int(max_inflight)))
         self._cache: dict[str, np.ndarray] = {}
         self._cache_path: Path | None = None
+        self._torn_tail: int | None = None  # where an unterminated last line starts
         if cache_dir is not None:
             slug = "".join(c if c.isalnum() or c in "-_." else "_" for c in model)
             self._cache_path = Path(cache_dir) / f"{slug}.jsonl"
             if self._cache_path.exists():
-                self._cache.update(read_vector_file(self._cache_path))
+                self._load_cache()
+
+    def _load_cache(self) -> None:
+        path = self._cache_path
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            logger.warning("%s: dropping an unterminated last line of %d bytes",
+                           path, len(data) - end)
+            self._torn_tail = end
+        lines = io.TextIOWrapper(io.BytesIO(data[:end]), encoding="utf-8")
+        self._cache.update(_parse_vector_lines(path, lines))
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -174,6 +192,10 @@ class RemoteEmbeddingProvider:
                 for t, v in zip(batch, vectors):
                     self._cache[text_key(t)] = v
                 if self._cache_path is not None:
+                    if self._torn_tail is not None:
+                        with self._cache_path.open("r+b") as fh:
+                            fh.truncate(self._torn_tail)
+                        self._torn_tail = None
                     append_vector_file(self._cache_path,
                                        {text_key(t): v for t, v in zip(batch, vectors)})
         with self._lock:
@@ -296,24 +318,39 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider,
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     """Read a ``{id, values}``-per-line vector file, enforcing one dimension."""
     path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        return _parse_vector_lines(path, fh)
+
+
+def _parse_vector_lines(path: Path, lines: Iterable[str]) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+        if not isinstance(rec, dict):
+            raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
+        missing = [k for k in ("id", "values") if k not in rec]
+        if missing:
+            raise EmbeddingError(f"{path}:{line_no}: missing field {missing[0]!r}")
+        try:
             vec = np.asarray(rec["values"], dtype=float)
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path}:{line_no}: non-finite value")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimensionMismatchError(dim, vec.size)
-            vectors[str(rec["id"])] = vec
+            if vec.ndim != 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise EmbeddingError(
+                f"{path}:{line_no}: values must be a list of numbers") from None
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DimensionMismatchError(dim, vec.size)
+        vectors[str(rec["id"])] = vec
     return vectors
 
 
@@ -332,6 +369,6 @@ def append_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> N
 
 def _write_vector_lines(fh, vectors: Mapping[str, np.ndarray]) -> None:
     for vec_id, vec in vectors.items():
-        rec = {"id": vec_id, "values": [float(x) for x in np.asarray(vec).ravel()]}
+        rec = {"id": vec_id, "values": np.asarray(vec, dtype=float).ravel().tolist()}
         fh.write(json.dumps(rec, ensure_ascii=False))
         fh.write("\n")

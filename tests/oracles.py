@@ -94,17 +94,109 @@ def random_reconstruction_instance(rng: np.random.Generator, d: int, n: int):
     return A, y
 
 
-def reference_assess(target_id, features, pool_ids, effects, cfg, extra=None):
-    """``assess`` over a freshly built pool dict: the per-target path that
-    the feature store replaces."""
-    from types import SimpleNamespace
+def reference_solve_weights(target_x, candidates, ridge, limits=None):
+    """``solve_weights`` one problem at a time: the per-target active-set loop
+    that the lockstep solver replaces, with the same tolerances, limits and
+    fallbacks."""
+    from exatlas.composer import (FALLBACK_UNIFORM, OPTIMAL, WEIGHT_SUM_TOL, DimensionError,
+                                  EmptyPoolError)
 
-    from exatlas.composer import assess
+    if not candidates:
+        raise EmptyPoolError("need at least one candidate")
+    target_x = np.asarray(target_x, dtype=float)
+    A = np.column_stack([np.asarray(c, dtype=float) for c in candidates])
+    if A.shape[0] != target_x.shape[0]:
+        raise DimensionError(target_x.shape[0], A.shape[0])
+    n = A.shape[1]
+    if n == 1:
+        return np.ones(1), OPTIMAL
+    try:
+        w = reference_active_set_simplex(A, target_x, ridge, limits)
+        if not (np.all(np.isfinite(w)) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL
+                and w.min() >= -WEIGHT_SUM_TOL):
+            raise ArithmeticError("solver returned an infeasible point")
+    except (ArithmeticError, np.linalg.LinAlgError):
+        return np.full(n, 1.0 / n), FALLBACK_UNIFORM
+    w = np.maximum(w, 0.0)
+    return w / w.sum(), OPTIMAL
+
+
+def _reference_solve_on_face(G, b, free):
+    idx = np.flatnonzero(free)
+    k = idx.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * G[np.ix_(idx, idx)]
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    rhs = np.concatenate([2.0 * b[idx], [1.0]])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    return sol[:k], float(sol[k])
+
+
+def reference_active_set_simplex(A, y, ridge, limits=None):
+    """Primal active-set method for one problem; raises ArithmeticError on
+    failure. ``limits`` overrides (n + 2, 3n + 20): the face solves in a row
+    that may find no feasible point, and the dual steps in all."""
+    n = A.shape[1]
+    max_inner, max_outer = limits or (n + 2, 3 * n + 20)
+    G = A.T @ A + ridge * np.eye(n)
+    b = A.T @ y
+    w = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    free[int(np.argmin(np.diag(G) - 2.0 * b))] = True
+    w[free] = 1.0
+    nu = 0.0
+    for _ in range(max_outer):
+        for _ in range(max_inner):
+            wf, nu = _reference_solve_on_face(G, b, free)
+            if wf.min() >= -1e-12:
+                w = np.zeros(n)
+                w[np.flatnonzero(free)] = np.maximum(wf, 0.0)
+                break
+            idx = np.flatnonzero(free)
+            cur = w[idx]
+            step = wf - cur
+            blocking = step < -1e-16
+            theta = min(1.0, float(np.min(cur[blocking] / -step[blocking])))
+            cur = cur + theta * step
+            w = np.zeros(n)
+            w[idx] = np.maximum(cur, 0.0)
+            hit = idx[cur <= 1e-14]
+            free[hit] = False
+            w[hit] = 0.0
+            if not free.any():
+                raise ArithmeticError("active set emptied")
+        else:
+            raise ArithmeticError("no primal convergence on face")
+        grad = 2.0 * (G @ w - b)
+        inactive = np.flatnonzero(~free)
+        if inactive.size == 0:
+            return w / w.sum()
+        mu = grad[inactive] - nu
+        tol = 1e-9 * (1.0 + float(np.abs(grad).max()))
+        if mu.min() >= -tol:
+            return w / w.sum()
+        free[inactive[int(np.argmin(mu))]] = True
+    raise ArithmeticError("active-set iteration limit reached")
+
+
+def reference_assess(target_id, features, pool_ids, effects, cfg, extra=None):
+    """``assess`` over a freshly built pool dict, solved by
+    :func:`reference_solve_weights`: the per-target path that the feature
+    store and the lockstep solver replace."""
+    from exatlas.composer import _composition, residuals, select_candidates
 
     pool = {i: features[i] for i in pool_ids if i != target_id}
     pool.update(extra or {})
-    return assess(SimpleNamespace(id=target_id), features[target_id], pool,
-                  effects, cfg)
+    target_x = features[target_id]
+    nb = select_candidates(target_id, target_x, pool, cfg)
+    cand_vecs = [pool[c] for c in nb.candidate_ids]
+    w, status = reference_solve_weights(target_x, cand_vecs, cfg.ridge)
+    r, rho = residuals(target_x, cand_vecs, w, nb.local_scale)
+    return _composition(nb, w, status, r, rho, effects, cfg)
 
 
 def reference_isolated_ratio(archive, features, cfg, extra=None) -> float:
@@ -119,3 +211,19 @@ def reference_isolated_ratio(archive, features, cfg, extra=None) -> float:
             if w > 0.0 and cid in receives:
                 receives[cid] = True
     return sum(1 for i in ids if not composable[i] and not receives[i]) / len(ids)
+
+
+def count_problems_solved(monkeypatch) -> dict:
+    """Count the weight problems the composer solves, however it batches
+    them: ``counts["n"]`` grows by one per target solved."""
+    import exatlas.composer as composer_mod
+
+    counts = {"n": 0}
+    original = composer_mod._solve_stack
+
+    def counting(G, b):
+        counts["n"] += len(b)
+        return original(G, b)
+
+    monkeypatch.setattr(composer_mod, "_solve_stack", counting)
+    return counts

@@ -110,16 +110,9 @@ def test_criterion_4_calibration_properties(toy_archive, toy_features,
     assert all(b >= a for a, b in zip(cov, cov[1:]))
 
     # Weights and rho computed once per target, reused across the grid.
-    import exatlas.composer as composer_mod
+    from oracles import count_problems_solved
 
-    calls = {"n": 0}
-    original = composer_mod.solve_weights
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(composer_mod, "solve_weights", counting)
+    calls = count_problems_solved(monkeypatch)
     calibrate_lambda(toy_archive, toy_features, default_cfg, default_grid())
     assert calls["n"] == len(toy_archive)
 

@@ -89,6 +89,41 @@ class TestEvaluate:
         assert report["n_composable"] >= 4
 
 
+class TestConfig:
+    @staticmethod
+    def composer_config(argv, config):
+        from exatlas.cli import _composer_config, build_parser
+
+        return _composer_config(build_parser().parse_args(argv), config)
+
+    def test_defaults_are_composer_config_defaults(self):
+        assert self.composer_config(["evaluate", "--archive", TOY], {}) == ComposerConfig()
+
+    def test_flag_over_config_over_default(self):
+        got = self.composer_config(["evaluate", "--archive", TOY, "--lambda", "0.9"],
+                                   {"lambda_": 0.7, "ridge": 0.5})
+        assert got == ComposerConfig(lambda_=0.9, ridge=0.5)
+
+    def test_config_keys_are_the_settings_read(self):
+        import ast
+        import inspect
+
+        from exatlas import cli
+
+        read = {node.args[2].value for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_setting"}
+        assert read == cli.CONFIG_KEYS
+
+    def test_config_file_is_applied(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda_": 0.9}), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert run("--config", str(config), "evaluate", "--archive", TOY,
+                   "--provider", "stub:d=8,seed=1", "--out", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["lambda_used"] == pytest.approx(0.9)
+
+
 class TestErrorsExitCleanly:
     """Bad input ends in exit code 2 and a single ``error:`` line, never a traceback."""
 
@@ -111,6 +146,58 @@ class TestErrorsExitCleanly:
             assert run(cmd, "--archive", TOY, "--vectors", str(vec)) == 2
             line = self.one_error_line(capsys.readouterr().err)
             assert line == f"error: {vec}:4: non-finite value"
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "x"}', "missing field 'values'"),
+        ('[0.5, 0.5]', "expected a JSON object"),
+    ])
+    def test_malformed_vector_record(self, tmp_path, capsys, line, message):
+        vec = tmp_path / "v.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        lines[2] = line
+        vec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--archive", TOY, "--vectors", str(vec)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == f"error: {vec}:3: {message}"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"prompt_hash": "abc"}, "missing field 'response'"),
+        (["abc", "reply"], "expected a JSON object"),
+    ])
+    def test_malformed_transcript(self, tmp_path, capsys, record, message):
+        archive_path, provider_path, feature_path, transcript = make_bridge_inputs(tmp_path)
+        transcript.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run("bridge", "--archive", str(archive_path), "--vectors", str(feature_path),
+                   "--provider", f"file:{provider_path}", "--target", "gap-t",
+                   "--chat", "stub", "--stub-transcript", str(transcript)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: {transcript}:1: {message}"
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lamda": 0.1, "ridge": 0.5, "jbos": 2}),
+                          encoding="utf-8")
+        assert run("--config", str(config), "evaluate", "--archive", TOY,
+                   "--provider", "stub:d=8") == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: unknown key in config file {config}: 'jbos', 'lamda'"
+
+    def test_config_not_json(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("lambda_ = 0.5\n", encoding="utf-8")
+        assert run("--config", str(config), "evaluate", "--archive", TOY) == 2
+        assert self.one_error_line(capsys.readouterr().err).startswith(
+            f"error: config file {config}: invalid JSON: ")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        for argv in (["evaluate", "--archive", str(missing)],
+                     ["evaluate", "--archive", TOY, "--vectors", str(missing)],
+                     ["--config", str(missing), "evaluate", "--archive", TOY]):
+            assert run(*argv) == 2
+            line = self.one_error_line(capsys.readouterr().err)
+            assert str(missing) in line
 
     def test_single_record_archive(self, tmp_path, capsys):
         one = tmp_path / "one.jsonl"

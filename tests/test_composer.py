@@ -134,8 +134,8 @@ class TestSolveWeights:
     def test_solver_failure_falls_back_to_uniform(self, monkeypatch):
         import exatlas.composer as composer_mod
 
-        def boom(A, y, ridge):
-            raise ArithmeticError("forced failure")
+        def boom(G, b):
+            return [None] * len(b)  # every problem failed
 
         monkeypatch.setattr(composer_mod, "_active_set_simplex", boom)
         w, status = solve_weights(np.zeros(2), [np.ones(2), -np.ones(2)], 1e-2)
@@ -145,7 +145,7 @@ class TestSolveWeights:
     def test_programming_error_propagates(self, monkeypatch):
         import exatlas.composer as composer_mod
 
-        def broken(A, y, ridge):
+        def broken(G, b):
             raise TypeError("bug in the solver")
 
         monkeypatch.setattr(composer_mod, "_active_set_simplex", broken)

@@ -235,16 +235,9 @@ class TestCalibration:
 
     def test_weights_computed_once_across_grid(self, toy_archive, toy_features,
                                                default_cfg, monkeypatch):
-        import exatlas.composer as composer_mod
+        from oracles import count_problems_solved
 
-        calls = {"n": 0}
-        original = composer_mod.solve_weights
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(composer_mod, "solve_weights", counting)
+        calls = count_problems_solved(monkeypatch)
         calibrate_lambda(toy_archive, toy_features, default_cfg, default_grid())
         assert calls["n"] == len(toy_archive)  # once per target, not per lambda
 

@@ -11,6 +11,7 @@ from exatlas.composer import assess
 from exatlas.atlas import Conflict
 from exatlas.generators import (
     AuditingChat,
+    ChatError,
     ChatRequest,
     ChatTransportError,
     MalformedResponseError,
@@ -136,6 +137,21 @@ class TestScriptedStub:
                                      "response": "r"}) + "\n", encoding="utf-8")
         stub = ScriptedStubChat.from_file(path)
         assert stub.complete(ChatRequest("p")) == "r"
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"prompt_hash": "abc"}', "missing field 'response'"),
+        ('{"response": "r"}', "missing field 'prompt_hash'"),
+        ('["abc", "r"]', "expected a JSON object"),
+        ('{"prompt_hash": "abc", ', "invalid JSON: Expecting property name enclosed "
+                                   "in double quotes"),
+    ])
+    def test_malformed_transcript_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "transcript.jsonl"
+        good = json.dumps({"prompt_hash": prompt_hash("p"), "response": "r"})
+        path.write_text(good + "\n\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ChatError) as err:
+            ScriptedStubChat.from_file(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 class TestRemoteChat:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,18 @@ class TestVectorFileProvider:
             p.embed("unknown")
         assert err.value.vector_id == text_key("unknown")
 
+    @pytest.mark.parametrize("vec", [
+        np.array([0.1, 1 / 3, -2.5e-30, 7.0], dtype=np.float32),
+        np.array([3, -1, 0, 2**40], dtype=np.int64),
+        np.linspace(-1.0, 1.0, 7),
+    ])
+    def test_written_bytes_match_elementwise_float(self, tmp_path, vec):
+        path = tmp_path / "v.jsonl"
+        write_vector_file(path, {"a": vec, "b": vec[::-1]})
+        want = "".join(json.dumps({"id": i, "values": [float(x) for x in v]}) + "\n"
+                       for i, v in (("a", vec), ("b", vec[::-1])))
+        assert path.read_text(encoding="utf-8") == want
+
     def test_dimension_enforced(self, tmp_path):
         path = tmp_path / "v.jsonl"
         path.write_text('{"id": "a", "values": [1.0, 2.0]}\n'
@@ -89,6 +103,24 @@ class TestVectorFileProvider:
                         f'{{"id": "b", "values": [1.0, {bad}]}}\n', encoding="utf-8")
         with pytest.raises(EmbeddingError, match=f"^{path}:2: non-finite value$"):
             read_vector_file(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b"}', "missing field 'values'"),
+        ('{"values": [1.0, 2.0]}', "missing field 'id'"),
+        ('[1.0, 2.0]', "expected a JSON object"),
+        ('"text"', "expected a JSON object"),
+        ('{"id": "b", "values": ["x", 2.0]}', "values must be a list of numbers"),
+        ('{"id": "b", "values": {"x": 1}}', "values must be a list of numbers"),
+        ('{"id": "b", "values": [[1.0], [2.0]]}', "values must be a list of numbers"),
+        ('{"id": "b", "values": 3.0}', "values must be a list of numbers"),
+    ])
+    def test_malformed_record_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "v.jsonl"
+        path.write_text('{"id": "a", "values": [1.0, 2.0]}\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(EmbeddingError) as err:
+            read_vector_file(path)
+        assert str(err.value) == f"{path}:2: {message}"
 
 
 def make_fake_transport(dimension, calls):
@@ -156,6 +188,37 @@ class TestRemoteProvider:
         v2 = p2.embed("text")
         np.testing.assert_array_equal(v1, v2)
         assert len(calls) == 1
+
+    def test_torn_cache_line_dropped_and_cut_before_next_append(self, tmp_path, caplog):
+        calls: list = []
+
+        def transport(endpoint, payload, headers):
+            calls.append(list(payload["input"]))
+            return {"data": [{"embedding": [float(ord(t)), 0.5, -1.0]}
+                             for t in payload["input"]]}
+
+        kwargs = dict(model="m", dimension=3, transport=transport, cache_dir=tmp_path)
+        RemoteEmbeddingProvider("http://x", **kwargs).embed_many(["a", "b"])
+        cache = tmp_path / "m.jsonl"
+        whole = cache.read_bytes()
+        torn = b'{"id": "' + text_key("c").encode() + b'", "values": [0.5, '
+        cache.write_bytes(whole + torn)
+
+        with caplog.at_level("WARNING", logger="exatlas.representation"):
+            p = RemoteEmbeddingProvider("http://x", **kwargs)
+        assert f"{cache}: dropping an unterminated last line of {len(torn)} bytes" \
+            in caplog.text
+        assert [p.embed(t)[0] for t in "ab"] == [97.0, 98.0]
+        assert len(calls) == 1
+        assert cache.read_bytes() == whole + torn  # cut only before an append
+        assert p.embed("c")[0] == 99.0
+        assert len(calls) == 2
+        assert cache.read_bytes().startswith(whole)
+        assert cache.read_bytes().count(b"\n") == 3
+        assert sorted(read_vector_file(cache)) == sorted(text_key(t) for t in "abc")
+        again = RemoteEmbeddingProvider("http://x", **kwargs)  # later runs read it
+        assert [v[0] for v in again.embed_many(["a", "b", "c"])] == [97.0, 98.0, 99.0]
+        assert len(calls) == 2
 
 
 class TestBuildFeature:

@@ -1,9 +1,10 @@
 """The feature-store path against the per-target ``assess`` reference.
 
-``assess_row`` screens distances from one Gram matrix and takes exact norms
-only where the screen cannot decide, so its records must equal the
-reference's byte for byte, including on exact ties, on near-ties inside the
-screening band and on pools smaller than the candidate cap.
+``assess_rows`` screens distances from one Gram matrix and takes exact norms
+only where the screen cannot decide, then solves every target's weights in
+one lockstep solver, so its records must equal the reference's byte for
+byte, including on exact ties, on near-ties inside the screening band and on
+pools smaller than the candidate cap.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import json
 
 import numpy as np
 import pytest
-from oracles import reference_assess, reference_isolated_ratio
+from oracles import count_problems_solved, reference_assess, reference_isolated_ratio
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import _isolated_ratio, isolated_ratio
 from exatlas.composer import (ComposerConfig, ComposerError, DimensionError,
-                              FeatureStore, assess_row)
+                              FeatureStore, assess_rows)
 from exatlas.evaluator import loo_run
 
 
@@ -81,8 +82,7 @@ def test_store_matches_assess_byte_for_byte(case):
     ids = tuple(features)
     effects = {i: float(k % 7) - 3.0 for k, i in enumerate(ids)}
     store = FeatureStore.from_features(features, ids)
-    for t, tid in enumerate(ids):
-        got = assess_row(store, t, effects, cfg)
+    for tid, got in zip(ids, assess_rows(store, range(len(ids)), effects, cfg)):
         want = reference_assess(tid, features, ids, effects, cfg)
         assert record_bytes(got) == record_bytes(want), tid
         assert got.neighborhood == want.neighborhood, tid
@@ -100,10 +100,10 @@ def test_extended_store_matches_assess(case):
     grown = store.extended(dict(list(extra.items())[:2])).extended(
         dict(list(extra.items())[2:]))
     assert grown.ids == ids + tuple(extra)
-    np.testing.assert_allclose(grown.gram, grown.matrix @ grown.matrix.T)
+    matrix = np.stack(grown.rows)
+    np.testing.assert_allclose(grown.gram, matrix @ matrix.T)
     effects = {i: 1.0 for i in ids}
-    for t, tid in enumerate(ids):
-        got = assess_row(grown, t, effects, cfg)
+    for tid, got in zip(ids, assess_rows(grown, range(len(ids)), effects, cfg)):
         want = reference_assess(tid, features, ids, effects, cfg, extra)
         assert record_bytes(got) == record_bytes(want), tid
 
@@ -155,9 +155,8 @@ def test_isolated_ratio_with_and_without_memo():
         assert trace[-1] == _isolated_ratio(store, len(ids), cfg)
         assert trace[-1] == isolated_ratio(archive, features, cfg, extra_features=extra)
         assert trace[-1] == reference_isolated_ratio(archive, features, cfg, extra)
-        for t in range(len(ids)):
-            for m in (memo, None):
-                comp = assess_row(store, t, effects, cfg, m)
+        for m in (memo, None):
+            for comp in assess_rows(store, range(len(ids)), effects, cfg, m):
                 if any(w > 0.0 for k, w in comp.weights.items() if k in extra):
                     weighted += 1
                     assert comp.composed_effect is None
@@ -175,10 +174,16 @@ def test_memo_skips_unchanged_solves(monkeypatch):
     store = FeatureStore.from_features(features, ids)
     memo: dict = {}
     cfg = ComposerConfig()
-    first = [record_bytes(assess_row(store, t, None, cfg, memo)) for t in range(len(ids))]
-    monkeypatch.setattr(composer_mod, "solve_weights", None)  # any solve would fail
-    again = [record_bytes(assess_row(store, t, None, cfg, memo)) for t in range(len(ids))]
+    solved = count_problems_solved(monkeypatch)
+    first = [record_bytes(c) for c in assess_rows(store, range(len(ids)), None, cfg, memo)]
+    assert solved["n"] == len(ids)  # one solve per target
+    again = [record_bytes(c) for c in assess_rows(store, range(len(ids)), None, cfg, memo)]
     assert again == first
+    assert solved["n"] == len(ids)  # and none on the second pass
+    singles = [record_bytes(c) for t in range(len(ids))
+               for c in assess_rows(store, [t], None, cfg, memo)]
+    assert singles == first
+    assert solved["n"] == len(ids)
 
 
 def test_store_rejects_bad_rows():
