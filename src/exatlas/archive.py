@@ -105,9 +105,17 @@ class Experiment:
             raise RecordValidationError(self.id, "treatment", "must be non-empty", line_no)
         if not self.outcome_text:
             raise RecordValidationError(self.id, "outcome", "must be non-empty", line_no)
+        for name, text in (("enriched_treatment", self.enriched_treatment),
+                           ("enriched_outcome", self.enriched_outcome)):
+            if text is not None and not isinstance(text, str):
+                raise RecordValidationError(self.id, name, "must be a string", line_no)
         if isinstance(self.effect_size, bool) or not isinstance(self.effect_size, (int, float)):
             raise RecordValidationError(self.id, "effect_size", "must be a real number", line_no)
-        if not math.isfinite(self.effect_size):
+        try:
+            finite = math.isfinite(self.effect_size)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise RecordValidationError(self.id, "effect_size", "must be finite", line_no)
 
     def to_record(self) -> dict[str, Any]:
@@ -189,9 +197,6 @@ class Archive:
         rest = tuple(exp for exp in self.experiments if exp.id != experiment_id)
         return target, Archive(rest, dict(self.metadata))
 
-    def with_experiment(self, exp: Experiment) -> "Archive":
-        return Archive(self.experiments + (exp,), dict(self.metadata))
-
 
 def load_archive(path: str | Path) -> Archive:
     """Load a line-delimited archive file, validating every record.
@@ -204,20 +209,24 @@ def load_archive(path: str | Path) -> Archive:
     experiments: list[Experiment] = []
     first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ArchiveParseError(str(path), line_no, f"invalid JSON: {e.msg}") from e
-            if not isinstance(rec, dict):
-                raise ArchiveParseError(str(path), line_no, "record is not an object")
-            exp = Experiment.from_record(rec, line_no)
-            if exp.id in first_line:
-                raise DuplicateIdError(exp.id, (first_line[exp.id], line_no))
-            first_line[exp.id] = line_no
-            experiments.append(exp)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ArchiveParseError(str(path), line_no,
+                                            f"invalid JSON: {e.msg}") from e
+                if not isinstance(rec, dict):
+                    raise ArchiveParseError(str(path), line_no, "record is not an object")
+                exp = Experiment.from_record(rec, line_no)
+                if exp.id in first_line:
+                    raise DuplicateIdError(exp.id, (first_line[exp.id], line_no))
+                first_line[exp.id] = line_no
+                experiments.append(exp)
+        except UnicodeDecodeError as e:
+            raise ArchiveError(f"{path}: not UTF-8 text: {e.reason}") from None
     return Archive(tuple(experiments), {"path": str(path)})
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .archive import Archive
 from .composer import ComposerConfig, Composition, FeatureStore, assess_rows
-from .evaluator import TargetResult, loo_run, sign, sign_match
+from .evaluator import TargetResult, sign, sign_match
 
 DEFAULT_GAP_NEIGHBORS = 5
 
@@ -78,24 +78,18 @@ def route_results(results: Sequence[TargetResult],
     return [route(r.composition, r.observed_effect, gap_neighbors) for r in results]
 
 
-def mine_conflicts(archive: Archive | None = None,
-                   features: Mapping[str, np.ndarray] | None = None,
+def mine_conflicts(results: Sequence[TargetResult],
                    cfg: ComposerConfig | None = None,
-                   relax_factor: float = 1.5,
-                   results: Sequence[TargetResult] | None = None) -> list[Conflict]:
-    """Re-gate assessments at lambda' = relax_factor * lambda and collect sign mismatches.
+                   relax_factor: float = 1.5) -> list[Conflict]:
+    """Re-gate leave-one-out ``results`` at lambda' = relax_factor * lambda and
+    collect sign mismatches.
 
     At factor 1 this returns exactly the strict conflicts; larger factors only
-    add cases. Pass precomputed leave-one-out ``results`` to reuse weights and
-    rho values instead of re-solving.
+    add cases. The results' weights and rho values are reused, not re-solved.
     """
     if relax_factor < 1:
         raise ValueError("relax_factor must be >= 1")
     cfg = cfg or ComposerConfig()
-    if results is None:
-        if archive is None or features is None:
-            raise ValueError("either results or (archive, features) must be given")
-        results = loo_run(archive, features, cfg)
     relaxed_lambda = relax_factor * cfg.lambda_
     out: list[Conflict] = []
     for r in results:

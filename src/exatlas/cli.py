@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -37,11 +38,16 @@ from .representation import (
 
 _TOY_ARCHIVE = "data/toy_archive.jsonl"
 
-# Every setting a --config file may hold: the names that _setting reads.
-CONFIG_KEYS = frozenset({
-    "cache_dir", "chat", "grid", "jobs", "lambda_", "max_candidates", "max_rounds",
-    "provider", "radius_factor", "relax", "ridge", "seed", "stub_transcript", "vectors",
-})
+# Every setting a --config file may hold (the names that _setting reads) and
+# the type of its value.
+_CONFIG_TYPES: dict[str, type] = {
+    **dict.fromkeys(("cache_dir", "chat", "grid", "provider", "stub_transcript",
+                     "vectors"), str),
+    **dict.fromkeys(("jobs", "max_candidates", "max_rounds", "seed"), int),
+    **dict.fromkeys(("lambda_", "radius_factor", "relax", "ridge"), float),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+CONFIG_KEYS = frozenset(_CONFIG_TYPES)
 
 
 class CliError(Exception):
@@ -126,13 +132,29 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CliError(f"config file {path}: invalid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise CliError(f"config file {path}: not UTF-8 text: {e.reason}") from None
     if not isinstance(doc, dict):
         raise CliError("config file must hold a JSON object")
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
         raise CliError(f"unknown key in config file {path}: "
                        + ", ".join(repr(k) for k in unknown))
+    for key, kind in _CONFIG_TYPES.items():
+        if key in doc and not _is_config_value(doc[key], kind):
+            raise CliError(f"config file {path}: {key!r} must be {_TYPE_NAMES[kind]}")
     return doc
+
+
+def _is_config_value(value: Any, kind: type) -> bool:
+    if isinstance(value, bool):
+        return False
+    if kind is not float:
+        return isinstance(value, kind)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _setting(args, config: Mapping[str, Any], name: str, default):

@@ -420,8 +420,8 @@ class FeatureStore:
     diagonal. Together they give every pairwise squared distance to within
     GRAM_BAND, which :func:`assess_rows` uses to screen candidates;
     ``id_rank`` is each id's position in sorted order, which breaks distance
-    ties. Rows are finite and of one length; a store is not modified after it
-    is built.
+    ties. Rows are finite and of one length, no squared distance between
+    them overflows, and a store is not modified after it is built.
     """
 
     def __init__(self, ids: Sequence[str], rows: Sequence[np.ndarray], gram: np.ndarray):
@@ -429,6 +429,9 @@ class FeatureStore:
         self.rows = tuple(rows)
         self.gram = gram
         self.sq_norms = np.diagonal(gram).copy()
+        # Every squared distance is at most 4 * max(sq_norms).
+        if not np.isfinite(4.0 * self.sq_norms.max()):
+            raise ComposerError("feature vectors too long: squared distances overflow")
         self.id_rank = np.empty(len(self.ids), dtype=int)
         self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = \
             np.arange(len(self.ids))

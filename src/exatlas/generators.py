@@ -114,19 +114,26 @@ class ScriptedStubChat:
     def from_file(cls, path: str | Path) -> "ScriptedStubChat":
         transcript: dict[str, str] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ChatError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-                if not isinstance(rec, dict):
-                    raise ChatError(f"{path}:{line_no}: expected a JSON object")
-                missing = [k for k in ("prompt_hash", "response") if k not in rec]
-                if missing:
-                    raise ChatError(f"{path}:{line_no}: missing field {missing[0]!r}")
-                transcript[rec["prompt_hash"]] = rec["response"]
+            try:
+                for line_no, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError as e:
+                        raise ChatError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                    if not isinstance(rec, dict):
+                        raise ChatError(f"{path}:{line_no}: expected a JSON object")
+                    missing = [k for k in ("prompt_hash", "response") if k not in rec]
+                    if missing:
+                        raise ChatError(f"{path}:{line_no}: missing field {missing[0]!r}")
+                    if not (isinstance(rec["prompt_hash"], str)
+                            and isinstance(rec["response"], str)):
+                        raise ChatError(
+                            f"{path}:{line_no}: prompt_hash and response must be strings")
+                    transcript[rec["prompt_hash"]] = rec["response"]
+            except UnicodeDecodeError as e:
+                raise ChatError(f"{path}: not UTF-8 text: {e.reason}") from None
         return cls(transcript)
 
     @classmethod

@@ -48,8 +48,9 @@ class MissingVectorError(EmbeddingError):
 
 
 class DimensionMismatchError(EmbeddingError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"dimension mismatch: expected {expected}, got {got}")
+    def __init__(self, expected: int, got: int, where: str = ""):
+        prefix = f"{where}: " if where else ""
+        super().__init__(f"{prefix}dimension mismatch: expected {expected}, got {got}")
         self.expected = expected
         self.got = got
 
@@ -323,35 +324,57 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def _parse_vector_lines(path: Path, lines: Iterable[str]) -> dict[str, np.ndarray]:
+    import orjson
+
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-        if not isinstance(rec, dict):
-            raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
-        missing = [k for k in ("id", "values") if k not in rec]
-        if missing:
-            raise EmbeddingError(f"{path}:{line_no}: missing field {missing[0]!r}")
-        try:
-            vec = np.asarray(rec["values"], dtype=float)
-            if vec.ndim != 1:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise EmbeddingError(
-                f"{path}:{line_no}: values must be a list of numbers") from None
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingError(f"{path}:{line_no}: non-finite value")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DimensionMismatchError(dim, vec.size)
-        vectors[str(rec["id"])] = vec
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                rec = None
+            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)):
+                # The standard library decides every line orjson rejects (NaN,
+                # Infinity, 1e400, lone surrogates, bad syntax) and every record
+                # whose id is not a string, since orjson reads integers beyond
+                # 64 bits as floats and str(id) would change.
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+            vec = _record_values(path, line_no, rec)
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+            vectors[str(rec["id"])] = vec
+    except UnicodeDecodeError as e:
+        raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
     return vectors
+
+
+def _record_values(path: Path, line_no: int, rec) -> np.ndarray:
+    """The checked ``values`` of one decoded vector record."""
+    if not isinstance(rec, dict):
+        raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
+    missing = [k for k in ("id", "values") if k not in rec]
+    if missing:
+        raise EmbeddingError(f"{path}:{line_no}: missing field {missing[0]!r}")
+    try:
+        vec = np.asarray(rec["values"], dtype=float)
+        if vec.ndim != 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise EmbeddingError(
+            f"{path}:{line_no}: values must be a list of numbers") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
+    if not np.all(np.isfinite(vec)):
+        raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+    return vec
 
 
 def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:

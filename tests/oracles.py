@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's solver machinery: the simplex
 minimizer below is a pure brute-force grid search plus pattern-search
-refinement driven only by objective evaluations.
+refinement driven only by objective evaluations. The vector-file reader
+below decodes with the standard library's ``json`` alone.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -227,3 +230,46 @@ def count_problems_solved(monkeypatch) -> dict:
 
     monkeypatch.setattr(composer_mod, "_solve_stack", counting)
     return counts
+
+
+def reference_read_vector_file(path) -> dict[str, np.ndarray]:
+    """``read_vector_file`` with every line decoded by ``json.loads``: the
+    same checks in the same order, worded the same way."""
+    from exatlas.representation import DimensionMismatchError, EmbeddingError
+
+    path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    dim = None
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                if not isinstance(rec, dict):
+                    raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
+                for key in ("id", "values"):
+                    if key not in rec:
+                        raise EmbeddingError(f"{path}:{line_no}: missing field {key!r}")
+                try:
+                    vec = np.asarray(rec["values"], dtype=float)
+                    if vec.ndim != 1:
+                        raise ValueError
+                except (TypeError, ValueError):
+                    raise EmbeddingError(
+                        f"{path}:{line_no}: values must be a list of numbers") from None
+                except OverflowError:
+                    raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
+                if not np.all(np.isfinite(vec)):
+                    raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+                if dim is None:
+                    dim = vec.size
+                elif vec.size != dim:
+                    raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+                vectors[str(rec["id"])] = vec
+        except UnicodeDecodeError as e:
+            raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
+    return vectors

@@ -161,6 +161,19 @@ class TestErrorsExitCleanly:
         assert run("evaluate", "--archive", TOY, "--vectors", str(vec)) == 2
         assert self.one_error_line(capsys.readouterr().err) == f"error: {vec}:3: {message}"
 
+    def test_vector_dimension_mismatch_names_line(self, tmp_path, capsys):
+        vec = tmp_path / "v.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[4])
+        rec["values"].pop()
+        lines[4] = json.dumps(rec)
+        vec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--archive", TOY, "--vectors", str(vec)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: {vec}:5: dimension mismatch: expected 24, got 23"
+
     @pytest.mark.parametrize("record, message", [
         ({"prompt_hash": "abc"}, "missing field 'response'"),
         (["abc", "reply"], "expected a JSON object"),

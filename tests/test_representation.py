@@ -93,8 +93,10 @@ class TestVectorFileProvider:
         path = tmp_path / "v.jsonl"
         path.write_text('{"id": "a", "values": [1.0, 2.0]}\n'
                         '{"id": "b", "values": [1.0]}\n', encoding="utf-8")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError) as err:
             read_vector_file(path)
+        assert str(err.value) == f"{path}:2: dimension mismatch: expected 2, got 1"
+        assert (err.value.expected, err.value.got) == (2, 1)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_value_names_path_and_line(self, tmp_path, bad):
