@@ -218,6 +218,9 @@ def load_archive(path: str | Path) -> Archive:
                 except json.JSONDecodeError as e:
                     raise ArchiveParseError(str(path), line_no,
                                             f"invalid JSON: {e.msg}") from e
+                except RecursionError:
+                    raise ArchiveParseError(str(path), line_no,
+                                            "invalid JSON: nested too deeply") from None
                 if not isinstance(rec, dict):
                     raise ArchiveParseError(str(path), line_no, "record is not an object")
                 exp = Experiment.from_record(rec, line_no)

@@ -132,6 +132,8 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CliError(f"config file {path}: invalid JSON: {e}") from e
+        except RecursionError:
+            raise CliError(f"config file {path}: invalid JSON: nested too deeply") from None
         except UnicodeDecodeError as e:
             raise CliError(f"config file {path}: not UTF-8 text: {e.reason}") from None
     if not isinstance(doc, dict):
@@ -266,6 +268,10 @@ def _parse_grid(spec: str | None) -> tuple[float, ...]:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as e:
         raise CliError(f"--grid expects LO:HI:STEP, got {spec!r}") from e
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise CliError(f"--grid values must be finite, got {spec!r}")
+    if step <= 0:
+        raise CliError(f"--grid STEP must be positive, got {spec!r}")
     return evaluator_mod.default_grid(lo, hi, step)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .archive import Archive, Experiment
 from .atlas import Conflict, _isolated_ratio
 from .composer import ComposerConfig, FeatureStore, assess_rows
+from .remote import post_json, requests_transport
 from .representation import (
     EmbeddingError,
     EmbeddingProvider,
@@ -122,6 +123,9 @@ class ScriptedStubChat:
                         rec = json.loads(line)
                     except json.JSONDecodeError as e:
                         raise ChatError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                    except RecursionError:
+                        raise ChatError(
+                            f"{path}:{line_no}: invalid JSON: nested too deeply") from None
                     if not isinstance(rec, dict):
                         raise ChatError(f"{path}:{line_no}: expected a JSON object")
                     missing = [k for k in ("prompt_hash", "response") if k not in rec]
@@ -176,7 +180,8 @@ class RemoteChatProvider:
         self.temperature = temperature
         self.max_retries = max(0, int(max_retries))
         self.backoff = backoff
-        self._transport = transport or _requests_post_json
+        self._transport = transport or requests_transport(
+            ChatTransportError, "chat", timeout=120)
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> str:
@@ -185,17 +190,9 @@ class RemoteChatProvider:
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        for attempt in range(self.max_retries + 1):
-            try:
-                doc = self._transport(self.endpoint, payload, headers)
-                break
-            except ChatTransportError:
-                if attempt == self.max_retries:
-                    raise
-                self._sleep(self.backoff * (2 ** attempt))
+        doc = post_json(self._transport, self.endpoint, payload, self.api_key,
+                        error=ChatTransportError, retries=self.max_retries,
+                        backoff=self.backoff, sleep=self._sleep)
         try:
             content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
@@ -203,20 +200,6 @@ class RemoteChatProvider:
         if not isinstance(content, str) or not content.strip():
             raise MalformedResponseError("chat response is empty")
         return content
-
-
-def _requests_post_json(endpoint: str, payload: dict, headers: dict) -> dict:
-    import requests
-
-    try:
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=120)
-    except requests.RequestException as e:
-        raise ChatTransportError(f"chat request failed: {e}") from e
-    if resp.status_code != 200:
-        raise ChatTransportError(
-            f"chat endpoint returned {resp.status_code}: {resp.text[:200]}"
-        )
-    return resp.json()
 
 
 class AuditingChat:

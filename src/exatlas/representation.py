@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .archive import Archive
+from .remote import post_json, requests_transport
 
 ENV_EMBED_KEY = "EXATLAS_EMBED_KEY"
 DEFAULT_REMOTE_MODEL = "sentence-transformers/all-mpnet-base-v2"
@@ -154,7 +155,8 @@ class RemoteEmbeddingProvider:
         self.batch_size = max(1, int(batch_size))
         self.max_retries = max(0, int(max_retries))
         self.backoff = backoff
-        self._transport = transport or _requests_post_json
+        self._transport = transport or requests_transport(
+            EmbeddingTransportError, "embedding", timeout=60)
         self._sleep = sleep
         self._lock = threading.Lock()
         self._inflight = threading.Semaphore(max(1, int(max_inflight)))
@@ -203,47 +205,36 @@ class RemoteEmbeddingProvider:
             return [self._cache[k] for k in keys]
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
-        payload = {"model": self.model, "input": list(batch)}
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                with self._inflight:
-                    doc = self._transport(self.endpoint, payload, headers)
-                break
-            except EmbeddingTransportError as e:
-                last = e
-                if attempt == self.max_retries:
-                    raise
-                self._sleep(self.backoff * (2 ** attempt))
-        else:  # pragma: no cover
-            raise last or EmbeddingTransportError("no attempts made")
-        data = doc.get("data")
+        doc = post_json(self._send, self.endpoint, {"model": self.model, "input": list(batch)},
+                        self.api_key, error=EmbeddingTransportError,
+                        retries=self.max_retries, backoff=self.backoff, sleep=self._sleep)
+        where = (f"malformed embedding response for the batch of {len(batch)} "
+                 f"starting with {batch[0][:40]!r}")
+        data = doc.get("data") if isinstance(doc, dict) else None
         if not isinstance(data, list) or len(data) != len(batch):
-            raise EmbeddingError(f"malformed embedding response for batch of {len(batch)}")
+            raise EmbeddingError(f"{where}: expected an object whose data lists "
+                                 f"{len(batch)} items")
         out = []
-        for item in data:
-            vec = np.asarray(item["embedding"], dtype=float)
+        for i, item in enumerate(data):
+            if not (isinstance(item, dict) and "embedding" in item):
+                raise EmbeddingError(f"{where}: item {i} is not an object with an embedding")
+            try:
+                vec = np.asarray(item["embedding"], dtype=float)
+                if vec.ndim != 1:
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise EmbeddingError(
+                    f"{where}: item {i}: embedding must be a list of numbers") from None
             if vec.shape != (self.dimension,):
-                raise DimensionMismatchError(self.dimension, vec.size)
+                raise DimensionMismatchError(self.dimension, vec.size, f"{where}: item {i}")
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingError(f"{where}: item {i}: non-finite value")
             out.append(vec)
         return out
 
-
-def _requests_post_json(endpoint: str, payload: dict, headers: dict) -> dict:
-    import requests
-
-    try:
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=60)
-    except requests.RequestException as e:
-        raise EmbeddingTransportError(f"embedding request failed: {e}") from e
-    if resp.status_code != 200:
-        raise EmbeddingTransportError(
-            f"embedding endpoint returned {resp.status_code}: {resp.text[:200]}"
-        )
-    return resp.json()
+    def _send(self, endpoint: str, payload: dict, headers: dict):
+        with self._inflight:
+            return self._transport(endpoint, payload, headers)
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
@@ -345,6 +336,9 @@ def _parse_vector_lines(path: Path, lines: Iterable[str]) -> dict[str, np.ndarra
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                except RecursionError:
+                    raise EmbeddingError(
+                        f"{path}:{line_no}: invalid JSON: nested too deeply") from None
             vec = _record_values(path, line_no, rec)
             if dim is None:
                 dim = vec.size
@@ -390,8 +384,32 @@ def append_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> N
         _write_vector_lines(fh, vectors)
 
 
+# json.dumps spells the non-finite floats its own way; orjson writes null.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _write_vector_lines(fh, vectors: Mapping[str, np.ndarray]) -> None:
+    """Write one line per vector, byte for byte as ``json.dumps({"id": id,
+    "values": values}, ensure_ascii=False)`` would.
+
+    orjson formats the numbers. Its shortest round-trip digits are those of
+    ``float.__repr__``; only the layout differs. ``repr`` writes a decimal
+    exponent below -4 or from 16 up in exponent form with a signed two-digit
+    exponent (``1e-05``, ``1e+16``), where orjson writes ``0.00001`` and
+    ``1e16``, and orjson writes NaN and infinities as ``null``. So the
+    positions of those values, chosen by value and never by scanning the
+    text, are re-rendered with ``repr``; every other token is orjson's.
+    """
+    import orjson
+
     for vec_id, vec in vectors.items():
-        rec = {"id": vec_id, "values": np.asarray(vec, dtype=float).ravel().tolist()}
-        fh.write(json.dumps(rec, ensure_ascii=False))
-        fh.write("\n")
+        arr = np.asarray(vec, dtype=float).ravel()
+        values = arr.tolist()
+        mag = np.abs(arr)
+        redo = np.flatnonzero((arr != 0) & ~((mag >= 1e-4) & (mag < 1e16)))
+        tokens = orjson.dumps(values).decode()[1:-1].split(",")
+        for i in redo.tolist():
+            text = repr(values[i])
+            tokens[i] = _JSON_NONFINITE.get(text, text)
+        fh.write(f'{{"id": {json.dumps(vec_id, ensure_ascii=False)}, '
+                 f'"values": [{", ".join(tokens)}]}}\n')

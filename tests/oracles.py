@@ -3,7 +3,7 @@
 These deliberately avoid the library's solver machinery: the simplex
 minimizer below is a pure brute-force grid search plus pattern-search
 refinement driven only by objective evaluations. The vector-file reader
-below decodes with the standard library's ``json`` alone.
+and writer below use the standard library's ``json`` alone.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ def reference_read_vector_file(path) -> dict[str, np.ndarray]:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+                except RecursionError:
+                    raise EmbeddingError(
+                        f"{path}:{line_no}: invalid JSON: nested too deeply") from None
                 if not isinstance(rec, dict):
                     raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
                 for key in ("id", "values"):
@@ -273,3 +276,12 @@ def reference_read_vector_file(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as e:
             raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
     return vectors
+
+
+def reference_write_vector_lines(fh, vectors) -> None:
+    """``representation._write_vector_lines`` on ``json.dumps`` alone: the file
+    format is whatever this writes."""
+    for vec_id, vec in vectors.items():
+        rec = {"id": vec_id, "values": np.asarray(vec, dtype=float).ravel().tolist()}
+        fh.write(json.dumps(rec, ensure_ascii=False))
+        fh.write("\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exatlas.archive import load_archive
-from exatlas.cli import main, toy_archive_path
+from exatlas.cli import CliError, _parse_grid, main, toy_archive_path
 from exatlas.composer import ComposerConfig, assess
 from exatlas.generators import build_bridge_prompt, prompt_hash
 from exatlas.representation import build_feature, read_vector_file, write_vector_file
@@ -212,6 +212,19 @@ class TestErrorsExitCleanly:
             line = self.one_error_line(capsys.readouterr().err)
             assert str(missing) in line
 
+    def test_deeply_nested_inputs(self, tmp_path, capsys):
+        deep = "[" * 5000 + "]" * 5000
+        archive = tmp_path / "deep.jsonl"
+        archive.write_text(f'{{"id": "a", "treatment": {deep}}}\n', encoding="utf-8")
+        config = tmp_path / "deep.json"
+        config.write_text(f'{{"grid": {deep}}}', encoding="utf-8")
+        assert run("ingest", "--archive", str(archive)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: {archive}:1: invalid JSON: nested too deeply"
+        assert run("--config", str(config), "evaluate", "--archive", TOY) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: config file {config}: invalid JSON: nested too deeply"
+
     def test_single_record_archive(self, tmp_path, capsys):
         one = tmp_path / "one.jsonl"
         with open(TOY, encoding="utf-8") as fh:
@@ -251,6 +264,32 @@ class TestCalibrate:
             "--grid", "0.1:1.0:0.1", "--out", str(out))
         doc = json.loads((out / "calibration.json").read_text())
         assert doc["chosen_lambda"] in doc["grid"]
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:1:0", "--grid STEP must be positive, got '0:1:0'"),
+        ("1:0:-0.1", "--grid STEP must be positive, got '1:0:-0.1'"),
+        ("0:inf:1", "--grid values must be finite, got '0:inf:1'"),
+        ("-inf:1:0.1", "--grid values must be finite, got '-inf:1:0.1'"),
+        ("0:1:nan", "--grid values must be finite, got '0:1:nan'"),
+        ("0:1", "--grid expects LO:HI:STEP, got '0:1'"),
+    ])
+    def test_bad_grid_is_rejected(self, spec, message):
+        with pytest.raises(CliError) as err:
+            _parse_grid(spec)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:inf:1", "0:1:nan"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, spec):
+        assert run("calibrate", "--archive", TOY, "--provider", "stub:d=8",
+                   "--grid", spec) == 2
+        assert TestErrorsExitCleanly.one_error_line(capsys.readouterr().err).startswith(
+            "error: --grid ")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": spec}), encoding="utf-8")
+        assert run("--config", str(config), "calibrate", "--archive", TOY,
+                   "--provider", "stub:d=8") == 2
+        assert TestErrorsExitCleanly.one_error_line(capsys.readouterr().err).startswith(
+            "error: --grid ")
 
 
 class TestAtlas:

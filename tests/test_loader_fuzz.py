@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from test_cli import make_bridge_inputs
 from test_vector_file import new_file
@@ -39,6 +39,8 @@ JSON = st.recursive(
     max_leaves=6,
 )
 GARBAGE_LINES = st.sampled_from(["", "  ", "{", "null", "[]", "{}", "NaN", "\ufeff{}"])
+# Deeper than json.loads can recurse.
+DEEP = "[" * 5000 + "]" * 5000
 
 
 @st.composite
@@ -97,6 +99,7 @@ ARCHIVE_FILE = jsonl_file(st.lists(st.sampled_from(TOY_LINES), max_size=4, uniqu
 
 @FUZZ
 @given(data=ARCHIVE_FILE)
+@example(data=f'{{"id": "a", "treatment": {DEEP}}}\n'.encode())
 def test_load_archive(tmp_path, data):
     try:
         load_archive(new_file(tmp_path, data))
@@ -106,6 +109,7 @@ def test_load_archive(tmp_path, data):
 
 @FUZZ
 @given(data=ARCHIVE_FILE)
+@example(data=f'{{"id": "a", "treatment": {DEEP}}}\n'.encode())
 def test_archive_at_the_cli(tmp_path, capsys, data):
     path = new_file(tmp_path, data)
     out = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -145,6 +149,7 @@ VECTOR_FILE = jsonl_file(vector_lines(), vector_record())
 
 @FUZZ
 @given(data=VECTOR_FILE)
+@example(data=f'{{"id": {DEEP}, "values": [1.0]}}\n'.encode())
 def test_read_vector_file(tmp_path, data):
     try:
         read_vector_file(new_file(tmp_path, data))
@@ -216,6 +221,7 @@ def config_file(draw):
 
 @FUZZ
 @given(data=config_file())
+@example(data=f'{{"grid": {DEEP}}}'.encode())
 def test_config_files(tmp_path, capsys, monkeypatch, data):
     monkeypatch.chdir(tmp_path)  # relative paths in the config resolve here
     path = new_file(tmp_path, data)
@@ -253,6 +259,13 @@ def _config(path):
     (_config, CliError, b'{"ridge": 1' + b"0" * 400 + b"}", "'ridge' must be a finite number"),
     (_config, CliError, b'{"provider": 5}', "'provider' must be a string"),
     (_config, CliError, b'\xff{}', "not UTF-8 text: invalid start byte"),
+    (load_archive, ArchiveError, f'{{"id": "a", "treatment": {DEEP}}}\n'.encode(),
+     ":1: invalid JSON: nested too deeply"),
+    (read_vector_file, EmbeddingError, f'{{"id": {DEEP}, "values": [1.0]}}\n'.encode(),
+     ":1: invalid JSON: nested too deeply"),
+    (ScriptedStubChat.from_file, ChatError, f'\n{{"prompt_hash": {DEEP}}}\n'.encode(),
+     ":2: invalid JSON: nested too deeply"),
+    (_config, CliError, f'{{"grid": {DEEP}}}'.encode(), ": invalid JSON: nested too deeply"),
 ])
 def test_found_inputs_raise_the_loaders_error(tmp_path, loader, error, data, message):
     with pytest.raises(error) as err:

@@ -222,6 +222,44 @@ class TestRemoteProvider:
         assert [v[0] for v in again.embed_many(["a", "b", "c"])] == [97.0, 98.0, 99.0]
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("body, message", [
+        ([{"embedding": [0.0, 1.0]}], "expected an object whose data lists 2 items"),
+        ({"data": [{"embedding": [0.0, 1.0]}]}, "expected an object whose data lists 2 items"),
+        ({"data": [{"embedding": [0.0, 1.0]}, {"vector": [0.0, 1.0]}]},
+         "item 1 is not an object with an embedding"),
+        ({"data": [{"embedding": [0.0, 1.0]}, [0.0, 1.0]]},
+         "item 1 is not an object with an embedding"),
+        ({"data": [{"embedding": ["a", "b"]}, {"embedding": [0.0, 1.0]}]},
+         "item 0: embedding must be a list of numbers"),
+        ({"data": [{"embedding": [[0.0, 1.0]]}, {"embedding": [0.0, 1.0]}]},
+         "item 0: embedding must be a list of numbers"),
+        ({"data": [{"embedding": [0.0, 1.0]}, {"embedding": [float("nan"), 1.0]}]},
+         "item 1: non-finite value"),
+        ({"data": [{"embedding": [0.0, 1.0]}, {"embedding": [10**400, 1.0]}]},
+         "item 1: embedding must be a list of numbers"),
+        ({"data": [{"embedding": [0.0, 1.0]}, {"embedding": [0.0]}]},
+         "item 1: dimension mismatch: expected 2, got 1"),
+    ])
+    def test_malformed_response_is_rejected_and_not_cached(self, tmp_path, body, message):
+        calls: list = []
+
+        def transport(endpoint, payload, headers):
+            calls.append(list(payload["input"]))
+            return body
+
+        p = RemoteEmbeddingProvider("http://x", model="m", dimension=2, transport=transport,
+                                    cache_dir=tmp_path, sleep=lambda s: None)
+        with pytest.raises(EmbeddingError) as err:
+            p.embed_many(["first text", "second"])
+        assert str(err.value) == ("malformed embedding response for the batch of 2 "
+                                  f"starting with 'first text': {message}")
+        assert not isinstance(err.value, EmbeddingTransportError)
+        assert len(calls) == 1  # not retried
+        assert not (tmp_path / "m.jsonl").exists()
+        with pytest.raises(EmbeddingError):  # nothing was cached in memory either
+            p.embed_many(["first text", "second"])
+        assert len(calls) == 2
+
 
 class TestBuildFeature:
     def test_basis_vectors(self):
