@@ -1,6 +1,6 @@
 """Turn an archive of experiment records into an atlas of links, conflicts, and gaps."""
 
-from .archive import Archive, Experiment, hold_out, load_archive, save_archive
+from .archive import Archive, Experiment, load_archive, save_archive
 from .composer import Composition, ComposerConfig, Neighborhood, assess, compose_effect
 from .evaluator import EvalReport, TargetResult, build_report, calibrate_lambda, loo_run
 from .atlas import Conflict, Gap, Link, export_graph, mine_conflicts, route
@@ -20,7 +20,6 @@ __all__ = [
     "Experiment",
     "load_archive",
     "save_archive",
-    "hold_out",
     "ComposerConfig",
     "Composition",
     "Neighborhood",

@@ -240,8 +240,3 @@ def save_archive(archive: Archive, path: str | Path) -> None:
         for exp in archive:
             fh.write(json.dumps(exp.to_record(), ensure_ascii=False))
             fh.write("\n")
-
-
-def hold_out(archive: Archive, experiment_id: str) -> tuple[Experiment, Archive]:
-    """Split the archive into (target, rest); the input archive is untouched."""
-    return archive.hold_out(experiment_id)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence, Union
@@ -87,6 +88,8 @@ def mine_conflicts(results: Sequence[TargetResult],
     At factor 1 this returns exactly the strict conflicts; larger factors only
     add cases. The results' weights and rho values are reused, not re-solved.
     """
+    if not math.isfinite(relax_factor):
+        raise ValueError(f"relax_factor must be a finite number, got {relax_factor!r}")
     if relax_factor < 1:
         raise ValueError("relax_factor must be >= 1")
     cfg = cfg or ComposerConfig()

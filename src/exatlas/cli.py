@@ -48,6 +48,8 @@ _CONFIG_TYPES: dict[str, type] = {
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
 CONFIG_KEYS = frozenset(_CONFIG_TYPES)
+# The most points a calibrate --grid may have; the default grid has 291.
+MAX_GRID_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -261,7 +263,7 @@ def cmd_evaluate(args, config) -> int:
     return 0
 
 
-def _parse_grid(spec: str | None) -> tuple[float, ...]:
+def _parse_grid(spec: str | None) -> Sequence[float]:
     if not spec:
         return evaluator_mod.default_grid()
     try:
@@ -272,14 +274,18 @@ def _parse_grid(spec: str | None) -> tuple[float, ...]:
         raise CliError(f"--grid values must be finite, got {spec!r}")
     if step <= 0:
         raise CliError(f"--grid STEP must be positive, got {spec!r}")
-    return evaluator_mod.default_grid(lo, hi, step)
+    if hi < lo:
+        raise CliError(f"--grid HI must not be below LO, got {spec!r}")
+    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+        raise CliError(f"--grid has more than {MAX_GRID_POINTS} points, got {spec!r}")
+    return evaluator_mod.check_grid(evaluator_mod.default_grid(lo, hi, step))
 
 
 def cmd_calibrate(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results, _ = _loo_results(args, config, arc, cfg)
     grid = _parse_grid(_setting(args, config, "grid", None))
+    results, _ = _loo_results(args, config, arc, cfg)
     curve = evaluator_mod.calibrate_lambda(arc, {}, cfg, grid, results=results)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
     if args.out:

@@ -71,6 +71,10 @@ class ComposerConfig:
     lambda_: float = 0.462
 
     def __post_init__(self) -> None:
+        for name in ("radius_factor", "ridge", "lambda_"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.radius_factor <= 0:
             raise ValueError("radius_factor must be > 0")
         if self.max_candidates < 1:
@@ -143,7 +147,7 @@ def select_candidates(target_id: str, target_x: np.ndarray,
     mat = np.stack([np.asarray(pool[i], dtype=float) for i in ids])
     if mat.shape[1] != target_x.shape[0]:
         raise DimensionError(target_x.shape[0], mat.shape[1])
-    dists = _row_distances(mat, target_x)
+    dists = _distances_in_place(mat, target_x)
     local_scale = float(np.median(dists))
     radius = cfg.radius_factor * local_scale
     order = sorted(zip((float(d) for d in dists), ids))
@@ -156,12 +160,21 @@ def select_candidates(target_id: str, target_x: np.ndarray,
     )
 
 
-def _row_distances(rows: np.ndarray, target_x: np.ndarray) -> np.ndarray:
+def _distances_in_place(rows: np.ndarray, target_x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(rows - target_x, axis=1), computed as norm computes it
     but in the buffer ``rows``, which it overwrites."""
     rows -= target_x
     rows *= rows
     return np.sqrt(np.add.reduce(rows, axis=1))
+
+
+def _row_distances(rows: Sequence[np.ndarray], t: int, cols: np.ndarray) -> np.ndarray:
+    """The exact distance from ``rows[t]`` to ``rows[j]`` for each j of ``cols``.
+
+    Row-wise sums add each row alike however many rows are stacked, so a
+    distance has the same bits in any call, and they are select_candidates'.
+    """
+    return _distances_in_place(np.stack([rows[j] for j in cols]), rows[t])
 
 
 def solve_weights(target_x: np.ndarray, candidates: Sequence[np.ndarray],
@@ -430,7 +443,7 @@ class FeatureStore:
         self.gram = gram
         self.sq_norms = np.diagonal(gram).copy()
         # Every squared distance is at most 4 * max(sq_norms).
-        if not np.isfinite(4.0 * self.sq_norms.max()):
+        if not self.sq_norms.max() <= np.finfo(float).max / 4:
             raise ComposerError("feature vectors too long: squared distances overflow")
         self.id_rank = np.empty(len(self.ids), dtype=int)
         self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = \
@@ -445,7 +458,9 @@ class FeatureStore:
 
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
         """A store with ``extra``'s rows appended; the Gram block of the
-        existing rows is reused, so the cost is O(k * n * length)."""
+        existing rows is reused, so the cost is O(k * n * length). Every
+        existing row keeps its index, so results held by row number (the
+        ``memo`` of :func:`assess_rows`) stay valid for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -469,13 +484,18 @@ GRAM_CHUNK_VALUES = 1 << 17
 
 
 def _inner_products(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
-    """The matrix of ``left[i] @ right[j]``, summed over column chunks."""
+    """The matrix of ``left[i] @ right[j]``, summed over column chunks.
+
+    A product that overflows is left infinite without a warning: the store
+    rejects rows whose squared norms overflow with one error.
+    """
     out = np.zeros((len(left), len(right)))
     step = max(1, GRAM_CHUNK_VALUES // max(len(left), len(right)))
-    for c in range(0, left[0].size, step):
-        a = np.stack([row[c:c + step] for row in left])
-        b = a if right is left else np.stack([row[c:c + step] for row in right])
-        out += a @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(0, left[0].size, step):
+            a = np.stack([row[c:c + step] for row in left])
+            b = a if right is left else np.stack([row[c:c + step] for row in right])
+            out += a @ b.T
     return out
 
 
@@ -493,15 +513,17 @@ def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
     return rows
 
 
-def _select_block(store: FeatureStore, targets: np.ndarray,
-                  cfg: ComposerConfig) -> list[tuple[np.ndarray, np.ndarray, float]]:
+def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
+                  memo: dict | None) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """:func:`select_candidates` for each row of ``targets`` against every
     other row: (candidate rows, their distances, local scale) per target.
 
     Each distance is bracketed from the Gram matrix, for all targets at once;
     an exact norm is taken only for rows that could be a middle value of the
     median or could make the kept set, so scale, candidates and distances
-    equal select_candidates'.
+    equal select_candidates'. ``memo`` maps a target row t to the rows whose
+    exact distance to t it holds, ascending, and those distances: a held
+    distance is read, not taken again, and every one taken is added.
     """
     n = len(store.ids)
     if n < 2:
@@ -524,15 +546,21 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
         # middle value, never below a bound and never within the radius.
         bound[np.arange(targets.size), targets] = np.inf
     dist = np.zeros(lo.shape)
-    known = np.zeros(lo.shape, dtype=bool)
+    known = np.zeros(lo.shape, dtype=bool)  # the rows refined for each target
+    held = np.zeros(lo.shape, dtype=bool)  # the rows whose distance the memo holds
+    if memo:
+        for r, t in enumerate(targets.tolist()):
+            if t in memo:
+                seen, values = memo[t]
+                dist[r, seen] = values
+                held[r, seen] = True
 
     def refine(r: int, cols: np.ndarray) -> None:
-        # Row-wise sums add each row alike however many rows there are, so
-        # these are select_candidates' distances bit for bit.
+        known[r, cols] = True
+        if memo is not None:
+            cols = cols[~held[r, cols]]
         if cols.size:
-            dist[r, cols] = _row_distances(np.stack([store.rows[j] for j in cols]),
-                                           store.rows[targets[r]])
-            known[r, cols] = True
+            dist[r, cols] = _row_distances(store.rows, targets[r], cols)
 
     # The median is the mean of order statistics k1..k2 of the n-1 others
     # (k1 == k2 for an odd count). Rows whose interval lies wholly below the
@@ -567,6 +595,14 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
         cols = np.flatnonzero(known[r] & (dist[r] <= radius[r]))
         cols = cols[np.lexsort((store.id_rank[cols], dist[r, cols]))[:cap]]
         out.append((cols, dist[r, cols], float(scale[r])))
+    if memo is not None:
+        # Each target's entry is a slice of one array for the block, which
+        # holds only the pairs known.
+        rows, seen = np.nonzero(known | held)
+        values = dist[rows, seen]
+        ends = np.cumsum(np.bincount(rows, minlength=targets.size)).tolist()
+        for t, a, b in zip(targets.tolist(), [0] + ends, ends):
+            memo[t] = (seen[a:b], values[a:b])
     return out
 
 
@@ -585,9 +621,11 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
     byte. They are yielded in the order of ``targets``, ASSESS_BLOCK targets
     at a time, so a caller that keeps only a summary never holds a whole
     pass of them. ``memo`` maps (t, candidate rows) to (weights, status, r)
-    and skips the solve when a target's candidates are unchanged; it is valid
-    only across a store and the stores :meth:`FeatureStore.extended` makes
-    from it, which keep every existing row where it is.
+    and skips the solve when a target's candidates are unchanged; it also
+    maps t to the exact distances from row t taken so far, so that a pass
+    takes only those it lacks. It is valid only across a store and the stores
+    :meth:`FeatureStore.extended` makes from it, which keep every existing
+    row where it is: a distance depends on its two rows alone.
     """
     targets = np.asarray(targets, dtype=int).reshape(-1)
     for start in range(0, targets.size, ASSESS_BLOCK):
@@ -598,7 +636,7 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
 def _assess_block(store: FeatureStore, targets: np.ndarray,
                   pool_effects: Mapping[str, float] | None, cfg: ComposerConfig,
                   memo: dict | None) -> list[Composition]:
-    picks = _select_block(store, targets, cfg)
+    picks = _select_block(store, targets, cfg, memo)
     keys = [(int(t), tuple(cols.tolist())) for t, (cols, _, _) in zip(targets, picks)]
     found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
     todo = [r for r, key in enumerate(keys) if key not in found]

@@ -251,6 +251,16 @@ def default_grid(start: float = 0.05, stop: float = 1.50,
     return tuple(round(start + i * step, 10) for i in range(count))
 
 
+def check_grid(grid: Sequence[float]) -> list[float]:
+    """``grid`` as a list of floats, if it is non-empty and strictly increasing."""
+    grid = [float(g) for g in grid]
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def calibrate_lambda(archive: Archive, features: Mapping[str, np.ndarray],
                      cfg: ComposerConfig, grid: Sequence[float],
                      results: Sequence[TargetResult] | None = None,
@@ -262,11 +272,7 @@ def calibrate_lambda(archive: Archive, features: Mapping[str, np.ndarray],
     min-max scaling of the defined MSE values over the grid; a constant MSE
     column scales to all zeros.
     """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
+    grid = check_grid(grid)
     if results is None:
         results = loo_run(archive, features, cfg, jobs=jobs)
     rho = np.asarray([r.rho for r in results])

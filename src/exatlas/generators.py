@@ -435,7 +435,8 @@ def bridge_loop(target: Experiment, archive: Archive,
             f"length {3 * embedder.dimension}, but the archive's features have "
             f"length {width}")
     # One store grows by each round's proposals; the memo skips the solve for
-    # every target whose candidates a round leaves unchanged.
+    # every target whose candidates a round leaves unchanged, and every exact
+    # distance an earlier pass has taken.
     store = FeatureStore.from_features(features, archive.ids())
     memo: dict = {}
     row = archive.ids().index(target.id)

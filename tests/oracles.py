@@ -232,6 +232,22 @@ def count_problems_solved(monkeypatch) -> dict:
     return counts
 
 
+def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
+    """Record the exact distances the feature store path takes: the list
+    grows by one (target row, row) pair per distance."""
+    import exatlas.composer as composer_mod
+
+    pairs: list[tuple[int, int]] = []
+    original = composer_mod._row_distances
+
+    def recording(rows, t, cols):
+        pairs.extend((int(t), int(j)) for j in cols)
+        return original(rows, t, cols)
+
+    monkeypatch.setattr(composer_mod, "_row_distances", recording)
+    return pairs
+
+
 def reference_read_vector_file(path) -> dict[str, np.ndarray]:
     """``read_vector_file`` with every line decoded by ``json.loads``: the
     same checks in the same order, worded the same way."""

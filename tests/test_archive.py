@@ -12,7 +12,6 @@ from exatlas.archive import (
     MissingFieldError,
     RecordValidationError,
     UnknownIdError,
-    hold_out,
     load_archive,
     save_archive,
 )
@@ -138,10 +137,12 @@ class TestSaveRoundTrip:
 
 class TestHoldOut:
     def test_holds_out_named_id(self):
-        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")))
-        target, rest = hold_out(arc, "b")
-        assert target.id == "b"
+        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")), {"source": "s"})
+        target, rest = arc.hold_out("b")
+        assert target is arc.get("b")
         assert rest.ids() == ("a", "c")
+        assert rest.metadata == {"source": "s"}
+        assert rest.metadata is not arc.metadata
         assert arc.ids() == ("a", "b", "c")  # input untouched
 
     def test_unknown_id(self):

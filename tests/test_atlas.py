@@ -109,6 +109,11 @@ class TestMineConflicts:
         with pytest.raises(ValueError):
             mine_conflicts(cfg=default_cfg, relax_factor=0.5, results=[])
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_relax_factor_rejected(self, default_cfg, factor):
+        with pytest.raises(ValueError, match="^relax_factor must be a finite number, got"):
+            mine_conflicts(cfg=default_cfg, relax_factor=factor, results=[])
+
     def test_record_shape(self):
         rec = conflict_to_record(Conflict("t", {"a": 1.0}, 0.5, -0.5, relaxed=True))
         assert rec == {"target_id": "t", "weights": {"a": 1.0},

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from exatlas import cli as cli_mod
+from exatlas import evaluator as evaluator_mod
 from exatlas.archive import load_archive
-from exatlas.cli import CliError, _parse_grid, main, toy_archive_path
+from exatlas.cli import MAX_GRID_POINTS, CliError, _parse_grid, main, toy_archive_path
 from exatlas.composer import ComposerConfig, assess
 from exatlas.generators import build_bridge_prompt, prompt_hash
 from exatlas.representation import build_feature, read_vector_file, write_vector_file
@@ -132,6 +134,24 @@ class TestErrorsExitCleanly:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         return lines[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--lambda", "nan"], "lambda_ must be a finite number, got nan"),
+        (["evaluate", "--lambda=-inf"], "lambda_ must be a finite number, got -inf"),
+        (["evaluate", "--ridge", "nan"], "ridge must be a finite number, got nan"),
+        (["calibrate", "--ridge", "inf"], "ridge must be a finite number, got inf"),
+        (["evaluate", "--radius-factor", "nan"],
+         "radius_factor must be a finite number, got nan"),
+        (["atlas", "--relax", "nan"], "relax_factor must be a finite number, got nan"),
+        (["atlas", "--relax", "inf"], "relax_factor must be a finite number, got inf"),
+        (["reconcile", "--target", "toy-001", "--relax", "nan"],
+         "relax_factor must be a finite number, got nan"),
+    ])
+    def test_non_finite_settings(self, capsys, argv, message):
+        assert run(*argv, "--archive", TOY, "--provider", "stub:d=8") == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == f"error: {message}"
+        assert captured.out == ""
 
     def test_non_finite_vector_file(self, tmp_path, capsys):
         vec = tmp_path / "v.jsonl"
@@ -272,11 +292,38 @@ class TestCalibrate:
         ("-inf:1:0.1", "--grid values must be finite, got '-inf:1:0.1'"),
         ("0:1:nan", "--grid values must be finite, got '0:1:nan'"),
         ("0:1", "--grid expects LO:HI:STEP, got '0:1'"),
+        ("1:0:0.1", "--grid HI must not be below LO, got '1:0:0.1'"),
+        ("0:1e9:1", f"--grid has more than {MAX_GRID_POINTS} points, got '0:1e9:1'"),
+        ("-1e308:1e308:1", f"--grid has more than {MAX_GRID_POINTS} points, "
+                           "got '-1e308:1e308:1'"),
     ])
     def test_bad_grid_is_rejected(self, spec, message):
         with pytest.raises(CliError) as err:
             _parse_grid(spec)
         assert str(err.value) == message
+
+    def test_grid_cap(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 5)
+        assert _parse_grid("0:4:1") == [0.0, 1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(CliError, match="more than 5 points"):
+            _parse_grid("0:5:1")
+
+    def test_grid_over_the_cap_is_never_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("default_grid called")
+
+        monkeypatch.setattr(evaluator_mod, "default_grid", build)
+        with pytest.raises(CliError, match="more than"):
+            _parse_grid("0:1e9:1e-300")
+
+    @pytest.mark.parametrize("spec", ["0:1:0", "1:0:0.1", "0:1e9:1", "0:1e-9:1e-12", "0:1"])
+    def test_bad_grid_fails_before_the_pass(self, monkeypatch, capsys, spec):
+        def loo_run(*args, **kwargs):
+            raise AssertionError("loo_run called")
+
+        monkeypatch.setattr(evaluator_mod, "loo_run", loo_run)
+        assert run("calibrate", "--archive", TOY, "--provider", "stub:d=8", "--grid", spec) == 2
+        TestErrorsExitCleanly.one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("spec", ["0:1:0", "0:inf:1", "0:1:nan"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, spec):

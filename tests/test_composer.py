@@ -45,6 +45,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ComposerConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["radius_factor", "ridge", "lambda_"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
+            ComposerConfig(**{name: value})
+
 
 def pool_at_distances(target, dists):
     """1-D pool placed exactly at the requested distances from the target."""

@@ -278,11 +278,16 @@ def test_config_number_types_accepted(tmp_path):
     assert _config(new_file(tmp_path, json.dumps(doc).encode())) == doc
 
 
-def test_overflowing_features_exit_2(tmp_path, capsys):
+# Warnings are errors here: a warning printed before the error line would
+# break the one-line contract, and pytest would otherwise capture it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [[9e307], [1e200, -2e200, 3e200], [1e154]])
+def test_overflowing_features_exit_2(tmp_path, capsys, values):
     archive = new_file(tmp_path, "\n".join(VECTOR_ARCHIVE).encode("utf-8"))
     vectors = new_file(tmp_path, "".join(
-        json.dumps({"id": i, "values": [v]}) + "\n"
-        for i, v in zip(VECTOR_IDS, (1.0, 1.0, 9e307))).encode("utf-8"))
+        json.dumps({"id": i, "values": v}) + "\n"
+        for i, v in zip(VECTOR_IDS, ([1.0] * len(values), [1.0] * len(values), values))
+    ).encode("utf-8"))
     assert main(["evaluate", "--archive", str(archive), "--vectors", str(vectors)]) == 2
     assert capsys.readouterr().err == \
         "error: feature vectors too long: squared distances overflow\n"

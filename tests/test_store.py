@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 import pytest
-from oracles import count_problems_solved, reference_assess, reference_isolated_ratio
+from oracles import (count_problems_solved, record_exact_distances, reference_assess,
+                     reference_isolated_ratio)
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import _isolated_ratio, isolated_ratio
@@ -184,6 +185,80 @@ def test_memo_skips_unchanged_solves(monkeypatch):
                for c in assess_rows(store, [t], None, cfg, memo)]
     assert singles == first
     assert solved["n"] == len(ids)
+
+
+def near_tie_rounds(features: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+    """Three rounds of rows for :func:`near_tie_features`, around its centre
+    r000: at the median distance, at the radius and among the rows that
+    overfill the 30-cap, each within the screen's band of the rows there,
+    plus exact copies of a row at the radius, of one inside the cap and of
+    the centre."""
+    rng = np.random.default_rng(11)
+    centre = features["r000"]
+
+    def shell(radius: float, name: str) -> dict[str, np.ndarray]:
+        return {f"hypothetical:{name}:{k}": centre + radius * (1 + delta) * unit(rng, centre.size)
+                for k, delta in enumerate((-1e-12, -1e-15, 0.0, 1e-12))}
+
+    return [shell(1.0, "median"),
+            {**shell(1.5, "radius"), "hypothetical:radius:copy": features["r102"].copy()},
+            {**shell(0.5, "cap"), "hypothetical:cap:copy": features["r070"].copy(),
+             "hypothetical:centre": centre.copy()}]
+
+
+def lattice_rounds(features: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+    """Three rounds of rows for :func:`lattice_features`: new 0/1 vectors,
+    exactly tied with rows there, and one a band-width off the lattice."""
+    rng = np.random.default_rng(12)
+    dim = next(iter(features.values())).size
+    return [{f"hypothetical:{r}:{k}": rng.integers(0, 2, size=dim) + (1e-12 if k == 0 else 0.0)
+             for k in range(3)} for r in range(3)]
+
+
+# With the cap, the centre of near_tie_features keeps 30 of its 40 rows at 0.5
+# and never refines a row at the radius; without it, the radius decides.
+ROUNDS = {
+    "near-ties-even-pool": (*CASES["near-ties-even-pool"], near_tie_rounds),
+    "near-ties-odd-pool": (*CASES["near-ties-odd-pool"], near_tie_rounds),
+    "near-ties-uncapped": (near_tie_features(0), ComposerConfig(max_candidates=500),
+                           near_tie_rounds),
+    "lattice-ties": (*CASES["lattice-ties"], lattice_rounds),
+    "lattice-tight-cap": (*CASES["lattice-tight-cap"], lattice_rounds),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDS))
+def test_memo_takes_each_exact_distance_once(case, monkeypatch):
+    features, cfg, rounds = ROUNDS[case]
+    ids = tuple(features)
+    archive = make_archive(ids)
+    effects = {e.id: e.effect_size for e in archive}
+    pairs = record_exact_distances(monkeypatch)
+    store = FeatureStore.from_features(features, ids)
+    memo: dict = {}
+    extra: dict[str, np.ndarray] = {}
+    per_round = []
+    for added in [{}] + rounds(features):
+        extra.update(added)
+        store = store.extended(added)
+        start = len(pairs)
+        got = [record_bytes(c) for c in assess_rows(store, range(len(ids)), effects, cfg, memo)]
+        ratio = _isolated_ratio(store, len(ids), cfg, memo)
+        per_round.append(len(pairs) - start)
+        assert got == [record_bytes(c) for c in assess_rows(store, range(len(ids)), effects, cfg)]
+        assert got == [record_bytes(reference_assess(t, features, ids, effects, cfg, extra))
+                       for t in ids]
+        assert ratio == reference_isolated_ratio(archive, features, cfg, extra)
+        del pairs[start + per_round[-1]:]  # keep only the passes with the memo
+    assert len(pairs) == len(set(pairs)) == sum(per_round)
+    assert all(n < per_round[0] for n in per_round[1:])
+    # The memo holds each distance taken once, ascending by row, and nothing else.
+    held = {t: entry for t, entry in memo.items() if isinstance(t, int)}
+    assert sorted((t, j) for t, (seen, _) in held.items() for j in seen.tolist()) == sorted(pairs)
+    for t, (seen, values) in held.items():
+        assert np.all(np.diff(seen) > 0)
+        exact = np.linalg.norm(np.stack([store.rows[j] for j in seen]) - store.rows[t], axis=1)
+        assert values.tobytes() == exact.tobytes()
 
 
 def test_store_rejects_bad_rows():
