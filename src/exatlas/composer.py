@@ -24,8 +24,12 @@ _ZERO_RESIDUAL_TOL = 1e-12
 # A squared distance read off the Gram matrix is trusted to within this
 # fraction of ||x_j||^2 + ||x_t||^2. Its rounding error, and that of the exact
 # form, is a small multiple of (feature length) * 2**-53 of that sum: about
-# 1e-12 at length 2304, far inside the band.
+# 1e-12 at length 2304, far inside the band. Where products are subnormal the
+# error is absolute instead: at most 2**-1075 a rounding, about 8 roundings per
+# feature element in all. SUBNORMAL_BAND per element covers that twice over,
+# and adds nothing to a band of normal size.
 GRAM_BAND = 1e-9
+SUBNORMAL_BAND = 8 * float(np.finfo(float).smallest_subnormal)
 
 
 class ComposerError(Exception):
@@ -95,7 +99,6 @@ class Neighborhood:
 
     target_id: str
     candidate_ids: tuple[str, ...]
-    distances: tuple[float, ...]
     local_scale: float
 
 
@@ -151,13 +154,9 @@ def select_candidates(target_id: str, target_x: np.ndarray,
     local_scale = float(np.median(dists))
     radius = cfg.radius_factor * local_scale
     order = sorted(zip((float(d) for d in dists), ids))
-    kept = [(d, i) for d, i in order if d <= radius][: cfg.max_candidates]
-    return Neighborhood(
-        target_id=target_id,
-        candidate_ids=tuple(i for _, i in kept),
-        distances=tuple(d for d, _ in kept),
-        local_scale=local_scale,
-    )
+    kept = [i for d, i in order if d <= radius][: cfg.max_candidates]
+    return Neighborhood(target_id=target_id, candidate_ids=tuple(kept),
+                        local_scale=local_scale)
 
 
 def _distances_in_place(rows: np.ndarray, target_x: np.ndarray) -> np.ndarray:
@@ -168,13 +167,23 @@ def _distances_in_place(rows: np.ndarray, target_x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows, axis=1))
 
 
-def _row_distances(rows: Sequence[np.ndarray], t: int, cols: np.ndarray) -> np.ndarray:
-    """The exact distance from ``rows[t]`` to ``rows[j]`` for each j of ``cols``.
+# Exact distances are taken this many stacked rows at a time.
+PAIR_CHUNK = 32
+
+
+def _pair_distances(rows: Sequence[np.ndarray], targets: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """The exact distance from ``rows[targets[i]]`` to ``rows[cols[i]]`` for each i.
 
     Row-wise sums add each row alike however many rows are stacked, so a
     distance has the same bits in any call, and they are select_candidates'.
     """
-    return _distances_in_place(np.stack([rows[j] for j in cols]), rows[t])
+    out = np.empty(cols.size)
+    for a in range(0, cols.size, PAIR_CHUNK):
+        ts, js = targets[a:a + PAIR_CHUNK].tolist(), cols[a:a + PAIR_CHUNK].tolist()
+        out[a:a + len(js)] = _distances_in_place(np.stack([rows[j] for j in js]),
+                                                 np.stack([rows[t] for t in ts]))
+    return out
 
 
 def solve_weights(target_x: np.ndarray, candidates: Sequence[np.ndarray],
@@ -286,7 +295,9 @@ def _active_set_simplex(G: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]
         tol = 1e-9 * (1.0 + np.abs(grad).max(axis=1))
         done = ~inactive.any(axis=1) | (mu.min(axis=1) >= -tol)
         for j in q[done]:
-            out[j] = w[j] / w[j].sum()
+            total = w[j].sum()
+            if 0.0 < total < np.inf:
+                out[j] = w[j] / total
         go = q[~done]
         free[go, np.argmin(mu[~done], axis=1)] = True
         face_solves[go] = 0
@@ -320,7 +331,7 @@ def _solve_faces(G: np.ndarray, b: np.ndarray, free: np.ndarray,
     wf = np.zeros((live.size, b.shape[1]))
     nu = np.zeros(live.size)
     solved = np.ones(live.size, dtype=bool)
-    for k in np.unique(size).tolist():
+    for k in np.flatnonzero(np.bincount(size)).tolist():
         pos = np.flatnonzero(size == k)
         sel = live[pos]
         idx = np.nonzero(free[sel])[1].reshape(sel.size, k)
@@ -430,8 +441,9 @@ class FeatureStore:
     when it is already contiguous float64, so a store adds no copy of the
     features, and the caller must not modify it while the store is in use.
     ``gram`` holds every inner product of two rows and ``sq_norms`` its
-    diagonal. Together they give every pairwise squared distance to within
-    GRAM_BAND, which :func:`assess_rows` uses to screen candidates;
+    diagonal. Together they bracket every pairwise distance, within GRAM_BAND
+    (and SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets
+    alone all it can: at N=360 it takes about one exact norm a target.
     ``id_rank`` is each id's position in sorted order, which breaks distance
     ties. Rows are finite and of one length, no squared distance between
     them overflows, and a store is not modified after it is built.
@@ -514,16 +526,20 @@ def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
 
 
 def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
-                  memo: dict | None) -> list[tuple[np.ndarray, np.ndarray, float]]:
+                  memo: dict | None) -> list[tuple[np.ndarray, float]]:
     """:func:`select_candidates` for each row of ``targets`` against every
-    other row: (candidate rows, their distances, local scale) per target.
+    other row: (candidate rows, local scale) per target.
 
-    Each distance is bracketed from the Gram matrix, for all targets at once;
-    an exact norm is taken only for rows that could be a middle value of the
-    median or could make the kept set, so scale, candidates and distances
-    equal select_candidates'. ``memo`` maps a target row t to the rows whose
-    exact distance to t it holds, ascending, and those distances: a held
-    distance is read, not taken again, and every one taken is added.
+    Each distance is bracketed from the Gram matrix, and every bracket holds
+    the exact distance. An exact norm is taken only where the brackets cannot
+    decide: for the rows that could be a middle value of the median, the
+    rows that could be kept but straddle the radius, and the rows that could
+    be kept whose brackets touch or overlap another's. So scale, candidates
+    and their order equal select_candidates'. A bracket narrows to its exact distance once
+    that is taken. All of it is worked for the whole block at once. ``memo``
+    maps a target row t to the rows whose exact distance to t it holds,
+    ascending, and those distances: a held distance is read, not taken
+    again, and every one taken is added.
     """
     n = len(store.ids)
     if n < 2:
@@ -536,6 +552,7 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     hi *= 2.0
     np.subtract(band, hi, out=hi)  # squared distance
     band *= GRAM_BAND
+    band += SUBNORMAL_BAND * (store.rows[0].size + 1)
     lo = hi - band
     hi += band
     del band
@@ -545,22 +562,24 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         # A target is not in its own pool: an infinite bracket is never a
         # middle value, never below a bound and never within the radius.
         bound[np.arange(targets.size), targets] = np.inf
-    dist = np.zeros(lo.shape)
-    known = np.zeros(lo.shape, dtype=bool)  # the rows refined for each target
-    held = np.zeros(lo.shape, dtype=bool)  # the rows whose distance the memo holds
+    known = np.zeros(lo.shape, dtype=bool)  # lo == hi == the exact distance
     if memo:
         for r, t in enumerate(targets.tolist()):
             if t in memo:
                 seen, values = memo[t]
-                dist[r, seen] = values
-                held[r, seen] = True
+                lo[r, seen] = hi[r, seen] = values
+                known[r, seen] = True
 
-    def refine(r: int, cols: np.ndarray) -> None:
-        known[r, cols] = True
-        if memo is not None:
-            cols = cols[~held[r, cols]]
-        if cols.size:
-            dist[r, cols] = _row_distances(store.rows, targets[r], cols)
+    def refine(r: np.ndarray, j: np.ndarray) -> None:
+        take = ~known[r, j]
+        r, j = r[take], j[take]
+        lo[r, j] = hi[r, j] = _pair_distances(store.rows, targets[r], j)
+        known[r, j] = True
+
+    def segments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The number of pairs of each target, and where its pairs start in r.
+        counts = np.bincount(r, minlength=targets.size)
+        return counts, np.cumsum(counts) - counts
 
     # The median is the mean of order statistics k1..k2 of the n-1 others
     # (k1 == k2 for an odd count). Rows whose interval lies wholly below the
@@ -569,40 +588,60 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     k1, k2 = (n - 2) // 2, (n - 1) // 2
     floor = np.partition(lo, k1, axis=1)[:, k1, None]
     ceiling = np.partition(hi, k2, axis=1)[:, k2, None]
-    middle = (lo <= ceiling) & (hi >= floor)
-    below = np.count_nonzero(hi < floor, axis=1)
-    scale = np.empty(targets.size)
-    for r in range(targets.size):
-        cols = np.flatnonzero(middle[r])
-        refine(r, cols)
-        window = np.sort(dist[r, cols])[k1 - below[r]:k2 - below[r] + 1]
-        # np.median of the one or two middle values, as select_candidates takes it.
-        scale[r] = (window[0] + window[-1]) / 2
+    below = np.count_nonzero(hi < floor, axis=1)  # before the middle rows narrow
+    r, j = np.nonzero((lo <= ceiling) & (hi >= floor))
+    refine(r, j)
+    middle = lo[r, j][np.lexsort((lo[r, j], r))]
+    start = segments(r)[1] - below
+    # np.median of the one or two middle values, as select_candidates takes it.
+    scale = (middle[start + k1] + middle[start + k2]) / 2
 
     # A row can be kept only if it may lie within the radius and fewer than
-    # max_candidates rows certainly lie within the radius and before it.
+    # max_candidates rows certainly lie within the radius and before it. Such
+    # a row that straddles the radius is refined, so that each lies within it
+    # or beyond it for certain.
     cap = cfg.max_candidates
-    radius = cfg.radius_factor * scale
+    radius = (cfg.radius_factor * scale)[:, None]
     limit = radius.copy()
     if cap < n:
-        inside = hi <= radius[:, None]
-        nth = np.partition(np.where(inside, hi, np.inf), cap - 1, axis=1)[:, cap - 1]
+        inside = hi <= radius
+        nth = np.partition(np.where(inside, hi, np.inf), cap - 1, axis=1)[:, cap - 1, None]
         full = np.count_nonzero(inside, axis=1) >= cap
         limit[full] = np.minimum(radius[full], nth[full])
-    out = []
-    for r in range(targets.size):
-        refine(r, np.flatnonzero((lo[r] <= limit[r]) & ~known[r]))
-        cols = np.flatnonzero(known[r] & (dist[r] <= radius[r]))
-        cols = cols[np.lexsort((store.id_rank[cols], dist[r, cols]))[:cap]]
-        out.append((cols, dist[r, cols], float(scale[r])))
+    possible = lo <= limit
+    refine(*np.nonzero(possible & (hi > radius)))
+    r, j = np.nonzero(possible & (hi <= radius))
+
+    # Sorted by (target, lower bound, id), a row whose lower bound is at most
+    # the largest upper bound before it touches or overlaps an earlier bracket
+    # of its target; it and the row before it are refined where not yet
+    # known. Brackets only narrow, so afterwards no unrefined bracket meets
+    # another, and the order by (bound, id) is the order by (exact distance, id).
+    def by_bound(r: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = np.lexsort((store.id_rank[j], lo[r, j], r))
+        return r[order], j[order]
+
+    r, j = by_bound(r, j)
+    counts, start = segments(r)
+    at = np.arange(r.size) - start[r]
+    reach = np.full((targets.size, counts.max(initial=0) + 1), -np.inf)
+    reach[r, at + 1] = hi[r, j]
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    meets = lo[r, j] <= reach[r, at]
+    meets[:-1] |= meets[1:]
+    if np.any(meets & ~known[r, j]):
+        refine(r[meets], j[meets])
+        r, j = by_bound(r, j)
+    out = [(j[a:a + min(k, cap)], s)
+           for a, k, s in zip(start.tolist(), counts.tolist(), scale.tolist())]
     if memo is not None:
         # Each target's entry is a slice of one array for the block, which
         # holds only the pairs known.
-        rows, seen = np.nonzero(known | held)
-        values = dist[rows, seen]
-        ends = np.cumsum(np.bincount(rows, minlength=targets.size)).tolist()
-        for t, a, b in zip(targets.tolist(), [0] + ends, ends):
-            memo[t] = (seen[a:b], values[a:b])
+        rows, seen = np.nonzero(known)
+        values = lo[rows, seen]
+        counts, start = segments(rows)
+        for t, a, k in zip(targets.tolist(), start.tolist(), counts.tolist()):
+            memo[t] = (seen[a:a + k], values[a:a + k])
     return out
 
 
@@ -622,8 +661,9 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
     at a time, so a caller that keeps only a summary never holds a whole
     pass of them. ``memo`` maps (t, candidate rows) to (weights, status, r)
     and skips the solve when a target's candidates are unchanged; it also
-    maps t to the exact distances from row t taken so far, so that a pass
-    takes only those it lacks. It is valid only across a store and the stores
+    maps t to the exact distances from row t taken so far (a pass takes them
+    only where the Gram screen cannot decide), so that a pass takes only
+    those it lacks. It is valid only across a store and the stores
     :meth:`FeatureStore.extended` makes from it, which keep every existing
     row where it is: a distance depends on its two rows alone.
     """
@@ -637,7 +677,7 @@ def _assess_block(store: FeatureStore, targets: np.ndarray,
                   pool_effects: Mapping[str, float] | None, cfg: ComposerConfig,
                   memo: dict | None) -> list[Composition]:
     picks = _select_block(store, targets, cfg, memo)
-    keys = [(int(t), tuple(cols.tolist())) for t, (cols, _, _) in zip(targets, picks)]
+    keys = [(int(t), tuple(cols.tolist())) for t, (cols, _) in zip(targets, picks)]
     found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
     todo = [r for r, key in enumerate(keys) if key not in found]
 
@@ -662,11 +702,11 @@ def _assess_block(store: FeatureStore, targets: np.ndarray,
             if memo is not None:
                 memo[keys[r]] = found[keys[r]]
     comps = []
-    for key, (cols, dists, scale) in zip(keys, picks):
+    for key, (_, scale) in zip(keys, picks):
         w, status, r = found[key]
         nb = Neighborhood(target_id=store.ids[key[0]],
                           candidate_ids=tuple(store.ids[j] for j in key[1]),
-                          distances=tuple(dists.tolist()), local_scale=scale)
+                          local_scale=scale)
         comps.append(_composition(nb, w, status, r, _normalized(r, scale),
                                   pool_effects, cfg))
     return comps

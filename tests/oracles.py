@@ -238,13 +238,13 @@ def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
     import exatlas.composer as composer_mod
 
     pairs: list[tuple[int, int]] = []
-    original = composer_mod._row_distances
+    original = composer_mod._pair_distances
 
-    def recording(rows, t, cols):
-        pairs.extend((int(t), int(j)) for j in cols)
-        return original(rows, t, cols)
+    def recording(rows, targets, cols):
+        pairs.extend(zip(targets.tolist(), cols.tolist()))
+        return original(rows, targets, cols)
 
-    monkeypatch.setattr(composer_mod, "_row_distances", recording)
+    monkeypatch.setattr(composer_mod, "_pair_distances", recording)
     return pairs
 
 

@@ -24,8 +24,7 @@ from exatlas.evaluator import loo_run
 def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
          weights=None, candidates=("a", "b", "c", "d", "e", "f")):
     weights = weights if weights is not None else {"a": 0.6, "b": 0.4}
-    nb = Neighborhood(target_id, tuple(candidates),
-                      tuple(float(i + 1) for i in range(len(candidates))), 1.0)
+    nb = Neighborhood(target_id, tuple(candidates), 1.0)
     return Composition(target_id, weights, rho, rho, composed, composable,
                        "optimal", nb)
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exatlas
 from exatlas import cli as cli_mod
 from exatlas import evaluator as evaluator_mod
 from exatlas.archive import load_archive
@@ -555,3 +560,23 @@ class TestEndToEnd:
         assert digests[0].keys() == digests[1].keys()
         for key in digests[0]:
             assert digests[0][key] == digests[1][key], key
+
+
+def test_evaluate_does_not_import_numpy_ma():
+    """numpy imports numpy.ma (about 8 ms) on the first np.unique call; no
+    command should pay that. numpy 1.x imports it with numpy itself."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from exatlas.cli import main, toy_archive_path\n"
+        "loaded = 'numpy.ma' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['evaluate', '--archive', str(toy_archive_path()),\n"
+        "                 '--provider', 'stub:d=8,seed=1']) == 0\n"
+        "print(loaded or 'numpy.ma' not in sys.modules)\n"
+    )
+    src = str(Path(exatlas.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "True"

@@ -64,7 +64,7 @@ class TestSelectCandidates:
         nb = select_candidates("t", target, pool, default_cfg)
         # median 2.5, radius 3.75: the distance-10 point is excluded
         assert nb.local_scale == pytest.approx(2.5)
-        assert nb.distances == (1.0, 2.0, 3.0)
+        assert nb.candidate_ids == ("p00", "p01", "p02")
 
     def test_cap_keeps_lexicographically_smallest_on_ties(self, default_cfg):
         target = np.zeros(2)

@@ -33,7 +33,7 @@ def exp(exp_id, effect, text=None):
 
 def fake_result(target_id, obs, pred, rho, lam=0.462):
     composable = rho <= lam
-    nb = Neighborhood(target_id, ("s",), (1.0,), 1.0)
+    nb = Neighborhood(target_id, ("s",), 1.0)
     comp = Composition(target_id, {"s": 1.0}, rho, rho, pred, composable,
                        "optimal", nb)
     return TargetResult(

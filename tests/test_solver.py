@@ -177,3 +177,15 @@ def test_target_without_candidates_fails_as_reference():
         list(assess_rows(FeatureStore.from_features(features, ids), range(len(ids)),
                          None, cfg))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_weight_sum_falls_back_without_a_warning():
+    """Features near 1e38 can end the method at a point whose weights all
+    round to 0: the problem falls back to uniform weights, as the reference
+    does, without dividing by that zero sum."""
+    y, candidates = np.array([1.5e38]), [np.array([5.7e16]), np.array([5.7e16])]
+    got = solve_weights(y, candidates, 1e-2)
+    assert got[1] == FALLBACK_UNIFORM
+    with np.errstate(invalid="ignore"):
+        assert_bit_equal(got, reference_solve_weights(y, candidates, 1e-2))

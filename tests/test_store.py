@@ -13,13 +13,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (count_problems_solved, record_exact_distances, reference_assess,
                      reference_isolated_ratio)
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import _isolated_ratio, isolated_ratio
-from exatlas.composer import (ComposerConfig, ComposerError, DimensionError,
-                              FeatureStore, assess_rows)
+from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DimensionError,
+                              FeatureStore, assess_rows, select_candidates)
 from exatlas.evaluator import loo_run
 
 
@@ -62,9 +64,25 @@ def lattice_features(seed: int, n: int, dim: int = 6) -> dict[str, np.ndarray]:
     return {f"b{k:03d}": rng.integers(0, 2, size=dim).astype(float) for k in range(n)}
 
 
-def gaussian_features(seed: int, n: int, dim: int = 24) -> dict[str, np.ndarray]:
+def gaussian_features(seed: int, n: int, dim: int = 24,
+                      scale: float = 1.0) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    return {f"g{k:03d}": rng.standard_normal(dim) for k in range(n)}
+    return {f"g{k:03d}": scale * rng.standard_normal(dim) for k in range(n)}
+
+
+def far_centre_features(seed: int) -> dict[str, np.ndarray]:
+    """Rows about 1 from a centre 1000 from the origin, their distances to it
+    spaced about 1e-4 apart: the screen brackets a distance near 1 only to
+    within about 1e-3, so the brackets around the centre's median, radius
+    and 30-cap overlap in long runs."""
+    rng = np.random.default_rng(seed)
+    dim = 8
+    centre = 1e3 * np.eye(dim)[0]
+    rows = [centre]
+    rows += [centre + r * unit(rng, dim) for r in 1.0 + 1e-4 * rng.permutation(60)]
+    rows += [centre + r * unit(rng, dim) for r in 0.66 + 1e-4 * rng.permutation(45)]
+    order = rng.permutation(len(rows))
+    return {f"f{k:03d}": rows[int(k)] for k in order}
 
 
 CASES = {
@@ -74,6 +92,11 @@ CASES = {
     "lattice-tight-cap": (lattice_features(3, 45), ComposerConfig(max_candidates=5)),
     "cap-above-pool": (gaussian_features(4, 25), ComposerConfig(max_candidates=500)),
     "wide-radius": (gaussian_features(5, 60), ComposerConfig(radius_factor=3.0)),
+    # Screening bands of normal size round to 0 for these rows; see SUBNORMAL_BAND.
+    "subnormal-squares": (gaussian_features(1, 40, dim=3, scale=1e-160),
+                          ComposerConfig(max_candidates=5)),
+    "far-centre-runs": (far_centre_features(7), ComposerConfig()),
+    "far-centre-uncapped": (far_centre_features(8), ComposerConfig(max_candidates=500)),
 }
 
 
@@ -251,7 +274,6 @@ def test_memo_takes_each_exact_distance_once(case, monkeypatch):
         assert ratio == reference_isolated_ratio(archive, features, cfg, extra)
         del pairs[start + per_round[-1]:]  # keep only the passes with the memo
     assert len(pairs) == len(set(pairs)) == sum(per_round)
-    assert all(n < per_round[0] for n in per_round[1:])
     # The memo holds each distance taken once, ascending by row, and nothing else.
     held = {t: entry for t, entry in memo.items() if isinstance(t, int)}
     assert sorted((t, j) for t, (seen, _) in held.items() for j in seen.tolist()) == sorted(pairs)
@@ -259,6 +281,71 @@ def test_memo_takes_each_exact_distance_once(case, monkeypatch):
         assert np.all(np.diff(seen) > 0)
         exact = np.linalg.norm(np.stack([store.rows[j] for j in seen]) - store.rows[t], axis=1)
         assert values.tobytes() == exact.tobytes()
+
+
+def tie_free(features: dict[str, np.ndarray], cfg: ComposerConfig) -> bool:
+    """Whether no two squared distances from a row, and none and its squared
+    radius, are within twice their Gram screening bands of each other, so
+    that the screen decides everything but the median's values."""
+    rows = np.stack(list(features.values()))
+    sq = np.einsum("ij,ij->i", rows, rows)
+    for t in range(len(rows)):
+        others = np.delete(np.arange(len(rows)), t)
+        d2 = np.sum((rows[others] - rows[t]) ** 2, axis=1)
+        band = GRAM_BAND * (sq[others] + sq[t])
+        order = np.argsort(d2)
+        d2, band = d2[order], band[order]
+        if np.any(np.diff(d2) <= 2 * (band[1:] + band[:-1])):
+            return False
+        radius2 = (cfg.radius_factor * np.median(np.sqrt(d2))) ** 2
+        if np.any(np.abs(d2 - radius2) <= 2 * band):
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 70), dim=st.integers(2, 30),
+       cap=st.sampled_from([1, 5, 30, 500]))
+def test_tie_free_pass_takes_only_the_median_norms(seed, n, dim, cap):
+    """Where no brackets meet, a pass takes the exact norms of the median's
+    rows alone: one a target for an odd pool, two for an even one."""
+    cfg = ComposerConfig(max_candidates=cap)
+    features = gaussian_features(seed, n, dim)
+    assume(tie_free(features, cfg))
+    ids = tuple(features)
+    store = FeatureStore.from_features(features, ids)
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = record_exact_distances(mp)
+        got = list(assess_rows(store, range(n), None, cfg))
+    rows = np.stack(list(features.values()))
+    k1, k2 = (n - 2) // 2, (n - 1) // 2
+    want = []
+    for t, tid in enumerate(ids):
+        others = np.delete(np.arange(n), t)
+        order = others[np.argsort(np.linalg.norm(rows[others] - rows[t], axis=1))]
+        want += [(t, int(j)) for j in sorted(set(order[[k1, k2]].tolist()))]
+        pool = {i: features[i] for i in ids if i != tid}
+        assert got[t].neighborhood == select_candidates(tid, features[tid], pool, cfg)
+    assert sorted(pairs) == want
+
+
+def test_run_reaches_past_a_held_distance():
+    """Sorted by lower bound: W's wide bracket, then P's held exact distance,
+    then Q's bracket, which meets W's but not P's. Q is refined too, since W's
+    exact distance, once taken, falls inside Q's bracket."""
+    distances = {"a0": 0.30, "a1": 0.31, "a2": 0.32, "a3": 0.33, "a4": 0.34,
+                 "a5": 0.35, "a6": 0.36, "p": 1.0, "w": 1.0009, "q": 1.0012}
+    features = {"t": np.array([1e3])}
+    features.update((i, np.array([1e3 + d])) for i, d in distances.items())
+    ids = tuple(features)
+    cfg = ComposerConfig(radius_factor=3.0)
+    store = FeatureStore.from_features(features, ids)
+    p = ids.index("p")
+    memo = {0: (np.array([p]), np.array([np.linalg.norm(store.rows[p] - store.rows[0])]))}
+    (got,) = assess_rows(store, [0], None, cfg, memo)
+    pool = {i: features[i] for i in ids[1:]}
+    assert got.neighborhood == select_candidates("t", features["t"], pool, cfg)
+    assert got.neighborhood.candidate_ids[-3:] == ("p", "w", "q")
 
 
 def test_store_rejects_bad_rows():
