@@ -10,8 +10,7 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from .archive import Archive
-from .composer import ComposerConfig, Composition, FeatureStore, assess_rows
+from .composer import ComposerConfig, Composition, FeatureStore, gate_rows
 from .evaluator import TargetResult, sign, sign_match
 
 DEFAULT_GAP_NEIGHBORS = 5
@@ -117,35 +116,22 @@ def conflict_to_record(c: Conflict) -> dict[str, Any]:
     }
 
 
-def isolated_ratio(archive: Archive, features: Mapping[str, np.ndarray],
-                   cfg: ComposerConfig,
-                   extra_features: Mapping[str, np.ndarray] | None = None) -> float:
+def isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
+                   memo: dict | None = None) -> float:
     """Fraction of archive members that neither compose as targets nor
     carry positive weight in any other target's composition.
 
-    ``extra_features`` adds effect-free candidates (hypothetical bridge
-    nodes) to every pool; they can change the geometry but are not counted
-    in the ratio.
+    The first ``n_real`` rows of ``store`` are the archive; any further rows
+    are effect-free candidates (hypothetical bridge nodes), which can change
+    the geometry but are not counted in the ratio. The decisions are
+    :func:`gate_rows`', which takes ``memo``.
     """
-    store = FeatureStore.from_features(features, archive.ids())
-    return _isolated_ratio(store.extended(extra_features or {}), len(archive), cfg)
-
-
-def _isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
-                    memo: dict | None = None) -> float:
-    """:func:`isolated_ratio` over a store whose first ``n_real`` rows are the
-    archive and whose other rows are extra candidates; ``memo`` is passed to
-    :func:`assess_rows`."""
-    real = store.ids[:n_real]
-    receives_weight = dict.fromkeys(real, False)
-    composable = []
-    for comp in assess_rows(store, range(n_real), None, cfg, memo):
-        composable.append(comp.composable)
-        for cid, w in comp.weights.items():
-            if w > 0.0 and cid in receives_weight:
-                receives_weight[cid] = True
-    isolated = [i for i, ok in zip(real, composable) if not ok and not receives_weight[i]]
-    return len(isolated) / n_real
+    weighted = np.zeros(len(store.ids), dtype=bool)
+    composable = np.zeros(n_real, dtype=bool)
+    for t, gate in enumerate(gate_rows(store, range(n_real), cfg, memo)):
+        composable[t] = gate.composable
+        weighted[gate.cols[gate.weights > 0.0]] = True
+    return np.count_nonzero(~composable & ~weighted[:n_real]) / n_real
 
 
 _DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box",

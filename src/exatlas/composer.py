@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -472,7 +472,7 @@ class FeatureStore:
         """A store with ``extra``'s rows appended; the Gram block of the
         existing rows is reused, so the cost is O(k * n * length). Every
         existing row keeps its index, so results held by row number (the
-        ``memo`` of :func:`assess_rows`) stay valid for the new store."""
+        ``memo`` of :func:`gate_rows`) stay valid for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -645,48 +645,71 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     return out
 
 
-# Targets that assess_rows takes at once. The screening arrays of a block are
-# (block, rows in the store) and its solver stacks (block, k, k); a larger
-# block saves little more per-call overhead and costs memory.
+# Targets that assess_rows and gate_rows take at once. The screening arrays of
+# a block are (block, rows in the store) and its solver stacks (block, k, k); a
+# larger block saves little more per-call overhead and costs memory.
 ASSESS_BLOCK = 64
 
 
 def assess_rows(store: FeatureStore, targets: Sequence[int],
-                pool_effects: Mapping[str, float] | None, cfg: ComposerConfig,
-                memo: dict | None = None) -> Iterator[Composition]:
+                pool_effects: Mapping[str, float] | None,
+                cfg: ComposerConfig) -> Iterator[Composition]:
     """:func:`assess` of each row in ``targets`` against every other row of ``store``.
 
     The results equal ``assess`` on the pool of every other row, byte for
-    byte. They are yielded in the order of ``targets``, ASSESS_BLOCK targets
-    at a time, so a caller that keeps only a summary never holds a whole
-    pass of them. ``memo`` maps (t, candidate rows) to (weights, status, r)
-    and skips the solve when a target's candidates are unchanged; it also
-    maps t to the exact distances from row t taken so far (a pass takes them
-    only where the Gram screen cannot decide), so that a pass takes only
-    those it lacks. It is valid only across a store and the stores
-    :meth:`FeatureStore.extended` makes from it, which keep every existing
-    row where it is: a distance depends on its two rows alone.
+    byte; every residual is taken exactly. They are yielded in the order of
+    ``targets``, ASSESS_BLOCK targets at a time, so a caller that keeps only
+    a summary never holds a whole pass of them.
     """
     targets = np.asarray(targets, dtype=int).reshape(-1)
     for start in range(0, targets.size, ASSESS_BLOCK):
         yield from _assess_block(store, targets[start:start + ASSESS_BLOCK],
-                                 pool_effects, cfg, memo)
+                                 pool_effects, cfg)
 
 
-def _assess_block(store: FeatureStore, targets: np.ndarray,
-                  pool_effects: Mapping[str, float] | None, cfg: ComposerConfig,
-                  memo: dict | None) -> list[Composition]:
-    picks = _select_block(store, targets, cfg, memo)
-    keys = [(int(t), tuple(cols.tolist())) for t, (cols, _) in zip(targets, picks)]
-    found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
-    todo = [r for r, key in enumerate(keys) if key not in found]
+class Gate(NamedTuple):
+    """A target's candidate rows, ascending by (distance, id), their weights,
+    and whether it passes the gate rho <= lambda."""
 
-    def columns(r: int) -> np.ndarray:
-        # As solve_weights and residuals gather them, once for the normal
-        # equations and again for the residual, so that a block never holds
-        # every target's columns at once.
-        return np.column_stack([store.rows[j] for j in picks[r][0]])
+    cols: np.ndarray
+    weights: np.ndarray
+    composable: bool
 
+
+def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
+              memo: dict | None = None) -> Iterator[Gate]:
+    """The candidates, weights and gate decision of :func:`assess_rows` for
+    each row in ``targets``, without the residuals.
+
+    A residual r is bracketed from the normal equations of the solve, and
+    the exact one is taken only where the bracket cannot settle r / s <=
+    lambda (or the local scale s is 0), so every decision equals
+    ``assess_rows``'. ``memo`` maps (t, candidate rows) to (weights, lo, hi),
+    a bracket of r that is a point once r is taken, and skips the solve when
+    a target's candidates are unchanged; a held bracket is decided again
+    under the pass's scale. It also maps t to the exact distances from row t
+    taken so far, so that a pass takes only those it lacks. It is valid
+    only across a store and the stores :meth:`FeatureStore.extended` makes
+    from it, which keep every existing row where it is: a distance depends
+    on its two rows alone, and a residual on its target and candidates.
+    """
+    targets = np.asarray(targets, dtype=int).reshape(-1)
+    for start in range(0, targets.size, ASSESS_BLOCK):
+        yield from _gate_block(store, targets[start:start + ASSESS_BLOCK], cfg, memo)
+
+
+def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
+    # As solve_weights and residuals gather them, once for the normal
+    # equations and again for a residual, so that a block never holds every
+    # target's columns at once.
+    return np.column_stack([store.rows[j] for j in cols])
+
+
+def _solve_picks(store: FeatureStore, targets: np.ndarray,
+                 picks: list[tuple[np.ndarray, float]], todo: Sequence[int],
+                 ridge: float) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, list]]:
+    """Solve the weights of the block's targets ``todo``, one stack per
+    candidate count: (those targets, G, b, their (weights, status))."""
     by_size: dict[int, list[int]] = {}
     for r in todo:
         by_size.setdefault(picks[r][0].size, []).append(r)
@@ -695,18 +718,71 @@ def _assess_block(store: FeatureStore, targets: np.ndarray,
             raise EmptyPoolError("need at least one candidate")
         G, b = np.empty((len(rows), n, n)), np.empty((len(rows), n))
         for i, r in enumerate(rows):
-            _normal_equations(columns(r), store.rows[targets[r]], cfg.ridge, G[i], b[i])
-        for r, (w, status) in zip(rows, _solve_stack(G, b)):
-            found[keys[r]] = (w, status,
-                              _residual(columns(r), store.rows[targets[r]], w))
-            if memo is not None:
-                memo[keys[r]] = found[keys[r]]
+            _normal_equations(_columns(store, picks[r][0]), store.rows[targets[r]],
+                              ridge, G[i], b[i])
+        yield rows, G, b, _solve_stack(G, b)
+
+
+def _assess_block(store: FeatureStore, targets: np.ndarray,
+                  pool_effects: Mapping[str, float] | None,
+                  cfg: ComposerConfig) -> list[Composition]:
+    picks = _select_block(store, targets, cfg, None)
+    found = {}
+    for rows, _, _, solved in _solve_picks(store, targets, picks, range(targets.size),
+                                           cfg.ridge):
+        for r, (w, status) in zip(rows, solved):
+            y = store.rows[targets[r]]
+            found[r] = (w, status, _residual(_columns(store, picks[r][0]), y, w))
     comps = []
-    for key, (_, scale) in zip(keys, picks):
-        w, status, r = found[key]
-        nb = Neighborhood(target_id=store.ids[key[0]],
-                          candidate_ids=tuple(store.ids[j] for j in key[1]),
+    for r, (cols, scale) in enumerate(picks):
+        w, status, res = found[r]
+        nb = Neighborhood(target_id=store.ids[targets[r]],
+                          candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
                           local_scale=scale)
-        comps.append(_composition(nb, w, status, r, _normalized(r, scale),
+        comps.append(_composition(nb, w, status, res, _normalized(res, scale),
                                   pool_effects, cfg))
     return comps
+
+
+def _gate_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
+                memo: dict | None) -> list[Gate]:
+    picks = _select_block(store, targets, cfg, memo)
+    keys = [(int(t), tuple(cols.tolist())) for t, (cols, _) in zip(targets, picks)]
+    found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
+    todo = [r for r, key in enumerate(keys) if key not in found]
+    sq = store.sq_norms
+    for rows, G, b, solved in _solve_picks(store, targets, picks, todo, cfg.ridge):
+        n = b.shape[1]
+        w = np.stack([wr for wr, _ in solved])
+        yy = sq[targets[rows]]
+        # r^2 = y'y - 2w'b + w'(G - ridge*I)w. Each term errs by a small
+        # multiple of (feature length + n) * 2**-53 of (||y|| + sum_j w_j
+        # ||x_j||)^2 (w >= 0), the ridge on G's diagonal by 2**-53 of ridge,
+        # and so does the exact form _residual computes: about 1e-12 at length
+        # 2304, far inside GRAM_BAND. Where products are subnormal each
+        # rounding errs by at most 2**-1075 instead: about 10 roundings per
+        # feature element and 3 per pair of candidates in all, which
+        # SUBNORMAL_BAND per element and per pair covers. So [lo, hi] holds
+        # the r that _residual computes.
+        q = (yy - 2.0 * np.einsum("pi,pi->p", w, b)
+             + (np.einsum("pi,pij,pj->p", w, G, w) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
+        cols = np.stack([picks[r][0] for r in rows])
+        size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(sq[cols]))
+        band = (GRAM_BAND * (size * size + cfg.ridge)
+                + SUBNORMAL_BAND * (store.rows[0].size + n * n + 1))
+        lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
+        hi = np.sqrt(q + band).tolist()
+        for i, r in enumerate(rows):
+            found[keys[r]] = (solved[i][0], lo[i], hi[i])
+    out = []
+    for key, (cols, scale) in zip(keys, picks):
+        w, lo, hi = found[key]
+        # Division is monotone, so r / s <= lambda is settled unless the
+        # bracket's ends fall on either side of it.
+        if lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale):
+            lo = hi = _residual(_columns(store, cols), store.rows[key[0]], w)
+            found[key] = (w, lo, hi)
+        if memo is not None:
+            memo[key] = found[key]
+        out.append(Gate(cols, w, _normalized(hi, scale) <= cfg.lambda_))
+    return out

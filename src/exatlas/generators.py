@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .archive import Archive, Experiment
-from .atlas import Conflict, _isolated_ratio
-from .composer import ComposerConfig, FeatureStore, assess_rows
+from .atlas import Conflict, isolated_ratio
+from .composer import ComposerConfig, FeatureStore, gate_rows
 from .remote import post_json, requests_transport
 from .representation import (
     EmbeddingError,
@@ -421,10 +421,13 @@ def bridge_loop(target: Experiment, archive: Archive,
 
     Each round builds a prompt from the target's nearest real neighbors and
     every earlier proposal, parses the reply into proposals, embeds them from
-    their parsed texts, and reassesses the target over the augmented pool.
-    Hypothetical nodes carry no observed effect; reassessments therefore have
-    ``composed_effect=None`` whenever one carries weight. The trace records
-    the archive-wide isolated ratio before any proposals and after each round.
+    their parsed texts, and decides the target's gate again over the
+    augmented pool. The trace records the archive-wide isolated ratio before
+    any proposals and after each round; hypothetical nodes carry no observed
+    effect and are not counted in it. Every decision is
+    :func:`~exatlas.composer.gate_rows`', on one memo: a residual is taken
+    only where its bracket cannot settle rho <= lambda, and no composition is
+    built.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -436,22 +439,22 @@ def bridge_loop(target: Experiment, archive: Archive,
             f"length {width}")
     # One store grows by each round's proposals; the memo skips the solve for
     # every target whose candidates a round leaves unchanged, and every exact
-    # distance an earlier pass has taken.
+    # distance and residual an earlier pass has taken.
     store = FeatureStore.from_features(features, archive.ids())
     memo: dict = {}
     row = archive.ids().index(target.id)
-    (comp,) = assess_rows(store, [row], None, cfg, memo)
-    if comp.composable:
+    (gate,) = gate_rows(store, [row], cfg, memo)
+    if gate.composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
-    trace = [_isolated_ratio(store, len(archive), cfg, memo)]
+    trace = [isolated_ratio(store, len(archive), cfg, memo)]
     proposals_all: list[BridgeProposal] = []
     known: list[str] = []
     rounds_run = 0
     final_composable = False
     for rnd in range(1, max_rounds + 1):
-        nearest_real = [cid for cid in comp.neighborhood.candidate_ids
-                        if cid in archive][:literature_size]
+        nearest_real = [store.ids[j] for j in gate.cols.tolist()
+                        if j < len(archive)][:literature_size]
         literature = [archive.get(cid) for cid in nearest_real]
         request = build_bridge_prompt(target, literature, known)
         response = chat.complete(request)
@@ -470,9 +473,9 @@ def bridge_loop(target: Experiment, archive: Archive,
         proposals_all.extend(proposals)
         known.extend(p.text for p in proposals)
         rounds_run = rnd
-        (comp,) = assess_rows(store, [row], None, cfg, memo)
-        trace.append(_isolated_ratio(store, len(archive), cfg, memo))
-        if comp.composable:
+        (gate,) = gate_rows(store, [row], cfg, memo)
+        trace.append(isolated_ratio(store, len(archive), cfg, memo))
+        if gate.composable:
             final_composable = True
             break
     return BridgeResult(

@@ -33,7 +33,12 @@ logger = logging.getLogger(__name__)
 
 
 class EmbeddingError(Exception):
-    """Base class for embedding failures."""
+    """Base class for embedding failures.
+
+    ``text`` is the first text of the request that failed, where known.
+    """
+
+    text: str | None = None
 
 
 class EmbeddingTransportError(EmbeddingError):
@@ -190,7 +195,11 @@ class RemoteEmbeddingProvider:
         missing = list(dict.fromkeys(missing))  # dedupe, keep order
         for start in range(0, len(missing), self.batch_size):
             batch = missing[start:start + self.batch_size]
-            vectors = self._request(batch)
+            try:
+                vectors = self._request(batch)
+            except EmbeddingError as e:
+                e.text = batch[0]
+                raise
             with self._lock:
                 for t, v in zip(batch, vectors):
                     self._cache[text_key(t)] = v
@@ -239,9 +248,17 @@ class RemoteEmbeddingProvider:
 
 def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
     """Embed one text, enforcing the provider's declared dimension."""
+    _check_text(text)
+    return _checked_vector(provider, provider.embed(text))
+
+
+def _check_text(text: str) -> None:
     if not text or not text.strip():
         raise EmbeddingError("cannot embed empty text")
-    vec = np.asarray(provider.embed(text), dtype=float)
+
+
+def _checked_vector(provider: EmbeddingProvider, vec) -> np.ndarray:
+    vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != provider.dimension:
         raise DimensionMismatchError(provider.dimension, vec.size)
     if not np.all(np.isfinite(vec)):
@@ -286,25 +303,54 @@ def embedding_texts(exp) -> tuple[str, str, bool]:
 
 def feature_matrix(archive: Archive, provider: EmbeddingProvider,
                    jobs: int = 1) -> FeatureMatrix:
-    """Build one feature vector per experiment; results are keyed by id."""
+    """Build one feature vector per experiment; results are keyed by id.
 
-    def one(exp) -> tuple[str, np.ndarray, bool]:
-        t_text, o_text, enriched = embedding_texts(exp)
+    Each distinct text is embedded once, in archive order: in one
+    ``embed_many`` call when the provider has one, so that a remote provider
+    batches its requests, else by :func:`embed_text` per text, on ``jobs``
+    threads. Every vector passes :func:`embed_text`'s checks, and an error
+    names the first experiment with the text that failed.
+    """
+    picked = [(exp.id, *embedding_texts(exp)) for exp in archive]
+    owner: dict[str, str] = {}
+    for exp_id, t_text, o_text, _ in picked:
+        owner.setdefault(t_text, exp_id)
+        owner.setdefault(o_text, exp_id)
+    texts = list(owner)
+
+    def failed(text: str, e: EmbeddingError) -> EmbeddingError:
+        return EmbeddingError(f"experiment {owner[text]!r}: {e}")
+
+    def for_text(text: str, step: Callable, *args):
         try:
-            t = embed_text(provider, t_text)
-            o = embed_text(provider, o_text)
+            return step(*args)
         except EmbeddingError as e:
-            raise EmbeddingError(f"experiment {exp.id!r}: {e}") from e
-        return exp.id, build_feature(t, o), enriched
+            raise failed(text, e) from e
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, archive))
+    embed_many = getattr(provider, "embed_many", None)
+    if embed_many is None:
+        def one(text: str) -> np.ndarray:
+            return for_text(text, embed_text, provider, text)
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                vectors = list(pool.map(one, texts))
+        else:
+            vectors = [one(text) for text in texts]
     else:
-        rows = [one(exp) for exp in archive]
-    features = {exp_id: vec for exp_id, vec, _ in rows}
-    flags = {exp_id: enriched for exp_id, _, enriched in rows}
-    return FeatureMatrix(features, flags, provider.dimension)
+        for text in texts:
+            for_text(text, _check_text, text)
+        try:
+            raw = embed_many(texts)
+        except EmbeddingError as e:
+            raise failed(e.text if e.text in owner else texts[0], e) from e
+        vectors = [for_text(text, _checked_vector, provider, vec)
+                   for text, vec in zip(texts, raw)]
+    by_text = dict(zip(texts, vectors))
+    return FeatureMatrix(
+        {exp_id: build_feature(by_text[t], by_text[o]) for exp_id, t, o, _ in picked},
+        {exp_id: enriched for exp_id, _, _, enriched in picked},
+        provider.dimension)
 
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:

@@ -248,6 +248,22 @@ def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
     return pairs
 
 
+def record_exact_residuals(monkeypatch) -> list[np.ndarray]:
+    """Record the exact residuals the composer takes: the list grows by the
+    target's feature vector, the array itself, per residual ``||y - A w||``."""
+    import exatlas.composer as composer_mod
+
+    targets: list[np.ndarray] = []
+    original = composer_mod._residual
+
+    def recording(A, y, w):
+        targets.append(y)
+        return original(A, y, w)
+
+    monkeypatch.setattr(composer_mod, "_residual", recording)
+    return targets
+
+
 def reference_read_vector_file(path) -> dict[str, np.ndarray]:
     """``read_vector_file`` with every line decoded by ``json.loads``: the
     same checks in the same order, worded the same way."""

@@ -156,10 +156,12 @@ def test_criterion_5_bridge_loop(tmp_path, default_cfg):
 
     # Isolated ratio recomputed independently per round, non-increasing.
     from exatlas.atlas import isolated_ratio
+    from exatlas.composer import FeatureStore
 
-    direct_before = isolated_ratio(archive, features, default_cfg)
-    direct_after = isolated_ratio(archive, features, default_cfg,
-                                  extra_features={"h": hypo_feature})
+    store = FeatureStore.from_features(features, archive.ids())
+    direct_before = isolated_ratio(store, len(archive), default_cfg)
+    direct_after = isolated_ratio(store.extended({"h": hypo_feature}), len(archive),
+                                  default_cfg)
     trace = result.isolated_ratio_trace
     assert trace[0] == pytest.approx(direct_before)
     assert trace[-1] == pytest.approx(direct_after)

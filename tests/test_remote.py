@@ -6,10 +6,12 @@ from __future__ import annotations
 import pytest
 import requests
 
+from exatlas.archive import load_archive
 from exatlas.cli import main, toy_archive_path
 from exatlas.generators import ChatRequest, ChatTransportError, RemoteChatProvider
 from exatlas.remote import post_json, requests_transport
-from exatlas.representation import EmbeddingTransportError, RemoteEmbeddingProvider
+from exatlas.representation import (EmbeddingTransportError, RemoteEmbeddingProvider,
+                                    embedding_texts)
 
 
 class FakeResponse:
@@ -98,8 +100,11 @@ def test_default_transports_keep_their_timeouts_and_errors(post):
 
 
 def test_malformed_embedding_response_at_the_cli(post, tmp_path, capsys):
-    # The CLI embeds one text a request.
-    post.replies.append(FakeResponse(200, {"data": [{"embedding": [float("nan"), 1.0]}]}))
+    # The CLI sends the toy archive's distinct texts (fewer than a batch of 32)
+    # in one request.
+    texts = {text for exp in load_archive(toy_archive_path()) for text in embedding_texts(exp)[:2]}
+    post.replies.append(FakeResponse(200, {"data": [{"embedding": [float("nan"), 1.0]}]
+                                           + [{"embedding": [0.0, 1.0]}] * (len(texts) - 1)}))
     cache = tmp_path / "cache"
     code = main(["embed", "--archive", str(toy_archive_path()),
                  "--provider", "remote:endpoint=http://e,model=m,d=2",
@@ -110,3 +115,4 @@ def test_malformed_embedding_response_at_the_cli(post, tmp_path, capsys):
     assert lines[0].endswith("item 0: non-finite value")
     assert not (cache / "m.jsonl").exists()
     assert len(post.calls) == 1
+    assert sorted(post.calls[0]["json"]["input"]) == sorted(texts)

@@ -332,3 +332,55 @@ class TestFeatureMatrix:
         assert seq.features.keys() == par.features.keys()
         for k in seq.features:
             np.testing.assert_array_equal(seq.features[k], par.features[k])
+
+
+def planted_size_archive() -> Archive:
+    """360 experiments over 228 treatments and 228 outcomes: 456 distinct
+    texts of 720, as in the benchmark's N=360 archive."""
+    return Archive(tuple(
+        Experiment(id=f"e{k:03d}", treatment_text=f"treatment {k % 228}",
+                   outcome_text=f"outcome {(7 * k) % 228}", effect_size=0.1)
+        for k in range(360)))
+
+
+class TestBatchedFeatureMatrix:
+    def remote(self, sent: list, fail_on: int | None = None) -> RemoteEmbeddingProvider:
+        stub = DeterministicStubProvider(dimension=4, seed=3)
+
+        def transport(endpoint, payload, headers):
+            sent.append(list(payload["input"]))
+            if len(sent) == fail_on:
+                return {"data": []}
+            return {"data": [{"embedding": stub.embed(t).tolist()} for t in payload["input"]]}
+
+        return RemoteEmbeddingProvider("http://x", dimension=4, max_retries=0,
+                                       transport=transport)
+
+    def test_distinct_texts_go_in_full_batches(self):
+        arc = planted_size_archive()
+        sent: list = []
+        fm = feature_matrix(arc, self.remote(sent))
+        assert len(sent) == 15  # ceil(456 / 32)
+        order = list(dict.fromkeys(t for e in arc for t in (e.treatment_text, e.outcome_text)))
+        assert [t for batch in sent for t in batch] == order
+        one_by_one = self.remote([])
+        for exp in arc:
+            want = build_feature(embed_text(one_by_one, exp.treatment_text),
+                                 embed_text(one_by_one, exp.outcome_text))
+            assert fm.features[exp.id].tobytes() == want.tobytes()
+
+    def test_failed_batch_names_an_experiment_of_its_texts(self):
+        arc = planted_size_archive()
+        sent: list = []
+        with pytest.raises(EmbeddingError) as err:
+            feature_matrix(arc, self.remote(sent, fail_on=2))
+        owner = next(e.id for e in arc if sent[1][0] in (e.treatment_text, e.outcome_text))
+        assert str(err.value).startswith(f"experiment {owner!r}: malformed embedding response")
+
+    def test_empty_text_fails_before_any_request(self):
+        arc = Archive((Experiment(id="a", treatment_text="t", outcome_text="o", effect_size=0.1),
+                       Experiment(id="b", treatment_text="t", outcome_text=" ", effect_size=0.1)))
+        sent: list = []
+        with pytest.raises(EmbeddingError, match="^experiment 'b': cannot embed empty text$"):
+            feature_matrix(arc, self.remote(sent))
+        assert sent == []

@@ -15,18 +15,31 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (count_problems_solved, record_exact_distances, reference_assess,
-                     reference_isolated_ratio)
+from oracles import (count_problems_solved, record_exact_distances, record_exact_residuals,
+                     reference_assess, reference_isolated_ratio)
 
 from exatlas.archive import Archive, Experiment
-from exatlas.atlas import _isolated_ratio, isolated_ratio
-from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DimensionError,
-                              FeatureStore, assess_rows, select_candidates)
+from exatlas.atlas import isolated_ratio
+from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DegenerateScaleError,
+                              DimensionError, FeatureStore, assess, assess_rows, gate_rows,
+                              select_candidates)
 from exatlas.evaluator import loo_run
 
 
 def record_bytes(comp) -> str:
     return json.dumps(comp.to_record(), sort_keys=True)
+
+
+def gate_of(comp) -> tuple:
+    """What a gate decides for a composition: candidate ids in order, the
+    bytes of their weights, and rho <= lambda."""
+    return (tuple(comp.weights), np.array(list(comp.weights.values())).tobytes(),
+            comp.composable)
+
+
+def gate_record(store, gate) -> tuple:
+    return (tuple(store.ids[j] for j in gate.cols.tolist()), gate.weights.tobytes(),
+            gate.composable)
 
 
 def unit(rng, dim):
@@ -170,44 +183,47 @@ def test_isolated_ratio_with_and_without_memo():
     store = FeatureStore.from_features(features, ids)
     memo: dict = {}
     extra: dict[str, np.ndarray] = {}
-    trace = [_isolated_ratio(store, len(ids), cfg, memo)]
+    trace = [isolated_ratio(store, len(ids), cfg, memo)]
     weighted = 0
     for added in rounds:
         extra.update(added)
         store = store.extended(added)
-        trace.append(_isolated_ratio(store, len(ids), cfg, memo))
-        assert trace[-1] == _isolated_ratio(store, len(ids), cfg)
-        assert trace[-1] == isolated_ratio(archive, features, cfg, extra_features=extra)
+        trace.append(isolated_ratio(store, len(ids), cfg, memo))
+        assert trace[-1] == isolated_ratio(store, len(ids), cfg)
+        rebuilt = FeatureStore.from_features({**features, **extra}, ids + tuple(extra))
+        assert trace[-1] == isolated_ratio(rebuilt, len(ids), cfg)
         assert trace[-1] == reference_isolated_ratio(archive, features, cfg, extra)
-        for m in (memo, None):
-            for comp in assess_rows(store, range(len(ids)), effects, cfg, m):
-                if any(w > 0.0 for k, w in comp.weights.items() if k in extra):
-                    weighted += 1
-                    assert comp.composed_effect is None
-                else:
-                    assert comp.composed_effect is not None
+        comps = list(assess_rows(store, range(len(ids)), effects, cfg))
+        for comp in comps:
+            if any(w > 0.0 for k, w in comp.weights.items() if k in extra):
+                weighted += 1
+                assert comp.composed_effect is None
+            else:
+                assert comp.composed_effect is not None
+        assert [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)] \
+            == [gate_of(c) for c in comps]
     assert weighted > 0
     assert trace[0] == reference_isolated_ratio(archive, features, cfg)
 
 
 def test_memo_skips_unchanged_solves(monkeypatch):
-    import exatlas.composer as composer_mod
-
     features = gaussian_features(9, 30, dim=6)
     ids = tuple(features)
     store = FeatureStore.from_features(features, ids)
     memo: dict = {}
     cfg = ComposerConfig()
     solved = count_problems_solved(monkeypatch)
-    first = [record_bytes(c) for c in assess_rows(store, range(len(ids)), None, cfg, memo)]
+    first = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
     assert solved["n"] == len(ids)  # one solve per target
-    again = [record_bytes(c) for c in assess_rows(store, range(len(ids)), None, cfg, memo)]
+    assert first == [gate_of(c) for c in assess_rows(store, range(len(ids)), None, cfg)]
+    solved["n"] = 0
+    again = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
     assert again == first
-    assert solved["n"] == len(ids)  # and none on the second pass
-    singles = [record_bytes(c) for t in range(len(ids))
-               for c in assess_rows(store, [t], None, cfg, memo)]
+    assert solved["n"] == 0  # and none on the second pass
+    singles = [gate_record(store, g) for t in range(len(ids))
+               for g in gate_rows(store, [t], cfg, memo)]
     assert singles == first
-    assert solved["n"] == len(ids)
+    assert solved["n"] == 0
 
 
 def near_tie_rounds(features: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
@@ -265,11 +281,11 @@ def test_memo_takes_each_exact_distance_once(case, monkeypatch):
         extra.update(added)
         store = store.extended(added)
         start = len(pairs)
-        got = [record_bytes(c) for c in assess_rows(store, range(len(ids)), effects, cfg, memo)]
-        ratio = _isolated_ratio(store, len(ids), cfg, memo)
+        got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
+        ratio = isolated_ratio(store, len(ids), cfg, memo)
         per_round.append(len(pairs) - start)
-        assert got == [record_bytes(c) for c in assess_rows(store, range(len(ids)), effects, cfg)]
-        assert got == [record_bytes(reference_assess(t, features, ids, effects, cfg, extra))
+        assert got == [gate_of(c) for c in assess_rows(store, range(len(ids)), effects, cfg)]
+        assert got == [gate_of(reference_assess(t, features, ids, effects, cfg, extra))
                        for t in ids]
         assert ratio == reference_isolated_ratio(archive, features, cfg, extra)
         del pairs[start + per_round[-1]:]  # keep only the passes with the memo
@@ -342,10 +358,11 @@ def test_run_reaches_past_a_held_distance():
     store = FeatureStore.from_features(features, ids)
     p = ids.index("p")
     memo = {0: (np.array([p]), np.array([np.linalg.norm(store.rows[p] - store.rows[0])]))}
-    (got,) = assess_rows(store, [0], None, cfg, memo)
+    (got,) = gate_rows(store, [0], cfg, memo)
+    kept = tuple(ids[j] for j in got.cols.tolist())
     pool = {i: features[i] for i in ids[1:]}
-    assert got.neighborhood == select_candidates("t", features["t"], pool, cfg)
-    assert got.neighborhood.candidate_ids[-3:] == ("p", "w", "q")
+    assert kept == select_candidates("t", features["t"], pool, cfg).candidate_ids
+    assert kept[-3:] == ("p", "w", "q")
 
 
 def test_store_rejects_bad_rows():
@@ -360,3 +377,161 @@ def test_store_rejects_bad_rows():
     with pytest.raises(ValueError, match="already"):
         store.extended({"a": np.zeros(3)})
     assert store.extended({}) is store
+
+
+# The gate path: gate_rows brackets each residual from the normal equations
+# and takes the exact one only where the bracket straddles lambda or the
+# local scale is 0. Its candidates, weights and decisions must equal
+# assess_rows' everywhere, and its exact residuals must be the ones named.
+
+def row_of(store, y) -> int:
+    """The row of ``store`` whose feature vector is the array ``y`` itself."""
+    return next(t for t, row in enumerate(store.rows) if row is y)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_gate_matches_assess(case):
+    features, cfg = CASES[case]
+    ids = tuple(features)
+    store = FeatureStore.from_features(features, ids)
+    want = [gate_of(c) for c in assess_rows(store, range(len(ids)), None, cfg)]
+    assert [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)] == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 70), dim=st.integers(2, 30),
+       cap=st.sampled_from([1, 5, 30, 500]), lambda_=st.sampled_from([0.1, 0.462, 1.0]))
+def test_tie_free_gate_pass_takes_no_residual(seed, n, dim, cap, lambda_):
+    """Where no target's rho is within 1e-6 of lambda, relatively, every
+    bracket settles the gate."""
+    cfg = ComposerConfig(max_candidates=cap, lambda_=lambda_)
+    features = gaussian_features(seed, n, dim)
+    ids = tuple(features)
+    store = FeatureStore.from_features(features, ids)
+    want = list(assess_rows(store, range(n), None, cfg))
+    assume(all(abs(c.normalized_residual - lambda_) > 1e-6 * lambda_ for c in want))
+    with pytest.MonkeyPatch.context() as mp:
+        taken = record_exact_residuals(mp)
+        got = [gate_record(store, g) for g in gate_rows(store, range(n), cfg)]
+        ratio = isolated_ratio(store, n, cfg)
+    assert taken == []
+    assert got == [gate_of(c) for c in want]
+    archive = make_archive(ids)
+    assert ratio == reference_isolated_ratio(archive, features, cfg)
+
+
+@pytest.mark.parametrize("pick", [0, 17, 39])
+def test_lambda_at_a_targets_rho_takes_that_residual(pick, monkeypatch):
+    """With lambda set to one target's exact rho, only that target's bracket
+    straddles it: its residual is taken, and r / s <= lambda holds exactly."""
+    features = gaussian_features(13, 40, dim=10)
+    ids = tuple(features)
+    rhos = sorted((reference_assess(i, features, ids, None, ComposerConfig()).normalized_residual,
+                   i) for i in ids)
+    rho, tid = rhos[pick]
+    cfg = ComposerConfig(lambda_=rho)
+    want = [gate_of(reference_assess(i, features, ids, None, cfg)) for i in ids]
+    assert want[ids.index(tid)][2] is True
+    store = FeatureStore.from_features(features, ids)
+    taken = record_exact_residuals(monkeypatch)
+    got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+    assert [row_of(store, y) for y in taken] == [ids.index(tid)]
+    assert got == want
+
+
+def zero_scale_features(magnitude: float, copies: int, seed: int) -> dict[str, np.ndarray]:
+    """A target, ``copies`` exact copies of it and fewer other rows: the
+    target's and each copy's median distance is 0. At large magnitudes the
+    weighted sum of the copies misses the target by rounding alone."""
+    rng = np.random.default_rng(seed)
+    y = magnitude * rng.standard_normal(6)
+    features = {"t": y}
+    features.update((f"c{k}", y.copy()) for k in range(copies))
+    features.update((f"o{k}", rng.standard_normal(6)) for k in range(copies - 1))
+    return features
+
+
+@pytest.mark.parametrize("magnitude, copies, seed, raises", [
+    (1.0, 3, 0, False), (1e3, 7, 0, False), (1e6, 2, 0, False), (1e6, 2, 1, True),
+    (1e6, 3, 4, True), (1e6, 5, 1, True), (1e9, 5, 0, True), (1e9, 5, 1, False)])
+def test_zero_scale_pool_gates_as_assess(magnitude, copies, seed, raises):
+    features = zero_scale_features(magnitude, copies, seed)
+    ids = tuple(features)
+    cfg = ComposerConfig()
+    store = FeatureStore.from_features(features, ids)
+
+    def outcome(decide):
+        try:
+            return decide()
+        except DegenerateScaleError as e:
+            return str(e)
+
+    for t, tid in enumerate(ids):
+        pool = {i: features[i] for i in ids if i != tid}
+        target = Experiment(id=tid, treatment_text="t", outcome_text="o", effect_size=0.0)
+        want = outcome(lambda: gate_of(assess(target, features[tid], pool, None, cfg)))
+        got = outcome(lambda: gate_record(store, next(gate_rows(store, [t], cfg))))
+        assert got == want, tid
+        if tid == "t":
+            assert isinstance(want, str) is raises
+
+
+def scale_shift_features() -> tuple[dict[str, np.ndarray], list[dict[str, np.ndarray]]]:
+    """A centre t with 40 rows at about 0.5 (the 30 nearest are its
+    candidates) and 41 at 2.00, 2.01, ..., 2.40 (its median), plus three
+    rounds of two rows at 10 or more: each round moves t's median up by 0.01
+    and leaves its candidates as they are."""
+    rng = np.random.default_rng(21)
+    dim = 48
+    centre = np.eye(dim)[0]
+    features = {"t": centre}
+    features.update((f"n{k:02d}", centre + (0.45 + 0.0025 * k) * unit(rng, dim))
+                    for k in range(40))
+    features.update((f"m{k:02d}", centre + (2.0 + 0.01 * k) * unit(rng, dim))
+                    for k in range(41))
+    rounds = [{f"hypothetical:{r}:{k}": centre + (10.0 + k) * unit(rng, dim) for k in range(2)}
+              for r in range(3)]
+    return features, rounds
+
+
+def test_held_bracket_is_decided_again_under_a_new_scale(monkeypatch):
+    """t's residual is bracketed in round 0, where its rho is well above
+    lambda; round 1 leaves its candidates and so its memo entry, but its new
+    scale puts lambda (t's exact rho there) inside the bracket: the residual
+    is taken once, and the memo holds it for the later rounds."""
+    features, rounds = scale_shift_features()
+    ids = tuple(features)
+    t = ids.index("t")
+    cfg = ComposerConfig(lambda_=reference_assess("t", features, ids, None, ComposerConfig(),
+                                                  rounds[0]).normalized_residual)
+    extra: dict[str, np.ndarray] = {}
+    want = []
+    for added in [{}] + rounds:
+        extra.update(added)
+        want.append([gate_of(reference_assess(i, features, ids, None, cfg, extra)) for i in ids])
+    assert [w[t][2] for w in want] == [False, True, True, True]
+    exact = reference_assess("t", features, ids, None, cfg).residual
+
+    taken = record_exact_residuals(monkeypatch)
+    store = FeatureStore.from_features(features, ids)
+    memo: dict = {}
+    per_round, held = [], []
+    for added, expected in zip([{}] + rounds, want):
+        store = store.extended(added)
+        start = len(taken)
+        got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
+        assert got == expected
+        per_round.append([row_of(store, y) for y in taken[start:]])
+        (entry,) = [v for k, v in memo.items() if isinstance(k, tuple) and k[0] == t]
+        held.append(entry[1:])
+    assert per_round == [[], [t], [], []]
+    assert held[0][0] < exact < held[0][1]
+    assert held[1:] == [(exact, exact)] * 3
+
+
+def test_loo_run_takes_every_residual_exactly(monkeypatch):
+    features = gaussian_features(6, 40)
+    ids = tuple(features)
+    taken = record_exact_residuals(monkeypatch)
+    loo_run(make_archive(ids), features, ComposerConfig())
+    assert [next(i for i in ids if features[i] is y) for y in taken] == list(ids)
