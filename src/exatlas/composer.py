@@ -668,18 +668,19 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
 
 
 class Gate(NamedTuple):
-    """A target's candidate rows, ascending by (distance, id), their weights,
-    and whether it passes the gate rho <= lambda."""
+    """A target's candidate rows, ascending by (distance, id), its local
+    scale, the candidates' weights, and whether it passes the gate rho <= lambda."""
 
     cols: np.ndarray
+    scale: float
     weights: np.ndarray
     composable: bool
 
 
 def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
               memo: dict | None = None) -> Iterator[Gate]:
-    """The candidates, weights and gate decision of :func:`assess_rows` for
-    each row in ``targets``, without the residuals.
+    """The candidates, local scale, weights and gate decision of
+    :func:`assess_rows` for each row in ``targets``, without the residuals.
 
     A residual r is bracketed from the normal equations of the solve, and
     the exact one is taken only where the bracket cannot settle r / s <=
@@ -755,17 +756,19 @@ def _gate_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         n = b.shape[1]
         w = np.stack([wr for wr, _ in solved])
         yy = sq[targets[rows]]
-        # r^2 = y'y - 2w'b + w'(G - ridge*I)w. Each term errs by a small
-        # multiple of (feature length + n) * 2**-53 of (||y|| + sum_j w_j
-        # ||x_j||)^2 (w >= 0), the ridge on G's diagonal by 2**-53 of ridge,
-        # and so does the exact form _residual computes: about 1e-12 at length
-        # 2304, far inside GRAM_BAND. Where products are subnormal each
-        # rounding errs by at most 2**-1075 instead: about 10 roundings per
-        # feature element and 3 per pair of candidates in all, which
-        # SUBNORMAL_BAND per element and per pair covers. So [lo, hi] holds
-        # the r that _residual computes.
+        # r^2 = y'y - 2w'b + w'(G - ridge*I)w, with w'Gw taken as w'(Gw) so
+        # that every sum has at most n or feature length terms. Each term errs
+        # by a small multiple of (feature length + 2n) * 2**-53 of (||y|| +
+        # sum_j w_j ||x_j||)^2 (w >= 0), the ridge on G's diagonal by 2**-53
+        # of ridge, and so does the exact form _residual computes: about 1e-12
+        # at length 2304 and n = 3000, far inside GRAM_BAND. Where products
+        # are subnormal each rounding errs by at most 2**-1075 instead: about
+        # 10 roundings per feature element and 3 per pair of candidates in
+        # all, which SUBNORMAL_BAND per element and per pair covers. So
+        # [lo, hi] holds the r that _residual computes.
+        Gw = np.matmul(G, w[:, :, None])[:, :, 0]
         q = (yy - 2.0 * np.einsum("pi,pi->p", w, b)
-             + (np.einsum("pi,pij,pj->p", w, G, w) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
+             + (np.einsum("pi,pi->p", w, Gw) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
         cols = np.stack([picks[r][0] for r in rows])
         size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(sq[cols]))
         band = (GRAM_BAND * (size * size + cfg.ridge)
@@ -784,5 +787,5 @@ def _gate_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
             found[key] = (w, lo, hi)
         if memo is not None:
             memo[key] = found[key]
-        out.append(Gate(cols, w, _normalized(hi, scale) <= cfg.lambda_))
+        out.append(Gate(cols, scale, w, _normalized(hi, scale) <= cfg.lambda_))
     return out

@@ -32,14 +32,14 @@ def record_bytes(comp) -> str:
 
 def gate_of(comp) -> tuple:
     """What a gate decides for a composition: candidate ids in order, the
-    bytes of their weights, and rho <= lambda."""
-    return (tuple(comp.weights), np.array(list(comp.weights.values())).tobytes(),
-            comp.composable)
+    bytes of the local scale and of the weights, and rho <= lambda."""
+    return (tuple(comp.weights), np.float64(comp.neighborhood.local_scale).tobytes(),
+            np.array(list(comp.weights.values())).tobytes(), comp.composable)
 
 
 def gate_record(store, gate) -> tuple:
-    return (tuple(store.ids[j] for j in gate.cols.tolist()), gate.weights.tobytes(),
-            gate.composable)
+    return (tuple(store.ids[j] for j in gate.cols.tolist()), np.float64(gate.scale).tobytes(),
+            gate.weights.tobytes(), gate.composable)
 
 
 def unit(rng, dim):
@@ -361,7 +361,9 @@ def test_run_reaches_past_a_held_distance():
     (got,) = gate_rows(store, [0], cfg, memo)
     kept = tuple(ids[j] for j in got.cols.tolist())
     pool = {i: features[i] for i in ids[1:]}
-    assert kept == select_candidates("t", features["t"], pool, cfg).candidate_ids
+    want = select_candidates("t", features["t"], pool, cfg)
+    assert kept == want.candidate_ids
+    assert np.float64(got.scale).tobytes() == np.float64(want.local_scale).tobytes()
     assert kept[-3:] == ("p", "w", "q")
 
 
@@ -431,7 +433,7 @@ def test_lambda_at_a_targets_rho_takes_that_residual(pick, monkeypatch):
     rho, tid = rhos[pick]
     cfg = ComposerConfig(lambda_=rho)
     want = [gate_of(reference_assess(i, features, ids, None, cfg)) for i in ids]
-    assert want[ids.index(tid)][2] is True
+    assert want[ids.index(tid)][3] is True
     store = FeatureStore.from_features(features, ids)
     taken = record_exact_residuals(monkeypatch)
     got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
@@ -509,7 +511,7 @@ def test_held_bracket_is_decided_again_under_a_new_scale(monkeypatch):
     for added in [{}] + rounds:
         extra.update(added)
         want.append([gate_of(reference_assess(i, features, ids, None, cfg, extra)) for i in ids])
-    assert [w[t][2] for w in want] == [False, True, True, True]
+    assert [w[t][3] for w in want] == [False, True, True, True]
     exact = reference_assess("t", features, ids, None, cfg).residual
 
     taken = record_exact_residuals(monkeypatch)
