@@ -43,7 +43,7 @@ _TOY_ARCHIVE = "data/toy_archive.jsonl"
 _CONFIG_TYPES: dict[str, type] = {
     **dict.fromkeys(("cache_dir", "chat", "grid", "provider", "stub_transcript",
                      "vectors"), str),
-    **dict.fromkeys(("jobs", "max_candidates", "max_rounds", "seed"), int),
+    **dict.fromkeys(("max_candidates", "max_rounds", "seed"), int),
     **dict.fromkeys(("lambda_", "radius_factor", "relax", "ridge"), float),
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
@@ -180,6 +180,14 @@ def _composer_config(args, config: Mapping[str, Any]) -> ComposerConfig:
     )
 
 
+def _embedding_provider(args, config: Mapping[str, Any]):
+    return parse_embedding_provider(
+        _setting(args, config, "provider", "stub"),
+        seed=int(_setting(args, config, "seed", 0)),
+        cache_dir=_setting(args, config, "cache_dir", None),
+    )
+
+
 def _features_for(args, config: Mapping[str, Any], archive: Archive) -> dict[str, np.ndarray]:
     """Feature vectors either from a precomputed --vectors file or a provider."""
     vectors = _setting(args, config, "vectors", None)
@@ -189,13 +197,7 @@ def _features_for(args, config: Mapping[str, Any], archive: Archive) -> dict[str
         if missing:
             raise CliError(f"vector file lacks features for ids: {missing[:5]}")
         return feats
-    provider = parse_embedding_provider(
-        _setting(args, config, "provider", "stub"),
-        seed=int(_setting(args, config, "seed", 0)),
-        cache_dir=_setting(args, config, "cache_dir", None),
-    )
-    return feature_matrix(archive, provider,
-                          jobs=int(_setting(args, config, "jobs", 1))).features
+    return feature_matrix(archive, _embedding_provider(args, config)).features
 
 
 def _write_json(path: Path, doc: Any) -> None:
@@ -229,12 +231,7 @@ def cmd_ingest(args, config) -> int:
 
 def cmd_embed(args, config) -> int:
     arc = load_archive(args.archive)
-    provider = parse_embedding_provider(
-        _setting(args, config, "provider", "stub"),
-        seed=int(_setting(args, config, "seed", 0)),
-        cache_dir=_setting(args, config, "cache_dir", None),
-    )
-    fm = feature_matrix(arc, provider, jobs=int(_setting(args, config, "jobs", 1)))
+    fm = feature_matrix(arc, _embedding_provider(args, config))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_vector_file(out, fm.features)
@@ -246,14 +243,13 @@ def cmd_embed(args, config) -> int:
 
 
 def _loo_results(args, config, arc: Archive, cfg: ComposerConfig):
-    features = _features_for(args, config, arc)
-    return evaluator_mod.loo_run(arc, features, cfg), features
+    return evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
 
 
 def cmd_evaluate(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results, _ = _loo_results(args, config, arc, cfg)
+    results = _loo_results(args, config, arc, cfg)
     report = evaluator_mod.build_report(results, lambda_used=cfg.lambda_)
     print(report.format_table())
     if args.out:
@@ -285,7 +281,7 @@ def cmd_calibrate(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     grid = _parse_grid(_setting(args, config, "grid", None))
-    results, _ = _loo_results(args, config, arc, cfg)
+    results = _loo_results(args, config, arc, cfg)
     curve = evaluator_mod.calibrate_lambda(arc, {}, cfg, grid, results=results)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
     if args.out:
@@ -304,7 +300,7 @@ def cmd_calibrate(args, config) -> int:
 def cmd_atlas(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results, _ = _loo_results(args, config, arc, cfg)
+    results = _loo_results(args, config, arc, cfg)
     outcomes = atlas_mod.route_results(results)
     effects = {e.id: float(e.effect_size) for e in arc}
     relax = float(_setting(args, config, "relax", 1.5))
@@ -331,13 +327,9 @@ def cmd_atlas(args, config) -> int:
 def cmd_bridge(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    features = _features_for(args, config, arc)
     target = arc.get(args.target)
-    provider = parse_embedding_provider(
-        _setting(args, config, "provider", "stub"),
-        seed=int(_setting(args, config, "seed", 0)),
-        cache_dir=_setting(args, config, "cache_dir", None),
-    )
+    features = _features_for(args, config, arc)
+    provider = _embedding_provider(args, config)
     chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
                                _setting(args, config, "stub_transcript", None))
     out = Path(args.out) if args.out else None
@@ -360,7 +352,8 @@ def cmd_bridge(args, config) -> int:
 def cmd_reconcile(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results, _ = _loo_results(args, config, arc, cfg)
+    target = arc.get(args.target)
+    results = _loo_results(args, config, arc, cfg)
     relax = float(_setting(args, config, "relax", 1.0))
     conflicts = {c.target_id: c for c in
                  atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)}
@@ -375,8 +368,7 @@ def cmd_reconcile(args, config) -> int:
     out = Path(args.out) if args.out else None
     if out is not None:
         chat = generators_mod.AuditingChat(chat, out / "audit")
-    request = generators_mod.build_reconciliation_prompt(conflict, sources,
-                                                         arc.get(args.target))
+    request = generators_mod.build_reconciliation_prompt(conflict, sources, target)
     response = chat.complete(request)
     needed, _ = generators_mod.parse_reconciliation_response(response)
     print(f"reconciliation needed: {needed}")
@@ -424,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vectors", help="precomputed feature-vector file")
         p.add_argument("--provider", help="embedding provider spec (default stub)")
         p.add_argument("--seed", type=int, help="seed for stub providers and sweeps")
-        p.add_argument("--jobs", type=int, help="parallel embedding workers (default 1)")
         p.add_argument("--cache-dir", dest="cache_dir", help="embedding cache directory")
         p.add_argument("--lambda", dest="lambda_", type=float,
                        help=f"composability threshold (default {ComposerConfig.lambda_:g})")

@@ -133,40 +133,6 @@ class Composition:
         }
 
 
-def select_candidates(target_id: str, target_x: np.ndarray,
-                      pool: Mapping[str, np.ndarray],
-                      cfg: ComposerConfig) -> Neighborhood:
-    """Pick source candidates within ``radius_factor`` times the median pool distance.
-
-    The eligible set is truncated to the nearest ``max_candidates``; ties at
-    the boundary break by lexicographic id so runs are deterministic.
-    """
-    if not pool:
-        raise EmptyPoolError("candidate pool is empty")
-    if target_id in pool:
-        raise ValueError(f"pool must exclude the target id {target_id!r}")
-    target_x = np.asarray(target_x, dtype=float)
-    ids = list(pool.keys())
-    mat = np.stack([np.asarray(pool[i], dtype=float) for i in ids])
-    if mat.shape[1] != target_x.shape[0]:
-        raise DimensionError(target_x.shape[0], mat.shape[1])
-    dists = _distances_in_place(mat, target_x)
-    local_scale = float(np.median(dists))
-    radius = cfg.radius_factor * local_scale
-    order = sorted(zip((float(d) for d in dists), ids))
-    kept = [i for d, i in order if d <= radius][: cfg.max_candidates]
-    return Neighborhood(target_id=target_id, candidate_ids=tuple(kept),
-                        local_scale=local_scale)
-
-
-def _distances_in_place(rows: np.ndarray, target_x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(rows - target_x, axis=1), computed as norm computes it
-    but in the buffer ``rows``, which it overwrites."""
-    rows -= target_x
-    rows *= rows
-    return np.sqrt(np.add.reduce(rows, axis=1))
-
-
 # Exact distances are taken this many stacked rows at a time.
 PAIR_CHUNK = 32
 
@@ -175,14 +141,17 @@ def _pair_distances(rows: Sequence[np.ndarray], targets: np.ndarray,
                     cols: np.ndarray) -> np.ndarray:
     """The exact distance from ``rows[targets[i]]`` to ``rows[cols[i]]`` for each i.
 
-    Row-wise sums add each row alike however many rows are stacked, so a
-    distance has the same bits in any call, and they are select_candidates'.
+    Each is computed as np.linalg.norm(rows[cols[i]] - rows[targets[i]])
+    computes it. Row-wise sums add each row alike however many rows are
+    stacked, so a distance has the same bits in any call.
     """
     out = np.empty(cols.size)
     for a in range(0, cols.size, PAIR_CHUNK):
         ts, js = targets[a:a + PAIR_CHUNK].tolist(), cols[a:a + PAIR_CHUNK].tolist()
-        out[a:a + len(js)] = _distances_in_place(np.stack([rows[j] for j in js]),
-                                                 np.stack([rows[t] for t in ts]))
+        block = np.stack([rows[j] for j in js])
+        block -= np.stack([rows[t] for t in ts])
+        block *= block
+        out[a:a + len(js)] = np.sqrt(np.add.reduce(block, axis=1))
     return out
 
 
@@ -359,19 +328,6 @@ def _solve_faces(G: np.ndarray, b: np.ndarray, free: np.ndarray,
     return wf, nu, solved
 
 
-def residuals(target_x: np.ndarray, candidates: Sequence[np.ndarray],
-              weights: np.ndarray, local_scale: float) -> tuple[float, float]:
-    """Reconstruction error r and its locally normalized form rho = r / s.
-
-    When the local scale is zero (all candidates coincide with the target)
-    rho is defined as 0 if r is also zero, and an error otherwise.
-    """
-    target_x = np.asarray(target_x, dtype=float)
-    A = np.column_stack([np.asarray(c, dtype=float) for c in candidates])
-    r = _residual(A, target_x, np.asarray(weights, dtype=float))
-    return r, _normalized(r, local_scale)
-
-
 def _residual(A: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """||y - A w|| for C-contiguous candidate columns ``A``."""
     return float(np.linalg.norm(y - A @ w))
@@ -402,15 +358,19 @@ def assess(target: Experiment, target_x: np.ndarray,
            cfg: ComposerConfig) -> Composition:
     """Full pipeline: select candidates, solve weights, gate on the residual.
 
-    The composed effect is computed whenever every positive-weight candidate
-    has a known effect, whether or not the target passes the gate; callers
-    that admit effect-free hypothetical candidates get ``composed_effect=None``.
+    Candidates are the pool rows within ``radius_factor`` times the median
+    distance to the whole pool, the nearest ``max_candidates`` of them, with
+    distance ties broken by id. The composed effect is computed whenever
+    every positive-weight candidate has a known effect, whether or not the
+    target passes the gate; callers that admit effect-free hypothetical
+    candidates get ``composed_effect=None``. This is :func:`assess_rows` for
+    one target, on a store of the target (row 0) and the pool.
     """
-    nb = select_candidates(target.id, target_x, pool_features, cfg)
-    cand_vecs = [pool_features[c] for c in nb.candidate_ids]
-    w, status = solve_weights(target_x, cand_vecs, cfg.ridge)
-    r, rho = residuals(target_x, cand_vecs, w, nb.local_scale)
-    return _composition(nb, w, status, r, rho, pool_effects, cfg)
+    if target.id in pool_features:
+        raise ValueError(f"pool must exclude the target id {target.id!r}")
+    store = FeatureStore.from_features({target.id: target_x, **pool_features},
+                                       (target.id, *pool_features))
+    return next(assess_rows(store, [0], pool_effects, cfg))
 
 
 def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
@@ -527,25 +487,25 @@ def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
 
 def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
                   memo: dict | None) -> list[tuple[np.ndarray, float]]:
-    """:func:`select_candidates` for each row of ``targets`` against every
-    other row: (candidate rows, local scale) per target.
+    """The candidates of :func:`assess` for each row of ``targets`` against
+    every other row: (candidate rows, local scale) per target.
 
     Each distance is bracketed from the Gram matrix, and every bracket holds
     the exact distance. An exact norm is taken only where the brackets cannot
     decide: for the rows that could be a middle value of the median, the
     rows that could be kept but straddle the radius, and the rows that could
     be kept whose brackets touch or overlap another's. So scale, candidates
-    and their order equal select_candidates'. A bracket narrows to its exact distance once
-    that is taken. All of it is worked for the whole block at once. ``memo``
-    maps a target row t to the rows whose exact distance to t it holds,
-    ascending, and those distances: a held distance is read, not taken
-    again, and every one taken is added.
+    and their order equal those of a plain sort of the exact distances. A
+    bracket narrows to its exact distance once that is taken. All of it is
+    worked for the whole block at once. ``memo`` maps a target row t to the
+    rows whose exact distance to t it holds, ascending, and those distances:
+    a held distance is read, not taken again, and every one taken is added.
     """
     n = len(store.ids)
     if n < 2:
         raise EmptyPoolError("candidate pool is empty")
-    # select_candidates' formulas, worked in place so that a block holds few
-    # (block, n) arrays.
+    # ||x_j||^2 + ||x_t||^2 - 2 x_j.x_t and its band, worked in place so that
+    # a block holds few (block, n) arrays.
     sq = store.sq_norms
     band = sq[targets][:, None] + sq
     hi = store.gram[targets]
@@ -593,7 +553,7 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     refine(r, j)
     middle = lo[r, j][np.lexsort((lo[r, j], r))]
     start = segments(r)[1] - below
-    # np.median of the one or two middle values, as select_candidates takes it.
+    # The mean of the one or two middle values, as np.median takes it.
     scale = (middle[start + k1] + middle[start + k2]) / 2
 
     # A row can be kept only if it may lie within the radius and fewer than
@@ -656,8 +616,8 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
                 cfg: ComposerConfig) -> Iterator[Composition]:
     """:func:`assess` of each row in ``targets`` against every other row of ``store``.
 
-    The results equal ``assess`` on the pool of every other row, byte for
-    byte; every residual is taken exactly. They are yielded in the order of
+    A result does not depend on the order of the rows or on the other
+    targets; every residual is taken exactly. They are yielded in the order of
     ``targets``, ASSESS_BLOCK targets at a time, so a caller that keeps only
     a summary never holds a whole pass of them.
     """
@@ -700,9 +660,8 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
 
 
 def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
-    # As solve_weights and residuals gather them, once for the normal
-    # equations and again for a residual, so that a block never holds every
-    # target's columns at once.
+    # As solve_weights gathers them, once for the normal equations and again
+    # for a residual, so that a block never holds every target's columns at once.
     return np.column_stack([store.rows[j] for j in cols])
 
 

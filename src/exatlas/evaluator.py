@@ -59,13 +59,12 @@ class TargetResult:
 
 
 def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
-            cfg: ComposerConfig, jobs: int = 1) -> list[TargetResult]:
+            cfg: ComposerConfig) -> list[TargetResult]:
     """Assess every experiment against the rest of the archive.
 
     Every target is assessed over one shared :class:`FeatureStore` of the
     archive's features, with the same results as ``assess`` over a per-target
-    pool. Results come back sorted by target id. ``jobs`` is accepted for
-    callers that pass it and ignored: the pass runs on one thread.
+    pool. Results come back sorted by target id.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")
@@ -263,8 +262,7 @@ def check_grid(grid: Sequence[float]) -> list[float]:
 
 def calibrate_lambda(archive: Archive, features: Mapping[str, np.ndarray],
                      cfg: ComposerConfig, grid: Sequence[float],
-                     results: Sequence[TargetResult] | None = None,
-                     jobs: int = 1) -> CalibrationCurve:
+                     results: Sequence[TargetResult] | None = None) -> CalibrationCurve:
     """Pick the threshold maximizing (1 - scaled MSE) x coverage over the grid.
 
     Weights and rho values do not depend on the threshold, so one
@@ -274,7 +272,7 @@ def calibrate_lambda(archive: Archive, features: Mapping[str, np.ndarray],
     """
     grid = check_grid(grid)
     if results is None:
-        results = loo_run(archive, features, cfg, jobs=jobs)
+        results = loo_run(archive, features, cfg)
     rho = np.asarray([r.rho for r in results])
     sq_err = np.asarray([(r.predicted_effect - r.observed_effect) ** 2
                          for r in results])

@@ -41,7 +41,6 @@ DEFAULT_MAX_ROUNDS = 3
 
 BRIDGE_TEMPLATE_NAME = "bridge_generation"
 RECONCILE_TEMPLATE_NAME = "conflict_reconciliation"
-ENRICHMENT_TEMPLATE_NAME = "enrichment"
 
 # Substitution slots, by template. Everything outside these slots is fixed.
 TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
@@ -50,7 +49,6 @@ TEMPLATE_SLOTS: dict[str, tuple[str, ...]] = {
         "{Predicted result based on composition}",
         "{Results of contributing experiments}",
     ),
-    ENRICHMENT_TEMPLATE_NAME: ("{treatment}", "{outcome}", "{context}"),
 }
 
 
@@ -236,41 +234,6 @@ def describe_relation(exp: Experiment, with_effect: bool = False) -> str:
                 f"(observed: {_effect_direction(exp.effect_size)}, "
                 f"effect {exp.effect_size:+.4f})")
     return f"How does {iv} impact {dv}? (observed: {_effect_direction(exp.effect_size)})"
-
-
-def build_enrichment_request(exp: Experiment) -> ChatRequest:
-    """Ask for context-aware rewrites of the raw treatment and outcome texts."""
-    if not exp.treatment_text or not exp.outcome_text:
-        raise ValueError("enrichment needs raw treatment and outcome texts")
-    prompt = render_template(ENRICHMENT_TEMPLATE_NAME, {
-        "treatment": exp.treatment_text,
-        "outcome": exp.outcome_text,
-        "context": exp.context_text or "(no additional context)",
-    })
-    return ChatRequest(prompt=prompt)
-
-
-_ENRICH_TREATMENT_RE = re.compile(r"^TREATMENT:\s*(.+)$", re.MULTILINE)
-_ENRICH_OUTCOME_RE = re.compile(r"^OUTCOME:\s*(.+)$", re.MULTILINE)
-
-
-def parse_enrichment_response(text: str) -> tuple[str, str]:
-    t = _ENRICH_TREATMENT_RE.search(text)
-    o = _ENRICH_OUTCOME_RE.search(text)
-    if t is None:
-        raise MalformedResponseError("enrichment reply is missing the TREATMENT line")
-    if o is None:
-        raise MalformedResponseError("enrichment reply is missing the OUTCOME line")
-    return t.group(1).strip(), o.group(1).strip()
-
-
-def enrich_experiment(exp: Experiment, chat) -> Experiment:
-    """Return a copy of the experiment with model-enriched texts filled in."""
-    response = chat.complete(build_enrichment_request(exp))
-    enriched_t, enriched_o = parse_enrichment_response(response)
-    from dataclasses import replace
-
-    return replace(exp, enriched_treatment=enriched_t, enriched_outcome=enriched_o)
 
 
 def build_reconciliation_prompt(conflict: Conflict, sources: Sequence[Experiment],

@@ -15,7 +15,6 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
@@ -301,15 +300,14 @@ def embedding_texts(exp) -> tuple[str, str, bool]:
     return t, o, enriched
 
 
-def feature_matrix(archive: Archive, provider: EmbeddingProvider,
-                   jobs: int = 1) -> FeatureMatrix:
+def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatrix:
     """Build one feature vector per experiment; results are keyed by id.
 
     Each distinct text is embedded once, in archive order: in one
     ``embed_many`` call when the provider has one, so that a remote provider
-    batches its requests, else by :func:`embed_text` per text, on ``jobs``
-    threads. Every vector passes :func:`embed_text`'s checks, and an error
-    names the first experiment with the text that failed.
+    batches its requests, else by :func:`embed_text` per text. Every vector
+    passes :func:`embed_text`'s checks, and an error names the first
+    experiment with the text that failed.
     """
     picked = [(exp.id, *embedding_texts(exp)) for exp in archive]
     owner: dict[str, str] = {}
@@ -329,14 +327,7 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider,
 
     embed_many = getattr(provider, "embed_many", None)
     if embed_many is None:
-        def one(text: str) -> np.ndarray:
-            return for_text(text, embed_text, provider, text)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                vectors = list(pool.map(one, texts))
-        else:
-            vectors = [one(text) for text in texts]
+        vectors = [for_text(text, embed_text, provider, text) for text in texts]
     else:
         for text in texts:
             for_text(text, _check_text, text)

@@ -186,11 +186,37 @@ def reference_active_set_simplex(A, y, ridge, limits=None):
     raise ArithmeticError("active-set iteration limit reached")
 
 
+def select_candidates(target_id, target_x, pool, cfg):
+    """The neighborhood of one target by a plain (distance, id) sort of its
+    exact distances to every row of ``pool``: the candidates within
+    ``radius_factor`` times the median distance, the nearest
+    ``max_candidates`` of them."""
+    from exatlas.composer import Neighborhood
+
+    ids = list(pool)
+    dists = np.linalg.norm(np.stack([pool[i] for i in ids]) - target_x, axis=1)
+    local_scale = float(np.median(dists))
+    radius = cfg.radius_factor * local_scale
+    order = sorted(zip((float(d) for d in dists), ids))
+    kept = [i for d, i in order if d <= radius][: cfg.max_candidates]
+    return Neighborhood(target_id=target_id, candidate_ids=tuple(kept),
+                        local_scale=local_scale)
+
+
+def residuals(target_x, candidates, weights, local_scale):
+    """The reconstruction error r = ||x_t - sum_j w_j x_j|| and rho = r / s,
+    with the composer's rule for a zero local scale."""
+    from exatlas.composer import _normalized
+
+    r = float(np.linalg.norm(target_x - np.column_stack(candidates) @ weights))
+    return r, _normalized(r, local_scale)
+
+
 def reference_assess(target_id, features, pool_ids, effects, cfg, extra=None):
-    """``assess`` over a freshly built pool dict, solved by
-    :func:`reference_solve_weights`: the per-target path that the feature
-    store and the lockstep solver replace."""
-    from exatlas.composer import _composition, residuals, select_candidates
+    """``assess`` over a freshly built pool dict, by :func:`select_candidates`,
+    :func:`reference_solve_weights` and :func:`residuals`: the per-target
+    path that the feature store and the lockstep solver replace."""
+    from exatlas.composer import _composition
 
     pool = {i: features[i] for i in pool_ids if i != target_id}
     pool.update(extra or {})

@@ -232,7 +232,7 @@ def test_criterion_8_full_archive_reproduction():
     assert len(archive) == 360
     features = read_vector_file(_FULL_VECTORS)
     cfg = ComposerConfig()
-    results = loo_run(archive, features, cfg, jobs=4)
+    results = loo_run(archive, features, cfg)
     report = build_report(results, cfg.lambda_)
 
     assert abs(report.n_composable - 72) <= 2

@@ -518,6 +518,22 @@ class TestReconcileCommand:
         assert code == 2
         assert "not a conflict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reconcile", "bridge"])
+    def test_unknown_target_rejected_before_features(self, command, tmp_path, capsys,
+                                                     monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("features read for an unknown target")
+
+        monkeypatch.setattr(evaluator_mod, "loo_run", unreachable)
+        monkeypatch.setattr(cli_mod, "_features_for", unreachable)
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("", encoding="utf-8")
+        code = run(command, "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--target", "nope", "--chat", "stub",
+                   "--stub-transcript", str(transcript))
+        assert code == 2
+        assert capsys.readouterr().err == "error: unknown experiment id 'nope'\n"
+
 
 class TestTheoryCheckCommand:
     def test_sweep_csv_and_zero_violations(self, tmp_path, capsys):

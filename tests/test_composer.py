@@ -10,14 +10,15 @@ from exatlas.composer import (
     FALLBACK_UNIFORM,
     OPTIMAL,
     ComposerConfig,
+    ComposerError,
     DegenerateScaleError,
     DimensionError,
     EmptyPoolError,
     MissingEffectError,
+    _normalized,
+    _residual,
     assess,
     compose_effect,
-    residuals,
-    select_candidates,
     solve_weights,
 )
 from oracles import brute_force_simplex_min, random_reconstruction_instance, \
@@ -58,10 +59,16 @@ def pool_at_distances(target, dists):
 
 
 class TestSelectCandidates:
+    """Candidate selection as ``assess`` does it, read off its neighborhood."""
+
+    @staticmethod
+    def neighborhood(target, pool, cfg):
+        return assess(exp("t"), target, pool, None, cfg).neighborhood
+
     def test_median_radius_hand_case(self, default_cfg):
         target = np.array([0.0])
         pool = pool_at_distances(target, [1.0, 2.0, 3.0, 10.0])
-        nb = select_candidates("t", target, pool, default_cfg)
+        nb = self.neighborhood(target, pool, default_cfg)
         # median 2.5, radius 3.75: the distance-10 point is excluded
         assert nb.local_scale == pytest.approx(2.5)
         assert nb.candidate_ids == ("p00", "p01", "p02")
@@ -69,38 +76,59 @@ class TestSelectCandidates:
     def test_cap_keeps_lexicographically_smallest_on_ties(self, default_cfg):
         target = np.zeros(2)
         pool = {f"id{i:02d}": np.array([1.0, 0.0]) for i in range(40)}
-        nb = select_candidates("t", target, pool, default_cfg)
+        nb = self.neighborhood(target, pool, default_cfg)
         assert len(nb.candidate_ids) == 30
         assert nb.candidate_ids == tuple(sorted(pool)[:30])
 
     def test_singleton_pool(self, default_cfg):
         target = np.zeros(3)
         pool = {"only": np.array([5.0, 0.0, 0.0])}
-        nb = select_candidates("t", target, pool, default_cfg)
+        nb = self.neighborhood(target, pool, default_cfg)
         assert nb.candidate_ids == ("only",)
         assert nb.local_scale == pytest.approx(5.0)
 
     def test_candidates_sorted_by_distance_then_id(self, default_cfg):
         target = np.array([0.0])
         pool = {"b": np.array([1.0]), "a": np.array([1.0]), "c": np.array([0.5])}
-        nb = select_candidates("t", target, pool, default_cfg)
+        nb = self.neighborhood(target, pool, default_cfg)
         assert nb.candidate_ids == ("c", "a", "b")
 
     def test_empty_pool_rejected(self, default_cfg):
-        with pytest.raises(EmptyPoolError):
-            select_candidates("t", np.zeros(2), {}, default_cfg)
+        with pytest.raises(EmptyPoolError, match="^candidate pool is empty$"):
+            assess(exp("t"), np.zeros(2), {}, None, default_cfg)
 
     def test_pool_containing_target_rejected(self, default_cfg):
-        with pytest.raises(ValueError):
-            select_candidates("t", np.zeros(2), {"t": np.zeros(2)}, default_cfg)
+        with pytest.raises(ValueError, match="^pool must exclude the target id 't'$"):
+            assess(exp("t"), np.zeros(2), {"t": np.zeros(2)}, None, default_cfg)
 
     def test_local_scale_uses_full_pool_not_capped_set(self):
         cfg = ComposerConfig(max_candidates=2)
         target = np.array([0.0])
         pool = pool_at_distances(target, [1.0, 2.0, 3.0, 4.0, 100.0])
-        nb = select_candidates("t", target, pool, cfg)
+        nb = self.neighborhood(target, pool, cfg)
         assert len(nb.candidate_ids) == 2
         assert nb.local_scale == pytest.approx(3.0)  # median of all five
+
+
+class TestAssessInputs:
+    """Input errors of ``assess`` beyond the pool checks above."""
+
+    def test_dimension_mismatch_gives_the_target_length_first(self, default_cfg):
+        pool = {"a": np.zeros(2), "b": np.zeros(2)}
+        with pytest.raises(DimensionError) as err:
+            assess(exp("t"), np.zeros(3), pool, None, default_cfg)
+        assert (err.value.target_len, err.value.candidate_len) == (3, 2)
+        assert str(err.value) == ("dimension mismatch: target has length 3, "
+                                  "candidate has length 2")
+
+    @pytest.mark.parametrize("bad", ["t", "b"])
+    def test_non_finite_row_rejected(self, bad, default_cfg):
+        rows = {"t": np.zeros(2), "a": np.ones(2), "b": np.array([1.0, 2.0])}
+        rows[bad] = np.array([0.0, np.nan])
+        pool = {i: v for i, v in rows.items() if i != "t"}
+        with pytest.raises(ComposerError,
+                           match=f"^feature vector of '{bad}' has non-finite values$"):
+            assess(exp("t"), rows["t"], pool, None, default_cfg)
 
 
 class TestSolveWeights:
@@ -175,33 +203,32 @@ class TestResiduals:
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
         target = 0.5 * a + 0.5 * b
-        r, rho = residuals(target, [a, b], np.array([0.5, 0.5]), local_scale=2.0)
+        r = _residual(np.column_stack([a, b]), target, np.array([0.5, 0.5]))
         assert r == pytest.approx(0.0, abs=1e-15)
-        assert rho == pytest.approx(0.0, abs=1e-15)
+        assert _normalized(r, 2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_definition(self):
         # r = 0.8 against local scale 2.0 gives rho = 0.4
         target = np.array([0.8, 0.0])
         cand = np.array([0.0, 0.0])
-        r, rho = residuals(target, [cand], np.array([1.0]), local_scale=2.0)
+        r = _residual(np.column_stack([cand]), target, np.array([1.0]))
         assert r == pytest.approx(0.8)
-        assert rho == pytest.approx(0.4)
+        assert _normalized(r, 2.0) == pytest.approx(0.4)
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(11)
         A, y = random_reconstruction_instance(rng, 8, 5)
         w, _ = solve_weights(y, list(A.T), ridge=1e-2)
-        r, _ = residuals(y, list(A.T), w, local_scale=1.0)
+        r = _residual(np.ascontiguousarray(A), y, w)
         direct = float(np.linalg.norm(y - A @ w))
         assert abs(r - direct) <= 1e-9
 
     def test_degenerate_scale(self):
-        target = np.array([1.0])
-        coincident = np.array([1.0])
-        r, rho = residuals(target, [coincident], np.array([1.0]), local_scale=0.0)
-        assert (r, rho) == (0.0, 0.0)
+        coincident = np.column_stack([np.array([1.0])])
+        r = _residual(coincident, np.array([1.0]), np.array([1.0]))
+        assert (r, _normalized(r, 0.0)) == (0.0, 0.0)
         with pytest.raises(DegenerateScaleError):
-            residuals(np.array([2.0]), [coincident], np.array([1.0]), local_scale=0.0)
+            _normalized(_residual(coincident, np.array([2.0]), np.array([1.0])), 0.0)
 
 
 class TestComposeEffect:

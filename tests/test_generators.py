@@ -21,12 +21,9 @@ from exatlas.generators import (
     TEMPLATE_SLOTS,
     bridge_loop,
     build_bridge_prompt,
-    build_enrichment_request,
     build_reconciliation_prompt,
-    enrich_experiment,
     load_template,
     parse_bridge_response,
-    parse_enrichment_response,
     parse_reconciliation_response,
     prompt_hash,
     render_template,
@@ -185,37 +182,6 @@ class TestRemoteChat:
         chat = RemoteChatProvider("http://x", "model", transport=empty)
         with pytest.raises(MalformedResponseError):
             chat.complete(ChatRequest("p"))
-
-
-class TestEnrichment:
-    def test_request_mentions_all_fields(self):
-        e = exp("e1", "creativity", outcome="performance",
-                context="organizational field study")
-        req = build_enrichment_request(e)
-        assert "creativity" in req.prompt
-        assert "performance" in req.prompt
-        assert "organizational field study" in req.prompt
-
-    def test_scripted_round_trip(self):
-        e = exp("e1", "creativity", outcome="performance", context="org")
-        req = build_enrichment_request(e)
-        stub = ScriptedStubChat.from_pairs({
-            req.prompt: "TREATMENT: employee creativity in the organization\n"
-                        "OUTCOME: task performance of employees",
-        })
-        enriched = enrich_experiment(e, stub)
-        assert enriched.enriched_treatment == "employee creativity in the organization"
-        assert enriched.enriched_outcome == "task performance of employees"
-
-    def test_empty_context_still_valid(self):
-        e = exp("e1", "treatment", context="")
-        req = build_enrichment_request(e)
-        assert "(no additional context)" in req.prompt
-
-    def test_malformed_response_names_missing_field(self):
-        with pytest.raises(MalformedResponseError) as err:
-            parse_enrichment_response("TREATMENT: only one line")
-        assert "OUTCOME" in str(err.value)
 
 
 class TestReconciliationPrompt:

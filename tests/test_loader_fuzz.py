@@ -202,7 +202,6 @@ def test_transcripts(tmp_path, capsys, data):
 SAFE_VALUES = {
     "provider": st.sampled_from(["stub", "stub:d=4", "stub:d=x", "file:", "nope", ""]),
     "chat": st.sampled_from(["stub", "nope"]),
-    "jobs": st.integers(-2, 3),
     "cache_dir": st.just("unused"),
 }
 
@@ -253,7 +252,7 @@ def _config(path):
     (ScriptedStubChat.from_file, ChatError, b'{"prompt_hash": ["h"], "response": "r"}\n',
      ":1: prompt_hash and response must be strings"),
     (ScriptedStubChat.from_file, ChatError, b"\xc3", "not UTF-8 text: unexpected end of data"),
-    (_config, CliError, b'{"jobs": null}', "'jobs' must be an integer"),
+    (_config, CliError, b'{"max_rounds": null}', "'max_rounds' must be an integer"),
     (_config, CliError, b'{"seed": 1.0}', "'seed' must be an integer"),
     (_config, CliError, b'{"lambda_": NaN}', "'lambda_' must be a finite number"),
     (_config, CliError, b'{"ridge": 1' + b"0" * 400 + b"}", "'ridge' must be a finite number"),

@@ -326,13 +326,6 @@ class TestFeatureMatrix:
             feature_matrix(arc, provider)
         assert "only" in str(err.value)
 
-    def test_parallel_matches_sequential(self, toy_archive, stub_provider):
-        seq = feature_matrix(toy_archive, stub_provider, jobs=1)
-        par = feature_matrix(toy_archive, stub_provider, jobs=4)
-        assert seq.features.keys() == par.features.keys()
-        for k in seq.features:
-            np.testing.assert_array_equal(seq.features[k], par.features[k])
-
 
 def planted_size_archive() -> Archive:
     """360 experiments over 228 treatments and 228 outcomes: 456 distinct

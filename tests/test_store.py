@@ -1,4 +1,4 @@
-"""The feature-store path against the per-target ``assess`` reference.
+"""The feature-store path against the per-target reference, ``oracles.reference_assess``.
 
 ``assess_rows`` screens distances from one Gram matrix and takes exact norms
 only where the screen cannot decide, then solves every target's weights in
@@ -16,13 +16,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (count_problems_solved, record_exact_distances, record_exact_residuals,
-                     reference_assess, reference_isolated_ratio)
+                     reference_assess, reference_isolated_ratio, select_candidates)
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import isolated_ratio
 from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DegenerateScaleError,
-                              DimensionError, FeatureStore, assess, assess_rows, gate_rows,
-                              select_candidates)
+                              DimensionError, FeatureStore, assess, assess_rows, gate_rows)
 from exatlas.evaluator import loo_run
 
 
@@ -120,6 +119,22 @@ def test_store_matches_assess_byte_for_byte(case):
     effects = {i: float(k % 7) - 3.0 for k, i in enumerate(ids)}
     store = FeatureStore.from_features(features, ids)
     for tid, got in zip(ids, assess_rows(store, range(len(ids)), effects, cfg)):
+        want = reference_assess(tid, features, ids, effects, cfg)
+        assert record_bytes(got) == record_bytes(want), tid
+        assert got.neighborhood == want.neighborhood, tid
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_assess_matches_reference_byte_for_byte(case):
+    """``assess`` of one target on a pool dict, whose store puts the target
+    first and the pool in its own order."""
+    features, cfg = CASES[case]
+    ids = tuple(features)
+    effects = {i: float(k % 7) - 3.0 for k, i in enumerate(ids)}
+    for tid in ids:
+        target = Experiment(id=tid, treatment_text="t", outcome_text="o", effect_size=0.0)
+        pool = {i: features[i] for i in reversed(ids) if i != tid}
+        got = assess(target, features[tid], pool, effects, cfg)
         want = reference_assess(tid, features, ids, effects, cfg)
         assert record_bytes(got) == record_bytes(want), tid
         assert got.neighborhood == want.neighborhood, tid
@@ -469,9 +484,7 @@ def test_zero_scale_pool_gates_as_assess(magnitude, copies, seed, raises):
             return str(e)
 
     for t, tid in enumerate(ids):
-        pool = {i: features[i] for i in ids if i != tid}
-        target = Experiment(id=tid, treatment_text="t", outcome_text="o", effect_size=0.0)
-        want = outcome(lambda: gate_of(assess(target, features[tid], pool, None, cfg)))
+        want = outcome(lambda: gate_of(reference_assess(tid, features, ids, None, cfg)))
         got = outcome(lambda: gate_record(store, next(gate_rows(store, [t], cfg))))
         assert got == want, tid
         if tid == "t":
