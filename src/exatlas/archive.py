@@ -191,12 +191,6 @@ class Archive:
             raise UnknownIdError(experiment_id)
         return self.experiments[idx]
 
-    def hold_out(self, experiment_id: str) -> tuple[Experiment, "Archive"]:
-        """Return the named experiment and a new archive without it."""
-        target = self.get(experiment_id)
-        rest = tuple(exp for exp in self.experiments if exp.id != experiment_id)
-        return target, Archive(rest, dict(self.metadata))
-
 
 def load_archive(path: str | Path) -> Archive:
     """Load a line-delimited archive file, validating every record.

@@ -14,6 +14,8 @@ from .composer import ComposerConfig, Composition, FeatureStore, gate_rows
 from .evaluator import TargetResult, sign, sign_match
 
 DEFAULT_GAP_NEIGHBORS = 5
+# The conflict-mining factor of `atlas`.
+DEFAULT_RELAX = 1.5
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def route_results(results: Sequence[TargetResult],
 
 def mine_conflicts(results: Sequence[TargetResult],
                    cfg: ComposerConfig | None = None,
-                   relax_factor: float = 1.5) -> list[Conflict]:
+                   relax_factor: float = DEFAULT_RELAX) -> list[Conflict]:
     """Re-gate leave-one-out ``results`` at lambda' = relax_factor * lambda and
     collect sign mismatches.
 
@@ -168,16 +170,6 @@ class AtlasGraph:
                       for e in self.edges],
             "conflicts": list(self.conflicts),
         }
-
-    @classmethod
-    def from_json_doc(cls, doc: Mapping[str, Any]) -> "AtlasGraph":
-        return cls(
-            nodes=tuple(AtlasNode(n["id"], int(n["sign"]), n["status"])
-                        for n in doc["nodes"]),
-            edges=tuple(AtlasEdge(e["src"], e["dst"], float(e["weight"]))
-                        for e in doc["edges"]),
-            conflicts=tuple(doc["conflicts"]),
-        )
 
     def to_dot(self) -> str:
         def q(s: str) -> str:

@@ -242,14 +242,10 @@ def cmd_embed(args, config) -> int:
     return 0
 
 
-def _loo_results(args, config, arc: Archive, cfg: ComposerConfig):
-    return evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-
-
 def cmd_evaluate(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results = _loo_results(args, config, arc, cfg)
+    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
     report = evaluator_mod.build_report(results, lambda_used=cfg.lambda_)
     print(report.format_table())
     if args.out:
@@ -281,7 +277,7 @@ def cmd_calibrate(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     grid = _parse_grid(_setting(args, config, "grid", None))
-    results = _loo_results(args, config, arc, cfg)
+    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
     curve = evaluator_mod.calibrate_lambda(arc, {}, cfg, grid, results=results)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
     if args.out:
@@ -300,10 +296,10 @@ def cmd_calibrate(args, config) -> int:
 def cmd_atlas(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
-    results = _loo_results(args, config, arc, cfg)
+    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
     outcomes = atlas_mod.route_results(results)
     effects = {e.id: float(e.effect_size) for e in arc}
-    relax = float(_setting(args, config, "relax", 1.5))
+    relax = float(_setting(args, config, "relax", atlas_mod.DEFAULT_RELAX))
     conflicts = atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)
     n_link = sum(isinstance(o, atlas_mod.Link) for o in outcomes)
     n_conf = sum(isinstance(o, atlas_mod.Conflict) for o in outcomes)
@@ -353,7 +349,7 @@ def cmd_reconcile(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     target = arc.get(args.target)
-    results = _loo_results(args, config, arc, cfg)
+    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
     relax = float(_setting(args, config, "relax", 1.0))
     conflicts = {c.target_id: c for c in
                  atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)}
@@ -410,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, archive=True):
-        if archive:
-            p.add_argument("--archive", required=True, help="archive .jsonl path")
+    def common(p):
+        p.add_argument("--archive", required=True, help="archive .jsonl path")
         p.add_argument("--vectors", help="precomputed feature-vector file")
         p.add_argument("--provider", help="embedding provider spec (default stub)")
         p.add_argument("--seed", type=int, help="seed for stub providers and sweeps")
@@ -447,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="route targets and export the atlas graph")
     common(p)
-    p.add_argument("--relax", type=float, help="conflict-mining factor (default 1.5)")
+    p.add_argument("--relax", type=float,
+                   help=f"conflict-mining factor (default {atlas_mod.DEFAULT_RELAX:g})")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_atlas)
 

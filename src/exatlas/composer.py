@@ -431,8 +431,10 @@ class FeatureStore:
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
         """A store with ``extra``'s rows appended; the Gram block of the
         existing rows is reused, so the cost is O(k * n * length). Every
-        existing row keeps its index, so results held by row number (the
-        ``memo`` of :func:`gate_rows`) stay valid for the new store."""
+        existing row keeps its index, so what the ``memo`` of
+        :func:`gate_rows` holds by row number (exact distances, and each
+        target's weights, solver status and residual bracket) stays valid
+        for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -617,14 +619,16 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
     """:func:`assess` of each row in ``targets`` against every other row of ``store``.
 
     A result does not depend on the order of the rows or on the other
-    targets; every residual is taken exactly. They are yielded in the order of
-    ``targets``, ASSESS_BLOCK targets at a time, so a caller that keeps only
-    a summary never holds a whole pass of them.
+    targets. Every residual is taken exactly, on the pipeline that
+    :func:`gate_rows` runs to take only those its gate needs. Results are
+    yielded in the order of ``targets``, ASSESS_BLOCK targets at a time, so a
+    caller that keeps only a summary never holds a whole pass of them.
     """
-    targets = np.asarray(targets, dtype=int).reshape(-1)
-    for start in range(0, targets.size, ASSESS_BLOCK):
-        yield from _assess_block(store, targets[start:start + ASSESS_BLOCK],
-                                 pool_effects, cfg)
+    for t, cols, scale, w, status, r in _pipeline(store, targets, cfg, None, exact=True):
+        nb = Neighborhood(target_id=store.ids[t],
+                          candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
+                          local_scale=scale)
+        yield _composition(nb, w, status, r, _normalized(r, scale), pool_effects, cfg)
 
 
 class Gate(NamedTuple):
@@ -642,21 +646,21 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
     """The candidates, local scale, weights and gate decision of
     :func:`assess_rows` for each row in ``targets``, without the residuals.
 
-    A residual r is bracketed from the normal equations of the solve, and
-    the exact one is taken only where the bracket cannot settle r / s <=
-    lambda (or the local scale s is 0), so every decision equals
-    ``assess_rows``'. ``memo`` maps (t, candidate rows) to (weights, lo, hi),
-    a bracket of r that is a point once r is taken, and skips the solve when
-    a target's candidates are unchanged; a held bracket is decided again
-    under the pass's scale. It also maps t to the exact distances from row t
-    taken so far, so that a pass takes only those it lacks. It is valid
-    only across a store and the stores :meth:`FeatureStore.extended` makes
-    from it, which keep every existing row where it is: a distance depends
-    on its two rows alone, and a residual on its target and candidates.
+    Both run one pipeline, which brackets each residual r from the normal
+    equations of the solve. Here the exact r is taken only where the bracket
+    cannot settle r / s <= lambda (or the local scale s is 0), so every
+    decision equals ``assess_rows``'. ``memo`` maps (t, candidate rows) to
+    (weights, solver status, lo, hi), a bracket of r that is a point once r
+    is taken, and skips the solve when a target's candidates are unchanged;
+    a held bracket is decided again under the pass's scale. It also maps t
+    to the exact distances from row t taken so far, so that a pass takes
+    only those it lacks. It is valid only across a store and the stores
+    :meth:`FeatureStore.extended` makes from it, which keep every existing
+    row where it is: a distance depends on its two rows alone, and a
+    residual on its target and candidates.
     """
-    targets = np.asarray(targets, dtype=int).reshape(-1)
-    for start in range(0, targets.size, ASSESS_BLOCK):
-        yield from _gate_block(store, targets[start:start + ASSESS_BLOCK], cfg, memo)
+    for _, cols, scale, w, _, r in _pipeline(store, targets, cfg, memo, exact=False):
+        yield Gate(cols, scale, w, _normalized(r, scale) <= cfg.lambda_)
 
 
 def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
@@ -665,54 +669,36 @@ def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
     return np.column_stack([store.rows[j] for j in cols])
 
 
-def _solve_picks(store: FeatureStore, targets: np.ndarray,
-                 picks: list[tuple[np.ndarray, float]], todo: Sequence[int],
-                 ridge: float) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, list]]:
-    """Solve the weights of the block's targets ``todo``, one stack per
-    candidate count: (those targets, G, b, their (weights, status))."""
+def _pipeline(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
+              memo: dict | None, exact: bool) -> Iterator[tuple]:
+    targets = np.asarray(targets, dtype=int).reshape(-1)
+    for start in range(0, targets.size, ASSESS_BLOCK):
+        yield from _block(store, targets[start:start + ASSESS_BLOCK], cfg, memo, exact)
+
+
+def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
+           memo: dict | None, exact: bool) -> list[tuple]:
+    """(row, candidate rows, local scale, weights, solver status, r) for each
+    of ``targets``. r is the exact residual where ``exact`` is set; otherwise
+    it is the upper end of a bracket of the residual that settles r / s <=
+    lambda as the exact residual would. The solves are stacked by candidate
+    count; ``memo`` is that of :func:`gate_rows`."""
+    picks = _select_block(store, targets, cfg, memo)
+    keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
+    found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
     by_size: dict[int, list[int]] = {}
-    for r in todo:
-        by_size.setdefault(picks[r][0].size, []).append(r)
+    for r, key in enumerate(keys):
+        if key not in found:
+            by_size.setdefault(len(key[1]), []).append(r)
+    sq = store.sq_norms
     for n, rows in by_size.items():
         if n == 0:
             raise EmptyPoolError("need at least one candidate")
         G, b = np.empty((len(rows), n, n)), np.empty((len(rows), n))
         for i, r in enumerate(rows):
             _normal_equations(_columns(store, picks[r][0]), store.rows[targets[r]],
-                              ridge, G[i], b[i])
-        yield rows, G, b, _solve_stack(G, b)
-
-
-def _assess_block(store: FeatureStore, targets: np.ndarray,
-                  pool_effects: Mapping[str, float] | None,
-                  cfg: ComposerConfig) -> list[Composition]:
-    picks = _select_block(store, targets, cfg, None)
-    found = {}
-    for rows, _, _, solved in _solve_picks(store, targets, picks, range(targets.size),
-                                           cfg.ridge):
-        for r, (w, status) in zip(rows, solved):
-            y = store.rows[targets[r]]
-            found[r] = (w, status, _residual(_columns(store, picks[r][0]), y, w))
-    comps = []
-    for r, (cols, scale) in enumerate(picks):
-        w, status, res = found[r]
-        nb = Neighborhood(target_id=store.ids[targets[r]],
-                          candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
-                          local_scale=scale)
-        comps.append(_composition(nb, w, status, res, _normalized(res, scale),
-                                  pool_effects, cfg))
-    return comps
-
-
-def _gate_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
-                memo: dict | None) -> list[Gate]:
-    picks = _select_block(store, targets, cfg, memo)
-    keys = [(int(t), tuple(cols.tolist())) for t, (cols, _) in zip(targets, picks)]
-    found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
-    todo = [r for r, key in enumerate(keys) if key not in found]
-    sq = store.sq_norms
-    for rows, G, b, solved in _solve_picks(store, targets, picks, todo, cfg.ridge):
-        n = b.shape[1]
+                              cfg.ridge, G[i], b[i])
+        solved = _solve_stack(G, b)
         w = np.stack([wr for wr, _ in solved])
         yy = sq[targets[rows]]
         # r^2 = y'y - 2w'b + w'(G - ridge*I)w, with w'Gw taken as w'(Gw) so
@@ -735,16 +721,16 @@ def _gate_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
         hi = np.sqrt(q + band).tolist()
         for i, r in enumerate(rows):
-            found[keys[r]] = (solved[i][0], lo[i], hi[i])
+            found[keys[r]] = (*solved[i], lo[i], hi[i])
     out = []
     for key, (cols, scale) in zip(keys, picks):
-        w, lo, hi = found[key]
+        w, status, lo, hi = found[key]
         # Division is monotone, so r / s <= lambda is settled unless the
         # bracket's ends fall on either side of it.
-        if lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale):
+        if exact or (lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale)):
             lo = hi = _residual(_columns(store, cols), store.rows[key[0]], w)
-            found[key] = (w, lo, hi)
+            found[key] = (w, status, lo, hi)
         if memo is not None:
             memo[key] = found[key]
-        out.append(Gate(cols, scale, w, _normalized(hi, scale) <= cfg.lambda_))
+        out.append((key[0], cols, scale, w, status, hi))
     return out

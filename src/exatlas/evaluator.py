@@ -143,14 +143,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(rx @ ry) / denom
 
 
-def metrics(results: Sequence[TargetResult]) -> tuple[float, float, float, float]:
-    """(sign match rate, MSE, MAE, Spearman rho) over a composable subset."""
-    preds = [r.predicted_effect for r in results]
-    obs = [r.observed_effect for r in results]
-    return (sign_match_rate(results), mse(results), mae(results),
-            spearman(preds, obs))
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate metrics over the composable subset of a leave-one-out run.

@@ -130,8 +130,7 @@ class RemoteEmbeddingProvider:
     is set, appended to ``<cache_dir>/<model-slug>.jsonl`` so reruns make no
     remote calls. An unterminated last line in that file, left by a write that
     was cut short, is dropped with a warning and cut off the file before the
-    next append. All cache access is lock-synchronized; concurrent batches
-    are limited by ``max_inflight``.
+    next append. All cache access is lock-synchronized.
     """
 
     kind = "remote-service"
@@ -145,7 +144,6 @@ class RemoteEmbeddingProvider:
         batch_size: int = 32,
         max_retries: int = 3,
         backoff: float = 0.5,
-        max_inflight: int = 4,
         cache_dir: str | Path | None = None,
         transport: Callable[[str, dict, dict], dict] | None = None,
         sleep: Callable[[float], None] = time.sleep,
@@ -163,7 +161,6 @@ class RemoteEmbeddingProvider:
             EmbeddingTransportError, "embedding", timeout=60)
         self._sleep = sleep
         self._lock = threading.Lock()
-        self._inflight = threading.Semaphore(max(1, int(max_inflight)))
         self._cache: dict[str, np.ndarray] = {}
         self._cache_path: Path | None = None
         self._torn_tail: int | None = None  # where an unterminated last line starts
@@ -213,7 +210,8 @@ class RemoteEmbeddingProvider:
             return [self._cache[k] for k in keys]
 
     def _request(self, batch: list[str]) -> list[np.ndarray]:
-        doc = post_json(self._send, self.endpoint, {"model": self.model, "input": list(batch)},
+        doc = post_json(self._transport, self.endpoint,
+                        {"model": self.model, "input": list(batch)},
                         self.api_key, error=EmbeddingTransportError,
                         retries=self.max_retries, backoff=self.backoff, sleep=self._sleep)
         where = (f"malformed embedding response for the batch of {len(batch)} "
@@ -239,10 +237,6 @@ class RemoteEmbeddingProvider:
                 raise EmbeddingError(f"{where}: item {i}: non-finite value")
             out.append(vec)
         return out
-
-    def _send(self, endpoint: str, payload: dict, headers: dict):
-        with self._inflight:
-            return self._transport(endpoint, payload, headers)
 
 
 def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:

@@ -131,17 +131,6 @@ class BoundReport:
     holds: bool
     slack: float
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "realized_error": self.realized_error,
-            "term_extrapolation": self.term_extrapolation,
-            "term_curvature": self.term_curvature,
-            "term_residual": self.term_residual,
-            "bound": self.bound,
-            "holds": self.holds,
-            "slack": self.slack,
-        }
-
 
 def _validate_weights(world: SyntheticWorld, target_index: int,
                       weights: Mapping[int, float]) -> dict[int, float]:
@@ -188,13 +177,6 @@ def check_bound(world: SyntheticWorld, target_index: int,
         holds=realized <= bound + BOUND_TOL,
         slack=bound - realized,
     )
-
-
-def residual_floor_check(world: SyntheticWorld, target_index: int,
-                         weights: Mapping[int, float]) -> bool:
-    """Verify the residual term never exceeds twice the unobserved-noise bound."""
-    report = check_bound(world, target_index, weights)
-    return report.term_residual <= 2.0 * world.noise_bound + 1e-12
 
 
 DEFAULT_CURVATURES = (0.0, 0.1, 1.0, 10.0)

@@ -11,7 +11,6 @@ from exatlas.archive import (
     Experiment,
     MissingFieldError,
     RecordValidationError,
-    UnknownIdError,
     load_archive,
     save_archive,
 )
@@ -133,28 +132,6 @@ class TestSaveRoundTrip:
         save_archive(arc, p1)
         save_archive(load_archive(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestHoldOut:
-    def test_holds_out_named_id(self):
-        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")), {"source": "s"})
-        target, rest = arc.hold_out("b")
-        assert target is arc.get("b")
-        assert rest.ids() == ("a", "c")
-        assert rest.metadata == {"source": "s"}
-        assert rest.metadata is not arc.metadata
-        assert arc.ids() == ("a", "b", "c")  # input untouched
-
-    def test_unknown_id(self):
-        arc = Archive((make_exp("a"),))
-        with pytest.raises(UnknownIdError):
-            arc.hold_out("zzz")
-
-    def test_every_holdout_has_size_n_minus_1(self, toy_archive):
-        for exp_id in toy_archive.ids():
-            _, rest = toy_archive.hold_out(exp_id)
-            assert len(rest) == len(toy_archive) - 1
-            assert exp_id not in rest
 
 
 def test_archive_rejects_duplicates_at_construction():

@@ -16,7 +16,6 @@ from exatlas.evaluator import (
     default_grid,
     loo_run,
     mae,
-    metrics,
     mse,
     sign,
     sign_match,
@@ -75,10 +74,7 @@ class TestMetrics:
     def test_perfect_monotone_prediction(self):
         obs = [0.1, 0.5, -0.2, 0.9]
         preds = [x * 2 + 0.01 for x in obs]  # strictly monotone transform
-        results = [fake_result(f"e{i}", o, p, 0.1)
-                   for i, (o, p) in enumerate(zip(obs, preds))]
-        _, _, _, rho = metrics(results)
-        assert rho == pytest.approx(1.0)
+        assert spearman(preds, obs) == pytest.approx(1.0)
 
     def test_sign_rate(self):
         results = [fake_result("a", 1.0, 1.0, 0.1),
@@ -111,10 +107,10 @@ class TestMetrics:
         rng = np.random.default_rng(4)
         results = [fake_result(f"e{i}", float(rng.normal()), float(rng.normal()), 0.1)
                    for i in range(10)]
-        base = metrics(results)
+        base = build_report(results, lambda_used=0.462).to_record()
         shuffled = list(results)
         rng.shuffle(shuffled)
-        assert metrics(shuffled) == pytest.approx(base)
+        assert build_report(shuffled, lambda_used=0.462).to_record() == pytest.approx(base)
 
     def test_empty_composable_set_raises(self):
         with pytest.raises(InsufficientDataError):

@@ -538,7 +538,7 @@ def test_held_bracket_is_decided_again_under_a_new_scale(monkeypatch):
         assert got == expected
         per_round.append([row_of(store, y) for y in taken[start:]])
         (entry,) = [v for k, v in memo.items() if isinstance(k, tuple) and k[0] == t]
-        held.append(entry[1:])
+        held.append(entry[-2:])
     assert per_round == [[], [t], [], []]
     assert held[0][0] < exact < held[0][1]
     assert held[1:] == [(exact, exact)] * 3

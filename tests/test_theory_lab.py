@@ -8,7 +8,6 @@ from exatlas.theory_lab import (
     SyntheticWorld,
     bound_sweep,
     check_bound,
-    residual_floor_check,
     sample_world,
 )
 
@@ -130,8 +129,9 @@ class TestResidualFloor:
         world = sample_world(seed=12, n=4, d=2, curvature_bound=1.0,
                              noise_bound=0.0)
         w = uniform_weights(world, 0)
-        assert check_bound(world, 0, w).term_residual == 0.0
-        assert residual_floor_check(world, 0, w)
+        report = check_bound(world, 0, w)
+        assert report.term_residual == 0.0
+        assert report.term_residual <= 2 * world.noise_bound + 1e-12
 
     def test_extreme_noises_reach_but_never_exceed_two_delta(self):
         world = sample_world(seed=13, n=3, d=2, curvature_bound=0.0,
@@ -146,7 +146,7 @@ class TestResidualFloor:
             noises=noises, region_radius=world.region_radius, seed=world.seed)
         report = check_bound(world, 0, {1: 1.0, 2: 0.0})
         assert report.term_residual == pytest.approx(0.2)
-        assert residual_floor_check(world, 0, {1: 1.0, 2: 0.0})
+        assert report.term_residual <= 2 * world.noise_bound + 1e-12
 
     def test_random_worlds_respect_floor(self):
         rng = np.random.default_rng(0)
@@ -155,7 +155,8 @@ class TestResidualFloor:
                                  noise_bound=0.05)
             others = list(range(1, 8))
             alpha = rng.dirichlet(np.ones(len(others)))
-            assert residual_floor_check(world, 0, dict(zip(others, alpha)))
+            report = check_bound(world, 0, dict(zip(others, alpha)))
+            assert report.term_residual <= 2 * world.noise_bound + 1e-12
 
 
 class TestSweep:
