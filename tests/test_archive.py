@@ -11,6 +11,7 @@ from exatlas.archive import (
     Experiment,
     MissingFieldError,
     RecordValidationError,
+    UnknownIdError,
     load_archive,
     save_archive,
 )
@@ -132,6 +133,21 @@ class TestSaveRoundTrip:
         save_archive(arc, p1)
         save_archive(load_archive(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestGet:
+    def test_returns_named_experiment(self):
+        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")), {"source": "s"})
+        assert arc.get("b") is arc.experiments[1]
+        assert "b" in arc
+        assert arc.ids() == ("a", "b", "c")
+
+    def test_unknown_id(self):
+        arc = Archive((make_exp("a"),))
+        assert "zzz" not in arc
+        with pytest.raises(UnknownIdError) as err:
+            arc.get("zzz")
+        assert err.value.experiment_id == "zzz"
 
 
 def test_archive_rejects_duplicates_at_construction():

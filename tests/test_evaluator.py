@@ -139,6 +139,17 @@ class TestLooRun:
         for r in loo_run(toy_archive, toy_features, default_cfg):
             assert (r.sign_matched is not None) == r.composable
 
+    def test_every_target_is_held_out_of_its_own_pool(self, toy_archive,
+                                                      toy_features):
+        # A radius and cap that keep the whole pool: each target's candidates
+        # are exactly the other n - 1 experiments.
+        cfg = ComposerConfig(radius_factor=1e6, max_candidates=1000)
+        ids = set(toy_archive.ids())
+        for r in loo_run(toy_archive, toy_features, cfg):
+            candidates = r.composition.neighborhood.candidate_ids
+            assert len(candidates) == len(toy_archive) - 1
+            assert set(candidates) == ids - {r.target_id}
+
     def test_small_archive_rejected(self, toy_features, default_cfg):
         arc = Archive((exp("a", 0.1),))
         with pytest.raises(Exception):
