@@ -3,7 +3,7 @@
 from .archive import Archive, Experiment, load_archive, save_archive
 from .composer import Composition, ComposerConfig, Neighborhood, assess, compose_effect
 from .evaluator import EvalReport, TargetResult, build_report, calibrate_lambda, loo_run
-from .atlas import Conflict, Gap, Link, export_graph, mine_conflicts, route
+from .atlas import Conflict, export_graph, mine_conflicts
 from .representation import (
     DeterministicStubProvider,
     RemoteEmbeddingProvider,
@@ -30,10 +30,7 @@ __all__ = [
     "loo_run",
     "build_report",
     "calibrate_lambda",
-    "Link",
     "Conflict",
-    "Gap",
-    "route",
     "mine_conflicts",
     "export_graph",
     "DeterministicStubProvider",

@@ -1,29 +1,23 @@
-"""Routing assessed targets into links, conflicts, and gaps; atlas export."""
+"""The atlas of leave-one-out results: graph export, conflict mining and the
+isolated ratio. Each target's route (link, conflict or gap) is
+:attr:`~exatlas.evaluator.TargetResult.status`, which this module reads and
+never decides again.
+"""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .composer import ComposerConfig, Composition, FeatureStore, gate_rows
+from .composer import ComposerConfig, FeatureStore, gate_rows
 from .evaluator import TargetResult, sign, sign_match
 
-DEFAULT_GAP_NEIGHBORS = 5
-# The conflict-mining factor of `atlas`.
+# The conflict-mining factors of `atlas` and of `reconcile` (strict conflicts only).
 DEFAULT_RELAX = 1.5
-
-
-@dataclass(frozen=True)
-class Link:
-    """Composable target whose predicted direction matches the observed one."""
-
-    target_id: str
-    source_weights: Mapping[str, float]
+STRICT_RELAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -40,48 +34,7 @@ class Conflict:
     relaxed: bool = False
 
 
-@dataclass(frozen=True)
-class Gap:
-    """Non-composable target, with its nearest candidates for bridge prompts."""
-
-    target_id: str
-    rho: float
-    nearest_ids: tuple[str, ...]
-
-
-RoutingOutcome = Union[Link, Conflict, Gap]
-
-
-def route(comp: Composition, observed: float,
-          gap_neighbors: int = DEFAULT_GAP_NEIGHBORS) -> RoutingOutcome:
-    """Map one assessed target to exactly one of Link, Conflict, or Gap."""
-    if not comp.composable:
-        return Gap(
-            target_id=comp.target_id,
-            rho=comp.normalized_residual,
-            nearest_ids=tuple(comp.neighborhood.candidate_ids[:gap_neighbors]),
-        )
-    if comp.composed_effect is None:
-        raise ValueError(
-            f"cannot route {comp.target_id!r}: composition has no effect prediction"
-        )
-    if sign_match(comp.composed_effect, observed):
-        return Link(target_id=comp.target_id, source_weights=dict(comp.weights))
-    return Conflict(
-        target_id=comp.target_id,
-        source_weights=dict(comp.weights),
-        composed_effect=float(comp.composed_effect),
-        observed_effect=float(observed),
-    )
-
-
-def route_results(results: Sequence[TargetResult],
-                  gap_neighbors: int = DEFAULT_GAP_NEIGHBORS) -> list[RoutingOutcome]:
-    return [route(r.composition, r.observed_effect, gap_neighbors) for r in results]
-
-
-def mine_conflicts(results: Sequence[TargetResult],
-                   cfg: ComposerConfig | None = None,
+def mine_conflicts(results: Sequence[TargetResult], cfg: ComposerConfig,
                    relax_factor: float = DEFAULT_RELAX) -> list[Conflict]:
     """Re-gate leave-one-out ``results`` at lambda' = relax_factor * lambda and
     collect sign mismatches.
@@ -93,7 +46,6 @@ def mine_conflicts(results: Sequence[TargetResult],
         raise ValueError(f"relax_factor must be a finite number, got {relax_factor!r}")
     if relax_factor < 1:
         raise ValueError("relax_factor must be >= 1")
-    cfg = cfg or ComposerConfig()
     relaxed_lambda = relax_factor * cfg.lambda_
     out: list[Conflict] = []
     for r in results:
@@ -189,53 +141,30 @@ class AtlasGraph:
         return "\n".join(lines) + "\n"
 
 
-def export_graph(outcomes: Sequence[RoutingOutcome],
-                 effects: Mapping[str, float],
-                 json_path: str | Path | None = None,
-                 dot_path: str | Path | None = None) -> AtlasGraph:
-    """Assemble the atlas graph and optionally write its JSON and DOT forms.
+def export_graph(results: Sequence[TargetResult],
+                 effects: Mapping[str, float]) -> AtlasGraph:
+    """Assemble the atlas graph of leave-one-out ``results``.
 
-    Output is deterministic: nodes sort by id, edges by (src, dst). Gap
-    targets contribute no edges. ``effects`` supplies the observed effect
-    used for each node's sign annotation.
+    Each target's node carries its ``status``; each composable target gets
+    one edge from every source of positive weight, and gaps get none. Output
+    is deterministic: nodes sort by id, edges by (src, dst). ``effects``
+    supplies the observed effect used for each node's sign annotation.
     """
     status: dict[str, str] = {}
     edges: list[AtlasEdge] = []
-    conflicts: list[str] = []
-    for out in outcomes:
-        if out.target_id in status:
-            raise ValueError(f"duplicate outcome for target {out.target_id!r}")
-        if isinstance(out, Link):
-            status[out.target_id] = "link"
-            weights = out.source_weights
-        elif isinstance(out, Conflict):
-            status[out.target_id] = "conflict"
-            conflicts.append(out.target_id)
-            weights = out.source_weights
-        else:
-            status[out.target_id] = "gap"
-            weights = {}
-        for src, w in weights.items():
-            if w > 0.0:
-                edges.append(AtlasEdge(src=src, dst=out.target_id, weight=float(w)))
+    for r in results:
+        if r.target_id in status:
+            raise ValueError(f"duplicate outcome for target {r.target_id!r}")
+        status[r.target_id] = r.status
+        if r.composable:
+            edges.extend(AtlasEdge(src=src, dst=r.target_id, weight=float(w))
+                         for src, w in r.composition.weights.items() if w > 0.0)
 
     # Sources that were never assessed as targets keep the neutral "source" status.
     node_ids = sorted(set(status) | {e.src for e in edges})
-    nodes = tuple(
-        AtlasNode(id=i, sign=sign(float(effects[i])), status=status.get(i, "source"))
-        for i in node_ids
-    )
-    graph = AtlasGraph(
-        nodes=nodes,
+    return AtlasGraph(
+        nodes=tuple(AtlasNode(id=i, sign=sign(float(effects[i])),
+                              status=status.get(i, "source")) for i in node_ids),
         edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
-        conflicts=tuple(sorted(conflicts)),
+        conflicts=tuple(i for i in sorted(status) if status[i] == "conflict"),
     )
-    if json_path is not None:
-        Path(json_path).write_text(
-            json.dumps(graph.to_json_doc(), ensure_ascii=False, sort_keys=True,
-                       indent=2) + "\n",
-            encoding="utf-8",
-        )
-    if dot_path is not None:
-        Path(dot_path).write_text(graph.to_dot(), encoding="utf-8")
-    return graph

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -26,7 +27,6 @@ from . import theory_lab
 from .archive import Archive, ArchiveError, load_archive, save_archive
 from .composer import ComposerConfig, ComposerError
 from .representation import (
-    DEFAULT_REMOTE_MODEL,
     DeterministicStubProvider,
     EmbeddingError,
     RemoteEmbeddingProvider,
@@ -74,6 +74,12 @@ def _parse_kv(spec: str) -> dict[str, str]:
     return out
 
 
+def _spec_args(kv: Mapping[str, str], **keys: tuple[str, type]) -> dict[str, Any]:
+    """Constructor arguments for the spec keys given; a key left out keeps the
+    constructor's default."""
+    return {arg: kind(kv[key]) for key, (arg, kind) in keys.items() if key in kv}
+
+
 def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None):
     """Build a provider from a spec string.
 
@@ -96,18 +102,15 @@ def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None)
         if "endpoint" not in kv:
             raise CliError("remote provider needs endpoint=URL")
         return RemoteEmbeddingProvider(
-            endpoint=kv["endpoint"],
-            model=kv.get("model", DEFAULT_REMOTE_MODEL),
-            dimension=int(kv.get("d", 768)),
-            batch_size=int(kv.get("batch", 32)),
-            cache_dir=cache_dir,
-        )
+            endpoint=kv["endpoint"], cache_dir=cache_dir,
+            **_spec_args(kv, model=("model", str), d=("dimension", int),
+                         batch=("batch_size", int)))
     raise CliError(f"unknown embedding provider kind {kind!r}")
 
 
 def parse_chat_provider(spec: str, transcript: str | None):
     """Chat provider spec: ``stub`` (with --stub-transcript) or
-    ``remote:endpoint=URL,model=NAME,temperature=0``."""
+    ``remote:endpoint=URL,model=NAME,temperature=0,retries=3``."""
     kind, _, rest = spec.partition(":")
     if kind == "stub":
         if not transcript:
@@ -118,11 +121,9 @@ def parse_chat_provider(spec: str, transcript: str | None):
         if "endpoint" not in kv or "model" not in kv:
             raise CliError("remote chat provider needs endpoint=URL,model=NAME")
         return generators_mod.RemoteChatProvider(
-            endpoint=kv["endpoint"],
-            model=kv["model"],
-            temperature=float(kv.get("temperature", 0.0)),
-            max_retries=int(kv.get("retries", 3)),
-        )
+            endpoint=kv["endpoint"], model=kv["model"],
+            **_spec_args(kv, temperature=("temperature", float),
+                         retries=("max_retries", int)))
     raise CliError(f"unknown chat provider kind {kind!r}")
 
 
@@ -297,21 +298,17 @@ def cmd_atlas(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    outcomes = atlas_mod.route_results(results)
     effects = {e.id: float(e.effect_size) for e in arc}
     relax = float(_setting(args, config, "relax", atlas_mod.DEFAULT_RELAX))
     conflicts = atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)
-    n_link = sum(isinstance(o, atlas_mod.Link) for o in outcomes)
-    n_conf = sum(isinstance(o, atlas_mod.Conflict) for o in outcomes)
-    n_gap = sum(isinstance(o, atlas_mod.Gap) for o in outcomes)
-    print(f"links: {n_link}  conflicts: {n_conf}  gaps: {n_gap}")
+    routes = Counter(r.status for r in results)
+    print(f"links: {routes['link']}  conflicts: {routes['conflict']}  gaps: {routes['gap']}")
     print(f"conflicts at relax={relax:g}: {len(conflicts)}")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        atlas_mod.export_graph(outcomes, effects,
-                               json_path=out / "atlas.json",
-                               dot_path=out / "atlas.dot")
+        graph = atlas_mod.export_graph(results, effects)
+        _write_json(out / "atlas.json", graph.to_json_doc())
+        (out / "atlas.dot").write_text(graph.to_dot(), encoding="utf-8")
         _write_jsonl(out / "compositions.jsonl",
                      (r.composition.to_record() for r in results))
         _write_jsonl(out / "results.jsonl", (r.to_record() for r in results))
@@ -350,7 +347,7 @@ def cmd_reconcile(args, config) -> int:
     cfg = _composer_config(args, config)
     target = arc.get(args.target)
     results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    relax = float(_setting(args, config, "relax", 1.0))
+    relax = float(_setting(args, config, "relax", atlas_mod.STRICT_RELAX))
     conflicts = {c.target_id: c for c in
                  atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)}
     if args.target not in conflicts:
@@ -460,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconcile", help="build and send a reconciliation prompt")
     common(p)
     p.add_argument("--target", required=True, help="conflict target experiment id")
-    p.add_argument("--relax", type=float, help="admit conflicts up to relax*lambda")
+    p.add_argument("--relax", type=float,
+                   help="admit conflicts up to relax*lambda "
+                        f"(default {atlas_mod.STRICT_RELAX:g}, strict conflicts)")
     p.add_argument("--chat", help="chat provider spec (default stub)")
     p.add_argument("--stub-transcript", dest="stub_transcript")
     p.add_argument("--out", help="output directory")

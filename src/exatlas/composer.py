@@ -563,7 +563,9 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     # a row that straddles the radius is refined, so that each lies within it
     # or beyond it for certain.
     cap = cfg.max_candidates
-    radius = (cfg.radius_factor * scale)[:, None]
+    # Kept finite, below each target's own infinite bracket, where it overflows.
+    with np.errstate(over="ignore"):
+        radius = np.minimum(cfg.radius_factor * scale, np.finfo(float).max)[:, None]
     limit = radius.copy()
     if cap < n:
         inside = hi <= radius

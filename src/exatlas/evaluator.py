@@ -47,6 +47,15 @@ class TargetResult:
     sign_matched: bool | None
     composition: Composition
 
+    @property
+    def status(self) -> str:
+        """The target's route: ``"gap"`` unless composable, then ``"link"``
+        when the predicted direction matches the observed one and
+        ``"conflict"`` when it does not."""
+        if not self.composable:
+            return "gap"
+        return "link" if self.sign_matched else "conflict"
+
     def to_record(self) -> dict[str, Any]:
         return {
             "target_id": self.target_id,

@@ -38,6 +38,8 @@ logger = logging.getLogger(__name__)
 
 ENV_CHAT_KEY = "EXATLAS_CHAT_KEY"
 DEFAULT_MAX_ROUNDS = 3
+# Nearest real neighbors quoted in each bridge prompt.
+LITERATURE_SIZE = 5
 
 BRIDGE_TEMPLATE_NAME = "bridge_generation"
 RECONCILE_TEMPLATE_NAME = "conflict_reconciliation"
@@ -93,7 +95,6 @@ def render_template(name: str, substitutions: Mapping[str, str]) -> str:
 @dataclass(frozen=True)
 class ChatRequest:
     prompt: str
-    temperature: float = 0.0
 
 
 class ScriptedStubChat:
@@ -186,7 +187,7 @@ class RemoteChatProvider:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": self.temperature,
         }
         doc = post_json(self._transport, self.endpoint, payload, self.api_key,
                         error=ChatTransportError, retries=self.max_retries,
@@ -378,8 +379,7 @@ def bridge_loop(target: Experiment, archive: Archive,
                 features: Mapping[str, np.ndarray],
                 embedder: EmbeddingProvider, chat,
                 cfg: ComposerConfig,
-                max_rounds: int = DEFAULT_MAX_ROUNDS,
-                literature_size: int = 5) -> BridgeResult:
+                max_rounds: int = DEFAULT_MAX_ROUNDS) -> BridgeResult:
     """Propose, embed, and insert hypothetical experiments until the target composes.
 
     Each round builds a prompt from the target's nearest real neighbors and
@@ -417,7 +417,7 @@ def bridge_loop(target: Experiment, archive: Archive,
     final_composable = False
     for rnd in range(1, max_rounds + 1):
         nearest_real = [store.ids[j] for j in gate.cols.tolist()
-                        if j < len(archive)][:literature_size]
+                        if j < len(archive)][:LITERATURE_SIZE]
         literature = [archive.get(cid) for cid in nearest_real]
         request = build_bridge_prompt(target, literature, known)
         response = chat.complete(request)

@@ -7,17 +7,13 @@ import pytest
 
 from exatlas.atlas import (
     Conflict,
-    Gap,
-    Link,
     conflict_to_record,
     export_graph,
     isolated_ratio,
     mine_conflicts,
-    route,
-    route_results,
 )
 from exatlas.composer import ComposerConfig, Composition, FeatureStore, Neighborhood
-from exatlas.evaluator import loo_run
+from exatlas.evaluator import TargetResult, loo_run, sign_match
 
 
 def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
@@ -28,60 +24,56 @@ def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
                        "optimal", nb)
 
 
-class TestRoute:
+def result(target_id="t", obs=1.0, pred=0.5, rho=0.1, weights=None, lam=0.462):
+    """A leave-one-out result as ``loo_run`` builds it, gated at ``lam``."""
+    composable = rho <= lam
+    return TargetResult(target_id, obs, pred, rho, composable,
+                        sign_match(pred, obs) if composable else None,
+                        comp(target_id, rho, composable, pred, weights))
+
+
+class TestStatus:
     def test_same_sign_links(self):
-        out = route(comp(composed=0.5), observed=2.0)
-        assert isinstance(out, Link)
-        assert out.source_weights == {"a": 0.6, "b": 0.4}
+        assert result(obs=2.0, pred=0.5).status == "link"
 
     def test_opposite_sign_conflicts(self):
-        out = route(comp(composed=0.5), observed=-1.0)
-        assert isinstance(out, Conflict)
-        assert out.composed_effect == 0.5
-        assert out.observed_effect == -1.0
-        assert out.relaxed is False
+        assert result(obs=-1.0, pred=0.5).status == "conflict"
 
-    def test_gap_carries_nearest_ids(self):
-        out = route(comp(rho=0.9, composable=False), observed=1.0)
-        assert isinstance(out, Gap)
-        assert out.rho == 0.9
-        assert out.nearest_ids == ("a", "b", "c", "d", "e")  # capped at 5
+    @pytest.mark.parametrize("pred,obs,expected", [
+        (0.0, 0.0, "link"),
+        (0.0, 1.0, "conflict"),
+        (1.0, 0.0, "conflict"),
+    ])
+    def test_zero_is_its_own_direction(self, pred, obs, expected):
+        assert result(obs=obs, pred=pred).status == expected
 
-    def test_gap_neighbor_count_configurable(self):
-        out = route(comp(rho=0.9, composable=False), observed=1.0, gap_neighbors=2)
-        assert out.nearest_ids == ("a", "b")
+    @pytest.mark.parametrize("obs", [1.0, -1.0])
+    def test_not_composable_is_a_gap_whatever_the_signs(self, obs):
+        assert result(obs=obs, pred=0.5, rho=0.9).status == "gap"
 
     def test_routing_total_and_exclusive(self, toy_archive, toy_features,
                                          default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        outcomes = route_results(results)
-        assert len(outcomes) == len(toy_archive)
-        assert {o.target_id for o in outcomes} == set(toy_archive.ids())
-        for r, o in zip(results, outcomes):
+        assert {r.target_id for r in results} == set(toy_archive.ids())
+        for r in results:
             if not r.composable:
-                assert isinstance(o, Gap)
-            elif r.sign_matched:
-                assert isinstance(o, Link)
+                assert r.status == "gap"
+            elif np.sign(r.predicted_effect) == np.sign(r.observed_effect):
+                assert r.status == "link"
             else:
-                assert isinstance(o, Conflict)
-
-    def test_composable_without_effect_rejected(self):
-        with pytest.raises(ValueError):
-            route(comp(composed=None), observed=1.0)
+                assert r.status == "conflict"
 
 
 class TestMineConflicts:
     def test_factor_one_equals_strict_conflicts(self, toy_archive, toy_features,
                                                 default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        strict = [o for o in route_results(results) if isinstance(o, Conflict)]
+        strict = [r.target_id for r in results if r.status == "conflict"]
         mined = mine_conflicts(cfg=default_cfg, relax_factor=1.0, results=results)
-        assert sorted(c.target_id for c in mined) == sorted(c.target_id for c in strict)
+        assert [c.target_id for c in mined] == sorted(strict)
         assert all(c.relaxed is False for c in mined)
 
     def test_gate_arithmetic_at_boundary(self):
-        from exatlas.evaluator import TargetResult
-
         lam = 0.462
         cfg = ComposerConfig(lambda_=lam)
         rho = 1.2 * lam  # inside 1.5*lambda, outside lambda
@@ -120,70 +112,83 @@ class TestMineConflicts:
 
 
 class TestExportGraph:
-    def test_link_with_two_sources_gives_two_edges(self, tmp_path):
-        outcomes = [Link("t", {"a": 0.7, "b": 0.3})]
+    def test_link_with_two_sources_gives_two_edges(self):
+        results = [result("t", obs=1.0, weights={"a": 0.7, "b": 0.3})]
         effects = {"t": 1.0, "a": 1.0, "b": 2.0}
-        graph = export_graph(outcomes, effects)
+        graph = export_graph(results, effects)
         assert len(graph.edges) == 2
         assert {(e.src, e.dst) for e in graph.edges} == {("a", "t"), ("b", "t")}
 
     def test_all_gap_input_has_no_edges(self):
-        outcomes = [Gap("t1", 0.9, ("a",)), Gap("t2", 1.1, ("b",))]
-        graph = export_graph(outcomes, {"t1": 1.0, "t2": -1.0})
+        # The gaps' compositions carry positive weights; none becomes an edge.
+        results = [result("t1", rho=0.9, weights={"a": 1.0}),
+                   result("t2", obs=-1.0, rho=1.1, weights={"b": 1.0})]
+        graph = export_graph(results, {"t1": 1.0, "t2": -1.0})
         assert graph.edges == ()
         assert all(n.status == "gap" for n in graph.nodes)
+        assert [n.id for n in graph.nodes] == ["t1", "t2"]
 
     def test_zero_weight_sources_excluded(self):
-        outcomes = [Link("t", {"a": 1.0, "b": 0.0})]
-        graph = export_graph(outcomes, {"t": 1.0, "a": 1.0})
+        graph = export_graph([result("t", weights={"a": 1.0, "b": 0.0})],
+                             {"t": 1.0, "a": 1.0})
         assert len(graph.edges) == 1
 
-    def test_byte_identical_output_across_runs(self, tmp_path, toy_archive,
-                                               toy_features, default_cfg):
+    def test_nodes_carry_each_results_status(self, toy_archive, toy_features,
+                                             default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        outcomes = route_results(results)
+        graph = export_graph(results, {e.id: e.effect_size for e in toy_archive})
+        assert {n.id: n.status for n in graph.nodes} == {r.target_id: r.status
+                                                          for r in results}
+        assert {e.dst for e in graph.edges} <= {r.target_id for r in results
+                                                 if r.composable}
+        assert list(graph.conflicts) == sorted(r.target_id for r in results
+                                               if r.status == "conflict")
+
+    def test_byte_identical_output_across_runs(self, toy_archive, toy_features,
+                                               default_cfg):
+        results = loo_run(toy_archive, toy_features, default_cfg)
         effects = {e.id: e.effect_size for e in toy_archive}
-        paths = []
-        for run in (1, 2):
-            jp = tmp_path / f"atlas{run}.json"
-            dp = tmp_path / f"atlas{run}.dot"
-            export_graph(outcomes, effects, json_path=jp, dot_path=dp)
-            paths.append((jp.read_bytes(), dp.read_bytes()))
-        assert paths[0] == paths[1]
+        runs = []
+        for _ in (1, 2):
+            graph = export_graph(results, effects)
+            runs.append((json.dumps(graph.to_json_doc(), sort_keys=True), graph.to_dot()))
+        assert runs[0] == runs[1]
 
     def test_json_round_trip(self, toy_archive, toy_features, default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        outcomes = route_results(results)
         effects = {e.id: e.effect_size for e in toy_archive}
-        graph = export_graph(outcomes, effects)
-        doc = graph.to_json_doc()
+        doc = export_graph(results, effects).to_json_doc()
         assert json.loads(json.dumps(doc)) == doc
 
     def test_schema_keys(self):
-        graph = export_graph([Conflict("t", {"a": 1.0}, 0.5, -1.0)],
+        graph = export_graph([result("t", obs=-1.0, pred=0.5, weights={"a": 1.0})],
                              {"t": -1.0, "a": 0.5})
         doc = graph.to_json_doc()
         assert set(doc) == {"nodes", "edges", "conflicts"}
         assert doc["conflicts"] == ["t"]
         assert {n["id"]: n["sign"] for n in doc["nodes"]} == {"t": -1, "a": 1}
+        assert {n["id"]: n["status"] for n in doc["nodes"]} == {"t": "conflict",
+                                                                 "a": "source"}
 
     def test_edge_weights_equal_composition_weights(self):
         weights = {"a": 0.25, "b": 0.75}
-        graph = export_graph([Link("t", weights)], {"t": 1.0, "a": 1.0, "b": 1.0})
+        graph = export_graph([result("t", weights=weights)],
+                             {"t": 1.0, "a": 1.0, "b": 1.0})
         assert {e.src: e.weight for e in graph.edges} == weights
 
     def test_dot_has_status_keyed_shapes(self):
-        outcomes = [Link("l", {"s": 1.0}), Conflict("c", {"s": 1.0}, 1.0, -1.0),
-                    Gap("g", 0.9, ())]
+        results = [result("l", obs=1.0, weights={"s": 1.0}),
+                   result("c", obs=-1.0, weights={"s": 1.0}),
+                   result("g", obs=1.0, rho=0.9)]
         effects = {"l": 1.0, "c": -1.0, "g": 1.0, "s": 1.0}
-        dot = export_graph(outcomes, effects).to_dot()
-        assert "shape=ellipse" in dot
-        assert "shape=diamond" in dot
-        assert "shape=box" in dot
+        dot = export_graph(results, effects).to_dot()
+        assert '"l" [shape=ellipse];' in dot
+        assert '"c" [shape=diamond, color=red];' in dot
+        assert '"g" [shape=box, style=dashed];' in dot
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
-            export_graph([Gap("t", 0.9, ()), Gap("t", 0.8, ())], {"t": 1.0})
+            export_graph([result("t", rho=0.9), result("t", rho=0.8)], {"t": 1.0})
 
 
 class TestIsolatedRatio:

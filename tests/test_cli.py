@@ -111,6 +111,26 @@ class TestConfig:
                                    {"lambda_": 0.7, "ridge": 0.5})
         assert got == ComposerConfig(lambda_=0.9, ridge=0.5)
 
+    def test_remote_provider_specs_keep_the_constructor_defaults(self):
+        from exatlas.generators import RemoteChatProvider
+        from exatlas.representation import RemoteEmbeddingProvider
+
+        for made, default in (
+                (cli_mod.parse_embedding_provider("remote:endpoint=http://x", 0),
+                 RemoteEmbeddingProvider("http://x")),
+                (cli_mod.parse_chat_provider("remote:endpoint=http://x,model=m", None),
+                 RemoteChatProvider("http://x", "m"))):
+            assert {k: v for k, v in vars(made).items() if not k.startswith("_")} \
+                == {k: v for k, v in vars(default).items() if not k.startswith("_")}
+
+    def test_remote_provider_spec_keys(self):
+        emb = cli_mod.parse_embedding_provider(
+            "remote:endpoint=http://x,model=m,d=4,batch=2", 0)
+        assert (emb.model, emb.dimension, emb.batch_size) == ("m", 4, 2)
+        chat = cli_mod.parse_chat_provider(
+            "remote:endpoint=http://x,model=m,temperature=0.7,retries=1", None)
+        assert (chat.temperature, chat.max_retries) == (0.7, 1)
+
     def test_config_keys_are_the_settings_read(self):
         import ast
         import inspect
@@ -359,6 +379,33 @@ class TestAtlas:
         first = json.loads(comp_lines[0])
         assert set(first) == {"target_id", "weights", "r", "rho",
                               "composed_effect", "composable", "solver_status"}
+
+    def test_routes_follow_the_rule_on_results(self, tmp_path, capsys):
+        out = tmp_path / "atlas"
+        assert run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--relax", "1", "--out", str(out)) == 0
+        expected = {}
+        for line in (out / "results.jsonl").read_text().splitlines():
+            r = json.loads(line)
+            if not r["composable"]:
+                expected[r["target_id"]] = "gap"
+            elif np.sign(r["predicted_effect"]) == np.sign(r["observed_effect"]):
+                expected[r["target_id"]] = "link"
+            else:
+                expected[r["target_id"]] = "conflict"
+        doc = json.loads((out / "atlas.json").read_text())
+        assert {n["id"]: n["status"] for n in doc["nodes"]} == expected
+        conflicts = sorted(i for i, s in expected.items() if s == "conflict")
+        assert doc["conflicts"] == conflicts
+        mined = [json.loads(l)["target_id"]
+                 for l in (out / "conflicts.jsonl").read_text().splitlines()]
+        assert mined == conflicts
+        counts = [sum(s == k for s in expected.values())
+                  for k in ("link", "conflict", "gap")]
+        assert capsys.readouterr().out.splitlines() == [
+            "links: {}  conflicts: {}  gaps: {}".format(*counts),
+            f"conflicts at relax=1: {len(conflicts)}",
+        ]
 
     def test_relax_factor_one_equals_strict(self, tmp_path):
         outs = {}

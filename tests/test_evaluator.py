@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from exatlas.archive import Archive, Experiment
 from exatlas.composer import ComposerConfig, Composition, Neighborhood
 from exatlas.evaluator import (
+    EvaluatorError,
     InsufficientDataError,
     TargetResult,
     average_ranks,
@@ -154,6 +155,19 @@ class TestLooRun:
         arc = Archive((exp("a", 0.1),))
         with pytest.raises(Exception):
             loo_run(arc, {"a": np.zeros(3)}, default_cfg)
+
+    def test_composition_without_effect_rejected(self, toy_archive, toy_features,
+                                                 default_cfg, monkeypatch):
+        import dataclasses
+
+        from exatlas import evaluator
+
+        real = evaluator.assess_rows
+        monkeypatch.setattr(evaluator, "assess_rows", lambda *args: [
+            dataclasses.replace(c, composed_effect=None) for c in real(*args)])
+        with pytest.raises(EvaluatorError,
+                           match="^no effect prediction for target 'toy-001'$"):
+            loo_run(toy_archive, toy_features, default_cfg)
 
     def test_duplicate_pairs_drive_links_and_conflicts(self, toy_archive,
                                                        toy_features, default_cfg):

@@ -9,6 +9,7 @@ from oracles import reference_isolated_ratio
 from exatlas.archive import Archive, Experiment
 from exatlas.composer import assess
 from exatlas.atlas import Conflict
+from exatlas.cli import parse_chat_provider
 from exatlas.generators import (
     AuditingChat,
     ChatError,
@@ -182,6 +183,22 @@ class TestRemoteChat:
         chat = RemoteChatProvider("http://x", "model", transport=empty)
         with pytest.raises(MalformedResponseError):
             chat.complete(ChatRequest("p"))
+
+    @pytest.mark.parametrize("spec,sent", [
+        ("remote:endpoint=http://x,model=m,temperature=0.7", 0.7),
+        ("remote:endpoint=http://x,model=m", 0.0),
+    ])
+    def test_spec_temperature_is_sent(self, spec, sent):
+        payloads = []
+
+        def capture(endpoint, payload, headers):
+            payloads.append(payload)
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+        chat = parse_chat_provider(spec, None)
+        chat._transport = capture
+        assert chat.complete(ChatRequest("p")) == "ok"
+        assert [p["temperature"] for p in payloads] == [sent]
 
 
 class TestReconciliationPrompt:

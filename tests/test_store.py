@@ -109,6 +109,8 @@ CASES = {
                           ComposerConfig(max_candidates=5)),
     "far-centre-runs": (far_centre_features(7), ComposerConfig()),
     "far-centre-uncapped": (far_centre_features(8), ComposerConfig(max_candidates=500)),
+    # radius_factor * scale overflows: the target's own row must stay out.
+    "overflowing-radius": (gaussian_features(9, 30), ComposerConfig(radius_factor=1e308)),
 }
 
 
