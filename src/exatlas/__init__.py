@@ -3,7 +3,7 @@
 from .archive import Archive, Experiment, load_archive, save_archive
 from .composer import Composition, ComposerConfig, Neighborhood, assess, compose_effect
 from .evaluator import EvalReport, TargetResult, build_report, calibrate_lambda, loo_run
-from .atlas import Conflict, export_graph, mine_conflicts
+from .atlas import export_graph, mine_conflicts
 from .representation import (
     DeterministicStubProvider,
     RemoteEmbeddingProvider,
@@ -30,7 +30,6 @@ __all__ = [
     "loo_run",
     "build_report",
     "calibrate_lambda",
-    "Conflict",
     "mine_conflicts",
     "export_graph",
     "DeterministicStubProvider",

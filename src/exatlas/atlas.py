@@ -1,14 +1,16 @@
 """The atlas of leave-one-out results: graph export, conflict mining and the
-isolated ratio. Each target's route (link, conflict or gap) is
-:attr:`~exatlas.evaluator.TargetResult.status`, which this module reads and
-never decides again.
+isolated ratio. Every function here reads the
+:class:`~exatlas.evaluator.TargetResult` list of one ``loo_run``. Each
+target's route (link, conflict or gap) is its
+:attr:`~exatlas.evaluator.TargetResult.status`, and a conflict is the
+result itself; this module never decides either again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -20,53 +22,34 @@ DEFAULT_RELAX = 1.5
 STRICT_RELAX = 1.0
 
 
-@dataclass(frozen=True)
-class Conflict:
-    """Composable target whose predicted direction contradicts the observed one.
-
-    ``relaxed`` marks conflicts admitted only under a relaxed threshold.
-    """
-
-    target_id: str
-    source_weights: Mapping[str, float]
-    composed_effect: float
-    observed_effect: float
-    relaxed: bool = False
-
-
 def mine_conflicts(results: Sequence[TargetResult], cfg: ComposerConfig,
-                   relax_factor: float = DEFAULT_RELAX) -> list[Conflict]:
-    """Re-gate leave-one-out ``results`` at lambda' = relax_factor * lambda and
-    collect sign mismatches.
+                   relax_factor: float = DEFAULT_RELAX) -> list[TargetResult]:
+    """The ``results`` whose predicted direction contradicts the observed one,
+    re-gated at lambda' = relax_factor * lambda, sorted by target id.
 
     At factor 1 this returns exactly the strict conflicts; larger factors only
-    add cases. The results' weights and rho values are reused, not re-solved.
+    add cases, which are not composable. The results' weights and rho values
+    are reused, not re-solved.
     """
     if not math.isfinite(relax_factor):
         raise ValueError(f"relax_factor must be a finite number, got {relax_factor!r}")
     if relax_factor < 1:
         raise ValueError("relax_factor must be >= 1")
     relaxed_lambda = relax_factor * cfg.lambda_
-    out: list[Conflict] = []
-    for r in results:
-        if r.rho <= relaxed_lambda and not sign_match(r.predicted_effect, r.observed_effect):
-            out.append(Conflict(
-                target_id=r.target_id,
-                source_weights=dict(r.composition.weights),
-                composed_effect=float(r.predicted_effect),
-                observed_effect=float(r.observed_effect),
-                relaxed=r.rho > cfg.lambda_,
-            ))
-    return sorted(out, key=lambda c: c.target_id)
+    out = [r for r in results
+           if r.rho <= relaxed_lambda and not sign_match(r.predicted_effect, r.observed_effect)]
+    return sorted(out, key=lambda r: r.target_id)
 
 
-def conflict_to_record(c: Conflict) -> dict[str, Any]:
+def conflict_to_record(r: TargetResult) -> dict[str, Any]:
+    """The ``conflicts.jsonl`` record of a mined conflict; ``relaxed`` marks one
+    admitted only under a relaxed threshold, which is not composable."""
     return {
-        "target_id": c.target_id,
-        "weights": {k: float(v) for k, v in c.source_weights.items()},
-        "composed_effect": c.composed_effect,
-        "observed_effect": c.observed_effect,
-        "relaxed": c.relaxed,
+        "target_id": r.target_id,
+        "weights": {k: float(v) for k, v in r.composition.weights.items()},
+        "composed_effect": r.predicted_effect,
+        "observed_effect": float(r.observed_effect),
+        "relaxed": not r.composable,
     }
 
 
@@ -88,8 +71,7 @@ def isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
     return np.count_nonzero(~composable & ~weighted[:n_real]) / n_real
 
 
-_DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box",
-               "source": "ellipse"}
+_DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box"}
 
 
 @dataclass(frozen=True)
@@ -141,30 +123,32 @@ class AtlasGraph:
         return "\n".join(lines) + "\n"
 
 
-def export_graph(results: Sequence[TargetResult],
-                 effects: Mapping[str, float]) -> AtlasGraph:
+def export_graph(results: Sequence[TargetResult]) -> AtlasGraph:
     """Assemble the atlas graph of leave-one-out ``results``.
 
-    Each target's node carries its ``status``; each composable target gets
-    one edge from every source of positive weight, and gaps get none. Output
-    is deterministic: nodes sort by id, edges by (src, dst). ``effects``
-    supplies the observed effect used for each node's sign annotation.
+    Each target's node carries its ``status`` and the sign of its observed
+    effect; each composable target gets one edge from every source of
+    positive weight, and gaps get none. Every edge runs between two of the
+    results: a source that is not among them is an error. Output is
+    deterministic: nodes sort by id, edges by (src, dst).
     """
-    status: dict[str, str] = {}
+    by_id: dict[str, TargetResult] = {}
     edges: list[AtlasEdge] = []
     for r in results:
-        if r.target_id in status:
+        if r.target_id in by_id:
             raise ValueError(f"duplicate outcome for target {r.target_id!r}")
-        status[r.target_id] = r.status
+        by_id[r.target_id] = r
         if r.composable:
             edges.extend(AtlasEdge(src=src, dst=r.target_id, weight=float(w))
                          for src, w in r.composition.weights.items() if w > 0.0)
+    unknown = sorted({e.src for e in edges} - by_id.keys())
+    if unknown:
+        raise ValueError(f"edge source {unknown[0]!r} is not among the results")
 
-    # Sources that were never assessed as targets keep the neutral "source" status.
-    node_ids = sorted(set(status) | {e.src for e in edges})
+    nodes = [AtlasNode(id=i, sign=sign(float(r.observed_effect)), status=r.status)
+             for i, r in sorted(by_id.items())]
     return AtlasGraph(
-        nodes=tuple(AtlasNode(id=i, sign=sign(float(effects[i])),
-                              status=status.get(i, "source")) for i in node_ids),
+        nodes=tuple(nodes),
         edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
-        conflicts=tuple(i for i in sorted(status) if status[i] == "conflict"),
+        conflicts=tuple(n.id for n in nodes if n.status == "conflict"),
     )

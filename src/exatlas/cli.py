@@ -279,7 +279,7 @@ def cmd_calibrate(args, config) -> int:
     cfg = _composer_config(args, config)
     grid = _parse_grid(_setting(args, config, "grid", None))
     results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    curve = evaluator_mod.calibrate_lambda(arc, {}, cfg, grid, results=results)
+    curve = evaluator_mod.calibrate_lambda(results, grid)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
     if args.out:
         out = Path(args.out)
@@ -298,7 +298,6 @@ def cmd_atlas(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    effects = {e.id: float(e.effect_size) for e in arc}
     relax = float(_setting(args, config, "relax", atlas_mod.DEFAULT_RELAX))
     conflicts = atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)
     routes = Counter(r.status for r in results)
@@ -306,14 +305,14 @@ def cmd_atlas(args, config) -> int:
     print(f"conflicts at relax={relax:g}: {len(conflicts)}")
     if args.out:
         out = Path(args.out)
-        graph = atlas_mod.export_graph(results, effects)
+        graph = atlas_mod.export_graph(results)
         _write_json(out / "atlas.json", graph.to_json_doc())
         (out / "atlas.dot").write_text(graph.to_dot(), encoding="utf-8")
         _write_jsonl(out / "compositions.jsonl",
                      (r.composition.to_record() for r in results))
         _write_jsonl(out / "results.jsonl", (r.to_record() for r in results))
         _write_jsonl(out / "conflicts.jsonl",
-                     (atlas_mod.conflict_to_record(c) for c in conflicts))
+                     (atlas_mod.conflict_to_record(r) for r in conflicts))
     return 0
 
 
@@ -348,14 +347,11 @@ def cmd_reconcile(args, config) -> int:
     target = arc.get(args.target)
     results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
     relax = float(_setting(args, config, "relax", atlas_mod.STRICT_RELAX))
-    conflicts = {c.target_id: c for c in
-                 atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)}
-    if args.target not in conflicts:
-        print(f"target {args.target!r} is not a conflict at relax={relax:g}",
-              file=sys.stderr)
-        return 2
-    conflict = conflicts[args.target]
-    sources = [arc.get(i) for i in conflict.source_weights]
+    conflict = {r.target_id: r for r in
+                atlas_mod.mine_conflicts(results, cfg, relax)}.get(args.target)
+    if conflict is None:
+        raise CliError(f"target {args.target!r} is not a conflict at relax={relax:g}")
+    sources = [arc.get(i) for i in conflict.composition.weights]
     chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
                                _setting(args, config, "stub_transcript", None))
     out = Path(args.out) if args.out else None
@@ -407,14 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--archive", required=True, help="archive .jsonl path")
         p.add_argument("--vectors", help="precomputed feature-vector file")
         p.add_argument("--provider", help="embedding provider spec (default stub)")
-        p.add_argument("--seed", type=int, help="seed for stub providers and sweeps")
+        p.add_argument("--seed", type=int,
+                       help="seed for stub providers and sweeps (default 0)")
         p.add_argument("--cache-dir", dest="cache_dir", help="embedding cache directory")
         p.add_argument("--lambda", dest="lambda_", type=float,
                        help=f"composability threshold (default {ComposerConfig.lambda_:g})")
         p.add_argument("--ridge", type=float,
                        help=f"ridge penalty (default {ComposerConfig.ridge:g})")
-        p.add_argument("--radius-factor", dest="radius_factor", type=float)
-        p.add_argument("--max-candidates", dest="max_candidates", type=int)
+        p.add_argument("--radius-factor", dest="radius_factor", type=float,
+                       help="candidate radius in median distances "
+                            f"(default {ComposerConfig.radius_factor:g})")
+        p.add_argument("--max-candidates", dest="max_candidates", type=int,
+                       help=f"candidate cap (default {ComposerConfig.max_candidates})")
 
     p = sub.add_parser("ingest", help="validate and normalize an archive file")
     p.add_argument("--archive", required=True)
@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chat", help="chat provider spec (default stub)")
     p.add_argument("--stub-transcript", dest="stub_transcript",
                    help="scripted chat transcript file")
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
+    p.add_argument("--max-rounds", dest="max_rounds", type=int,
+                   help=f"bridge rounds (default {generators_mod.DEFAULT_MAX_ROUNDS})")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_bridge)
 

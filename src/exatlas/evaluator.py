@@ -1,4 +1,8 @@
-"""Leave-one-out evaluation, prediction metrics, and threshold calibration."""
+"""Leave-one-out evaluation, prediction metrics, and threshold calibration.
+
+:func:`loo_run` gives one :class:`TargetResult` per archive member. The report,
+the calibration curve and the atlas (:mod:`exatlas.atlas`) all read that list.
+"""
 
 from __future__ import annotations
 
@@ -34,18 +38,34 @@ def sign_match(pred: float, obs: float) -> bool:
 
 @dataclass(frozen=True)
 class TargetResult:
-    """One held-out target: its observed effect, prediction, and gate outcome.
-
-    ``sign_matched`` is present exactly when the target is composable.
+    """One held-out target: its composition from the rest of the archive and
+    its observed effect. The prediction, rho, gate outcome and route are read
+    off those two, never stored again. ``sign_matched`` is present exactly
+    when the target is composable.
     """
 
-    target_id: str
-    observed_effect: float
-    predicted_effect: float
-    rho: float
-    composable: bool
-    sign_matched: bool | None
     composition: Composition
+    observed_effect: float
+
+    @property
+    def target_id(self) -> str:
+        return self.composition.target_id
+
+    @property
+    def predicted_effect(self) -> float:
+        return float(self.composition.composed_effect)
+
+    @property
+    def rho(self) -> float:
+        return self.composition.normalized_residual
+
+    @property
+    def composable(self) -> bool:
+        return self.composition.composable
+
+    @property
+    def sign_matched(self) -> bool | None:
+        return sign_match(self.predicted_effect, self.observed_effect) if self.composable else None
 
     @property
     def status(self) -> str:
@@ -60,7 +80,7 @@ class TargetResult:
         return {
             "target_id": self.target_id,
             "observed_effect": float(self.observed_effect),
-            "predicted_effect": float(self.predicted_effect),
+            "predicted_effect": self.predicted_effect,
             "rho": float(self.rho),
             "composable": bool(self.composable),
             "sign_matched": self.sign_matched,
@@ -86,16 +106,7 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
     for exp, comp in zip(archive, assess_rows(store, range(len(archive)), effects, cfg)):
         if comp.composed_effect is None:
             raise EvaluatorError(f"no effect prediction for target {exp.id!r}")
-        matched = sign_match(comp.composed_effect, exp.effect_size) if comp.composable else None
-        results.append(TargetResult(
-            target_id=exp.id,
-            observed_effect=float(exp.effect_size),
-            predicted_effect=float(comp.composed_effect),
-            rho=comp.normalized_residual,
-            composable=comp.composable,
-            sign_matched=matched,
-            composition=comp,
-        ))
+        results.append(TargetResult(comp, float(exp.effect_size)))
     return sorted(results, key=lambda r: r.target_id)
 
 
@@ -261,19 +272,16 @@ def check_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def calibrate_lambda(archive: Archive, features: Mapping[str, np.ndarray],
-                     cfg: ComposerConfig, grid: Sequence[float],
-                     results: Sequence[TargetResult] | None = None) -> CalibrationCurve:
+def calibrate_lambda(results: Sequence[TargetResult],
+                     grid: Sequence[float]) -> CalibrationCurve:
     """Pick the threshold maximizing (1 - scaled MSE) x coverage over the grid.
 
-    Weights and rho values do not depend on the threshold, so one
-    leave-one-out run is shared across every grid point. Scaled MSE is the
-    min-max scaling of the defined MSE values over the grid; a constant MSE
-    column scales to all zeros.
+    Weights and rho values do not depend on the threshold, so the one
+    leave-one-out run of ``results`` serves every grid point, whatever lambda
+    it was gated at. Scaled MSE is the min-max scaling of the defined MSE
+    values over the grid; a constant MSE column scales to all zeros.
     """
     grid = check_grid(grid)
-    if results is None:
-        results = loo_run(archive, features, cfg)
     rho = np.asarray([r.rho for r in results])
     sq_err = np.asarray([(r.predicted_effect - r.observed_effect) ** 2
                          for r in results])

@@ -23,8 +23,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .archive import Archive, Experiment
-from .atlas import Conflict, isolated_ratio
+from .atlas import isolated_ratio
 from .composer import ComposerConfig, FeatureStore, gate_rows
+from .evaluator import TargetResult
 from .remote import post_json, requests_transport
 from .representation import (
     EmbeddingError,
@@ -237,16 +238,16 @@ def describe_relation(exp: Experiment, with_effect: bool = False) -> str:
     return f"How does {iv} impact {dv}? (observed: {_effect_direction(exp.effect_size)})"
 
 
-def build_reconciliation_prompt(conflict: Conflict, sources: Sequence[Experiment],
+def build_reconciliation_prompt(conflict: TargetResult, sources: Sequence[Experiment],
                                 target: Experiment) -> ChatRequest:
-    """Fill the reconciliation template for a composable-but-mismatched target.
+    """Fill the reconciliation template for a conflict that ``mine_conflicts`` admitted.
 
     The finding slot carries the target relation with the observed direction
     and the composition's predicted direction; the literature slot carries
     each positive-weight source's relation and observed effect.
     """
     by_id = {s.id: s for s in sources}
-    positive = [(cid, w) for cid, w in conflict.source_weights.items() if w > 0.0]
+    positive = [(cid, w) for cid, w in conflict.composition.weights.items() if w > 0.0]
     missing = [cid for cid, _ in positive if cid not in by_id]
     if missing:
         raise ValueError(f"missing source experiments for ids: {missing}")
@@ -255,8 +256,8 @@ def build_reconciliation_prompt(conflict: Conflict, sources: Sequence[Experiment
         f"How does {iv} impact {dv}? "
         f"My experiment observed a {_effect_direction(conflict.observed_effect)} effect "
         f"({conflict.observed_effect:+.4f}), while composing the prior experiments "
-        f"predicted a {_effect_direction(conflict.composed_effect)} effect "
-        f"({conflict.composed_effect:+.4f})."
+        f"predicted a {_effect_direction(conflict.predicted_effect)} effect "
+        f"({conflict.predicted_effect:+.4f})."
     )
     ordered = sorted(positive, key=lambda kv: (-kv[1], kv[0]))
     literature = "; ".join(

@@ -102,9 +102,9 @@ def test_criterion_3_metric_correctness():
 
 
 def test_criterion_4_calibration_properties(toy_archive, toy_features,
-                                            default_cfg, monkeypatch):
+                                            default_cfg, monkeypatch, tmp_path):
     # Coverage non-decreasing over the default grid.
-    curve = calibrate_lambda(toy_archive, toy_features, default_cfg,
+    curve = calibrate_lambda(loo_run(toy_archive, toy_features, default_cfg),
                              default_grid())
     cov = curve.coverage_at
     assert all(b >= a for a, b in zip(cov, cov[1:]))
@@ -113,13 +113,13 @@ def test_criterion_4_calibration_properties(toy_archive, toy_features,
     from oracles import count_problems_solved
 
     calls = count_problems_solved(monkeypatch)
-    calibrate_lambda(toy_archive, toy_features, default_cfg, default_grid())
-    assert calls["n"] == len(toy_archive)
+    assert main(["calibrate", "--archive", str(toy_archive_path()),
+                 "--provider", "stub:d=8,seed=1", "--out", str(tmp_path)]) == 0
+    assert calls["n"] == 12 == len(toy_archive)
 
     # Identical objectives tie toward the smallest lambda.
     results = [fake_result("a", 1.0, 1.0, 0.10)]
-    tie_curve = calibrate_lambda(None, {}, default_cfg, [0.2, 0.3, 0.4],
-                                 results=results)
+    tie_curve = calibrate_lambda(results, [0.2, 0.3, 0.4])
     assert tie_curve.objective_at[0] == tie_curve.objective_at[-1]
     assert tie_curve.chosen_lambda == pytest.approx(0.2)
     _report("4 calibration-properties",
@@ -240,8 +240,7 @@ def test_criterion_8_full_archive_reproduction():
     assert report.mse == pytest.approx(2.3477, rel=0.10)
     assert report.mae == pytest.approx(0.7435, rel=0.10)
 
-    curve = calibrate_lambda(archive, features, cfg, default_grid(),
-                             results=results)
+    curve = calibrate_lambda(results, default_grid())
     assert abs(curve.chosen_lambda - 0.462) <= 0.02
 
     conflicts = mine_conflicts(cfg=cfg, relax_factor=1.5, results=results)

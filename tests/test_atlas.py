@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from exatlas.atlas import (
-    Conflict,
     conflict_to_record,
     export_graph,
     isolated_ratio,
     mine_conflicts,
 )
 from exatlas.composer import ComposerConfig, Composition, FeatureStore, Neighborhood
-from exatlas.evaluator import TargetResult, loo_run, sign_match
+from exatlas.evaluator import TargetResult, loo_run
 
 
 def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
@@ -26,10 +25,7 @@ def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
 
 def result(target_id="t", obs=1.0, pred=0.5, rho=0.1, weights=None, lam=0.462):
     """A leave-one-out result as ``loo_run`` builds it, gated at ``lam``."""
-    composable = rho <= lam
-    return TargetResult(target_id, obs, pred, rho, composable,
-                        sign_match(pred, obs) if composable else None,
-                        comp(target_id, rho, composable, pred, weights))
+    return TargetResult(comp(target_id, rho, rho <= lam, pred, weights), obs)
 
 
 class TestStatus:
@@ -71,18 +67,17 @@ class TestMineConflicts:
         strict = [r.target_id for r in results if r.status == "conflict"]
         mined = mine_conflicts(cfg=default_cfg, relax_factor=1.0, results=results)
         assert [c.target_id for c in mined] == sorted(strict)
-        assert all(c.relaxed is False for c in mined)
+        assert all(conflict_to_record(c)["relaxed"] is False for c in mined)
 
     def test_gate_arithmetic_at_boundary(self):
         lam = 0.462
         cfg = ComposerConfig(lambda_=lam)
         rho = 1.2 * lam  # inside 1.5*lambda, outside lambda
-        c = comp("t", rho=rho, composable=False, composed=0.5)
-        result = TargetResult("t", -1.0, 0.5, rho, False, None, c)
-        included = mine_conflicts(cfg=cfg, relax_factor=1.5, results=[result])
-        excluded = mine_conflicts(cfg=cfg, relax_factor=1.0, results=[result])
-        assert [x.target_id for x in included] == ["t"]
-        assert included[0].relaxed is True
+        r = result("t", obs=-1.0, pred=0.5, rho=rho, lam=lam)
+        included = mine_conflicts(cfg=cfg, relax_factor=1.5, results=[r])
+        excluded = mine_conflicts(cfg=cfg, relax_factor=1.0, results=[r])
+        assert included == [r]
+        assert conflict_to_record(r)["relaxed"] is True
         assert excluded == []
 
     def test_monotone_in_relax_factor(self, toy_archive, toy_features, default_cfg):
@@ -105,17 +100,22 @@ class TestMineConflicts:
             mine_conflicts(cfg=default_cfg, relax_factor=factor, results=[])
 
     def test_record_shape(self):
-        rec = conflict_to_record(Conflict("t", {"a": 1.0}, 0.5, -0.5, relaxed=True))
+        rec = conflict_to_record(result("t", obs=-0.5, pred=0.5, rho=0.6,
+                                        weights={"a": 1.0}))
         assert rec == {"target_id": "t", "weights": {"a": 1.0},
                        "composed_effect": 0.5, "observed_effect": -0.5,
                        "relaxed": True}
 
+    def test_returns_the_results_sorted_by_id(self, default_cfg):
+        results = [result("b", obs=-1.0), result("a", obs=-2.0), result("c", obs=1.0)]
+        assert mine_conflicts(results, default_cfg, 1.0) == [results[1], results[0]]
+
 
 class TestExportGraph:
     def test_link_with_two_sources_gives_two_edges(self):
-        results = [result("t", obs=1.0, weights={"a": 0.7, "b": 0.3})]
-        effects = {"t": 1.0, "a": 1.0, "b": 2.0}
-        graph = export_graph(results, effects)
+        results = [result("t", obs=1.0, weights={"a": 0.7, "b": 0.3}),
+                   result("a", rho=0.9), result("b", rho=0.9)]
+        graph = export_graph(results)
         assert len(graph.edges) == 2
         assert {(e.src, e.dst) for e in graph.edges} == {("a", "t"), ("b", "t")}
 
@@ -123,20 +123,20 @@ class TestExportGraph:
         # The gaps' compositions carry positive weights; none becomes an edge.
         results = [result("t1", rho=0.9, weights={"a": 1.0}),
                    result("t2", obs=-1.0, rho=1.1, weights={"b": 1.0})]
-        graph = export_graph(results, {"t1": 1.0, "t2": -1.0})
+        graph = export_graph(results)
         assert graph.edges == ()
         assert all(n.status == "gap" for n in graph.nodes)
         assert [n.id for n in graph.nodes] == ["t1", "t2"]
 
     def test_zero_weight_sources_excluded(self):
-        graph = export_graph([result("t", weights={"a": 1.0, "b": 0.0})],
-                             {"t": 1.0, "a": 1.0})
+        graph = export_graph([result("t", weights={"a": 1.0, "b": 0.0}),
+                              result("a", rho=0.9)])
         assert len(graph.edges) == 1
 
     def test_nodes_carry_each_results_status(self, toy_archive, toy_features,
                                              default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        graph = export_graph(results, {e.id: e.effect_size for e in toy_archive})
+        graph = export_graph(results)
         assert {n.id: n.status for n in graph.nodes} == {r.target_id: r.status
                                                           for r in results}
         assert {e.dst for e in graph.edges} <= {r.target_id for r in results
@@ -147,48 +147,50 @@ class TestExportGraph:
     def test_byte_identical_output_across_runs(self, toy_archive, toy_features,
                                                default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        effects = {e.id: e.effect_size for e in toy_archive}
         runs = []
         for _ in (1, 2):
-            graph = export_graph(results, effects)
+            graph = export_graph(results)
             runs.append((json.dumps(graph.to_json_doc(), sort_keys=True), graph.to_dot()))
         assert runs[0] == runs[1]
 
     def test_json_round_trip(self, toy_archive, toy_features, default_cfg):
         results = loo_run(toy_archive, toy_features, default_cfg)
-        effects = {e.id: e.effect_size for e in toy_archive}
-        doc = export_graph(results, effects).to_json_doc()
+        doc = export_graph(results).to_json_doc()
         assert json.loads(json.dumps(doc)) == doc
 
     def test_schema_keys(self):
-        graph = export_graph([result("t", obs=-1.0, pred=0.5, weights={"a": 1.0})],
-                             {"t": -1.0, "a": 0.5})
+        graph = export_graph([result("t", obs=-1.0, pred=0.5, weights={"a": 1.0}),
+                              result("a", obs=0.5, pred=-0.2, rho=0.9)])
         doc = graph.to_json_doc()
         assert set(doc) == {"nodes", "edges", "conflicts"}
         assert doc["conflicts"] == ["t"]
+        # Each node's sign is its observed effect's, not its prediction's.
         assert {n["id"]: n["sign"] for n in doc["nodes"]} == {"t": -1, "a": 1}
         assert {n["id"]: n["status"] for n in doc["nodes"]} == {"t": "conflict",
-                                                                 "a": "source"}
+                                                                 "a": "gap"}
+
+    def test_edge_source_outside_the_results_rejected(self):
+        with pytest.raises(ValueError, match="^edge source 'a' is not among the results$"):
+            export_graph([result("t", weights={"a": 0.5, "b": 0.5}), result("b", rho=0.9)])
 
     def test_edge_weights_equal_composition_weights(self):
         weights = {"a": 0.25, "b": 0.75}
-        graph = export_graph([result("t", weights=weights)],
-                             {"t": 1.0, "a": 1.0, "b": 1.0})
+        graph = export_graph([result("t", weights=weights),
+                              result("a", rho=0.9), result("b", rho=0.9)])
         assert {e.src: e.weight for e in graph.edges} == weights
 
     def test_dot_has_status_keyed_shapes(self):
-        results = [result("l", obs=1.0, weights={"s": 1.0}),
-                   result("c", obs=-1.0, weights={"s": 1.0}),
+        results = [result("l", obs=1.0, weights={"g": 1.0}),
+                   result("c", obs=-1.0, weights={"g": 1.0}),
                    result("g", obs=1.0, rho=0.9)]
-        effects = {"l": 1.0, "c": -1.0, "g": 1.0, "s": 1.0}
-        dot = export_graph(results, effects).to_dot()
+        dot = export_graph(results).to_dot()
         assert '"l" [shape=ellipse];' in dot
         assert '"c" [shape=diamond, color=red];' in dot
         assert '"g" [shape=box, style=dashed];' in dot
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
-            export_graph([result("t", rho=0.9), result("t", rho=0.8)], {"t": 1.0})
+            export_graph([result("t", rho=0.9), result("t", rho=0.8)])
 
 
 class TestIsolatedRatio:

@@ -151,6 +151,28 @@ class TestConfig:
         assert report["lambda_used"] == pytest.approx(0.9)
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command", ["embed", "evaluate", "calibrate", "atlas",
+                                         "bridge", "reconcile"])
+    def test_every_default_is_stated(self, command, capsys):
+        with pytest.raises(SystemExit):
+            run(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        cfg = ComposerConfig()
+        for option, default in [("--seed SEED", "0"),
+                                ("--lambda LAMBDA_", f"{cfg.lambda_:g}"),
+                                ("--ridge RIDGE", f"{cfg.ridge:g}"),
+                                ("--radius-factor RADIUS_FACTOR", f"{cfg.radius_factor:g}"),
+                                ("--max-candidates MAX_CANDIDATES", f"{cfg.max_candidates}")]:
+            described = text.split(f" {option} ", 1)[1]
+            assert described.split(")", 1)[0].endswith(f"(default {default}"), option
+        if command == "bridge":
+            from exatlas.generators import DEFAULT_MAX_ROUNDS
+
+            assert f"--max-rounds MAX_ROUNDS bridge rounds (default {DEFAULT_MAX_ROUNDS})" \
+                in text
+
+
 class TestErrorsExitCleanly:
     """Bad input ends in exit code 2 and a single ``error:`` line, never a traceback."""
 
@@ -384,9 +406,10 @@ class TestAtlas:
         out = tmp_path / "atlas"
         assert run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
                    "--relax", "1", "--out", str(out)) == 0
-        expected = {}
+        expected, signs = {}, {}
         for line in (out / "results.jsonl").read_text().splitlines():
             r = json.loads(line)
+            signs[r["target_id"]] = int(np.sign(r["observed_effect"]))
             if not r["composable"]:
                 expected[r["target_id"]] = "gap"
             elif np.sign(r["predicted_effect"]) == np.sign(r["observed_effect"]):
@@ -395,6 +418,7 @@ class TestAtlas:
                 expected[r["target_id"]] = "conflict"
         doc = json.loads((out / "atlas.json").read_text())
         assert {n["id"]: n["status"] for n in doc["nodes"]} == expected
+        assert {n["id"]: n["sign"] for n in doc["nodes"]} == signs
         conflicts = sorted(i for i, s in expected.items() if s == "conflict")
         assert doc["conflicts"] == conflicts
         mined = [json.loads(l)["target_id"]
@@ -419,6 +443,29 @@ class TestAtlas:
         relaxed_ids = {c["target_id"] for c in outs["1.5"]}
         assert strict_ids <= relaxed_ids
         assert all(c["relaxed"] is False for c in outs["1.0"])
+
+    def test_relaxed_conflicts_follow_the_rule_on_results(self, tmp_path):
+        out = tmp_path / "atlas"
+        assert run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--relax", "1.5", "--out", str(out)) == 0
+
+        def jsonl(name):
+            return [json.loads(l) for l in (out / name).read_text().splitlines()]
+
+        weights = {c["target_id"]: c["weights"] for c in jsonl("compositions.jsonl")}
+        relaxed_lambda = 1.5 * ComposerConfig().lambda_
+        expected = [
+            {"target_id": r["target_id"], "weights": weights[r["target_id"]],
+             "composed_effect": r["predicted_effect"],
+             "observed_effect": r["observed_effect"],
+             "relaxed": not r["composable"]}
+            for r in sorted(jsonl("results.jsonl"), key=lambda r: r["target_id"])
+            if r["rho"] <= relaxed_lambda
+            and np.sign(r["predicted_effect"]) != np.sign(r["observed_effect"])
+        ]
+        assert jsonl("conflicts.jsonl") == expected
+        assert [c["relaxed"] for c in expected].count(True) == 3
+        assert len(expected) == 5
 
 
 def make_bridge_inputs(tmp_path):
@@ -563,7 +610,8 @@ class TestReconcileCommand:
                    "--target", "toy-001", "--chat", "stub",
                    "--stub-transcript", str(transcript))
         assert code == 2
-        assert "not a conflict" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: target 'toy-001' is not a conflict at relax=1\n"
 
     @pytest.mark.parametrize("command", ["reconcile", "bridge"])
     def test_unknown_target_rejected_before_features(self, command, tmp_path, capsys,

@@ -32,16 +32,11 @@ def exp(exp_id, effect, text=None):
 
 
 def fake_result(target_id, obs, pred, rho, lam=0.462):
-    composable = rho <= lam
+    """A leave-one-out result as ``loo_run`` builds it, gated at ``lam``."""
     nb = Neighborhood(target_id, ("s",), 1.0)
-    comp = Composition(target_id, {"s": 1.0}, rho, rho, pred, composable,
+    comp = Composition(target_id, {"s": 1.0}, rho, rho, pred, rho <= lam,
                        "optimal", nb)
-    return TargetResult(
-        target_id=target_id, observed_effect=obs, predicted_effect=pred,
-        rho=rho, composable=composable,
-        sign_matched=sign_match(pred, obs) if composable else None,
-        composition=comp,
-    )
+    return TargetResult(comp, obs)
 
 
 class TestSignMatch:
@@ -217,7 +212,7 @@ class TestCalibration:
 
     def test_coverage_monotone_and_tie_breaks_small(self, toy_archive,
                                                     toy_features, default_cfg):
-        curve = calibrate_lambda(toy_archive, toy_features, default_cfg,
+        curve = calibrate_lambda(loo_run(toy_archive, toy_features, default_cfg),
                                  default_grid())
         cov = curve.coverage_at
         assert all(b >= a for a, b in zip(cov, cov[1:]))
@@ -229,15 +224,13 @@ class TestCalibration:
         # One lambda reaches full coverage at the grid-minimum MSE: it wins.
         results = [fake_result("a", 1.0, 1.0, 0.10),
                    fake_result("b", 2.0, 2.0, 0.20)]
-        curve = calibrate_lambda(None, {}, ComposerConfig(), [0.05, 0.15, 0.25],
-                                 results=results)
+        curve = calibrate_lambda(results, [0.05, 0.15, 0.25])
         assert curve.chosen_lambda == pytest.approx(0.25)
         assert curve.objective_at[-1] == pytest.approx(1.0)
 
     def test_empty_composable_grid_point_gets_objective_zero(self):
         results = [fake_result("a", 1.0, 1.0, 0.5)]
-        curve = calibrate_lambda(None, {}, ComposerConfig(), [0.1, 0.6],
-                                 results=results)
+        curve = calibrate_lambda(results, [0.1, 0.6])
         assert curve.mse_at[0] is None
         assert curve.objective_at[0] == 0.0
         assert curve.coverage_at[0] == 0.0
@@ -245,30 +238,32 @@ class TestCalibration:
     def test_constant_mse_scales_to_zero(self):
         results = [fake_result("a", 1.0, 2.0, 0.1),
                    fake_result("b", 1.0, 2.0, 0.2)]
-        curve = calibrate_lambda(None, {}, ComposerConfig(), [0.15, 0.25],
-                                 results=results)
+        curve = calibrate_lambda(results, [0.15, 0.25])
         assert curve.scaled_mse_at == (0.0, 0.0)
 
-    def test_weights_computed_once_across_grid(self, toy_archive, toy_features,
-                                               default_cfg, monkeypatch):
+    def test_weights_computed_once_across_grid(self, tmp_path, monkeypatch):
         from oracles import count_problems_solved
 
-        calls = count_problems_solved(monkeypatch)
-        calibrate_lambda(toy_archive, toy_features, default_cfg, default_grid())
-        assert calls["n"] == len(toy_archive)  # once per target, not per lambda
+        from exatlas.cli import main, toy_archive_path
 
-    def test_invalid_grids_rejected(self, toy_archive, toy_features, default_cfg):
+        calls = count_problems_solved(monkeypatch)
+        assert main(["calibrate", "--archive", str(toy_archive_path()),
+                     "--provider", "stub:d=8,seed=1", "--out", str(tmp_path)]) == 0
+        # Once per target, not per lambda: the grid has 291 points.
+        assert calls["n"] == 12
+
+    def test_invalid_grids_rejected(self):
+        results = [fake_result("a", 1.0, 1.0, 0.1)]
         with pytest.raises(ValueError):
-            calibrate_lambda(toy_archive, toy_features, default_cfg, [])
+            calibrate_lambda(results, [])
         with pytest.raises(ValueError):
-            calibrate_lambda(toy_archive, toy_features, default_cfg, [0.3, 0.2])
+            calibrate_lambda(results, [0.3, 0.2])
 
     @given(st.lists(st.floats(0.01, 2.0), min_size=2, max_size=30))
     @settings(max_examples=30)
     def test_coverage_monotonicity_property(self, rhos):
         results = [fake_result(f"e{i}", 1.0, 1.0, r) for i, r in enumerate(rhos)]
-        curve = calibrate_lambda(None, {}, ComposerConfig(),
-                                 [0.1, 0.5, 1.0, 1.5, 2.5], results=results)
+        curve = calibrate_lambda(results, [0.1, 0.5, 1.0, 1.5, 2.5])
         cov = curve.coverage_at
         assert all(b >= a for a, b in zip(cov, cov[1:]))
 

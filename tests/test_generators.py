@@ -7,9 +7,9 @@ import pytest
 from oracles import reference_isolated_ratio
 
 from exatlas.archive import Archive, Experiment
-from exatlas.composer import assess
-from exatlas.atlas import Conflict
+from exatlas.composer import Composition, Neighborhood, assess
 from exatlas.cli import parse_chat_provider
+from exatlas.evaluator import TargetResult
 from exatlas.generators import (
     AuditingChat,
     ChatError,
@@ -205,8 +205,10 @@ class TestReconciliationPrompt:
     def make_conflict(self):
         sources = [exp("s1", "t1", effect=0.5), exp("s2", "t2", effect=0.4),
                    exp("s3", "t3", effect=0.2)]
-        conflict = Conflict("tgt", {"s1": 0.5, "s2": 0.3, "s3": 0.2},
-                            composed_effect=0.45, observed_effect=-0.3)
+        nb = Neighborhood("tgt", ("s1", "s2", "s3"), 1.0)
+        comp = Composition("tgt", {"s1": 0.5, "s2": 0.3, "s3": 0.2}, 0.1, 0.1,
+                           0.45, True, "optimal", nb)
+        conflict = TargetResult(comp, -0.3)
         target = exp("tgt", "target treatment", effect=-0.3)
         return conflict, sources, target
 
