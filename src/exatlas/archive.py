@@ -1,4 +1,5 @@
-"""Experiment archive: line-delimited records, validation, and hold-one-out slicing."""
+"""Experiment archive: line-delimited records and their validation, and the
+line reader that every line-delimited input of exatlas goes through."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 # Canonical key order for serialized records; unknown keys follow, sorted.
 _RECORD_KEYS = (
@@ -27,13 +28,7 @@ class ArchiveError(Exception):
 
 
 class ArchiveParseError(ArchiveError):
-    """A line could not be parsed as a JSON record."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
+    """The archive file is not UTF-8 or a line is not a JSON object."""
 
 
 class MissingFieldError(ArchiveError):
@@ -162,7 +157,6 @@ class Archive:
     """An immutable, insertion-ordered collection of experiments with unique ids."""
 
     experiments: tuple[Experiment, ...]
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         seen: dict[str, int] = {}
@@ -192,39 +186,53 @@ class Archive:
         return self.experiments[idx]
 
 
+def jsonl_records(path: str | Path, lines: Iterable[str],
+                  error: Callable[[str], Exception],
+                  decode: Callable[[str], Any] = json.loads,
+                  ) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each non-blank line of ``lines``,
+    the UTF-8 text of the file ``path``.
+
+    A line that ``decode`` rejects (it raises :class:`json.JSONDecodeError`) or
+    that holds no JSON object, or a byte that is not UTF-8, raises
+    ``error(message)``; the message reads ``PATH:LINE: reason``, or ``PATH:
+    reason`` for a bad byte.
+    """
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = decode(line)
+            except json.JSONDecodeError as e:
+                raise error(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+            except RecursionError:
+                raise error(f"{path}:{line_no}: invalid JSON: nested too deeply") from None
+            if not isinstance(rec, dict):
+                raise error(f"{path}:{line_no}: expected a JSON object")
+            yield line_no, rec
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e.reason}") from None
+
+
 def load_archive(path: str | Path) -> Archive:
     """Load a line-delimited archive file, validating every record.
 
-    Raises :class:`ArchiveParseError`, :class:`MissingFieldError`,
-    :class:`RecordValidationError`, or :class:`DuplicateIdError` with the
-    offending line attached. Blank lines are skipped.
+    Lines are read by :func:`jsonl_records`, whose errors are
+    :class:`ArchiveParseError`. A record raises :class:`MissingFieldError`,
+    :class:`RecordValidationError` or :class:`DuplicateIdError` with its line.
     """
     path = Path(path)
     experiments: list[Experiment] = []
     first_line: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ArchiveParseError(str(path), line_no,
-                                            f"invalid JSON: {e.msg}") from e
-                except RecursionError:
-                    raise ArchiveParseError(str(path), line_no,
-                                            "invalid JSON: nested too deeply") from None
-                if not isinstance(rec, dict):
-                    raise ArchiveParseError(str(path), line_no, "record is not an object")
-                exp = Experiment.from_record(rec, line_no)
-                if exp.id in first_line:
-                    raise DuplicateIdError(exp.id, (first_line[exp.id], line_no))
-                first_line[exp.id] = line_no
-                experiments.append(exp)
-        except UnicodeDecodeError as e:
-            raise ArchiveError(f"{path}: not UTF-8 text: {e.reason}") from None
-    return Archive(tuple(experiments), {"path": str(path)})
+        for line_no, rec in jsonl_records(path, fh, ArchiveParseError):
+            exp = Experiment.from_record(rec, line_no)
+            if exp.id in first_line:
+                raise DuplicateIdError(exp.id, (first_line[exp.id], line_no))
+            first_line[exp.id] = line_no
+            experiments.append(exp)
+    return Archive(tuple(experiments))
 
 
 def save_archive(archive: Archive, path: str | Path) -> None:

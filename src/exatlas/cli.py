@@ -316,17 +316,24 @@ def cmd_atlas(args, config) -> int:
     return 0
 
 
+def _chat_and_out(args, config: Mapping[str, Any]):
+    """The chat provider of ``bridge`` and ``reconcile``, recording each prompt
+    and reply under OUT/audit when --out is given, and that OUT or None."""
+    chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
+                               _setting(args, config, "stub_transcript", None))
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        chat = generators_mod.AuditingChat(chat, out / "audit")
+    return chat, out
+
+
 def cmd_bridge(args, config) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args, config)
     target = arc.get(args.target)
     features = _features_for(args, config, arc)
     provider = _embedding_provider(args, config)
-    chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
-                               _setting(args, config, "stub_transcript", None))
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        chat = generators_mod.AuditingChat(chat, out / "audit")
+    chat, out = _chat_and_out(args, config)
     result = generators_mod.bridge_loop(
         target, arc, features, provider, chat, cfg,
         max_rounds=int(_setting(args, config, "max_rounds",
@@ -352,11 +359,7 @@ def cmd_reconcile(args, config) -> int:
     if conflict is None:
         raise CliError(f"target {args.target!r} is not a conflict at relax={relax:g}")
     sources = [arc.get(i) for i in conflict.composition.weights]
-    chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
-                               _setting(args, config, "stub_transcript", None))
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        chat = generators_mod.AuditingChat(chat, out / "audit")
+    chat, out = _chat_and_out(args, config)
     request = generators_mod.build_reconciliation_prompt(conflict, sources, target)
     response = chat.complete(request)
     needed, _ = generators_mod.parse_reconciliation_response(response)

@@ -10,7 +10,6 @@ composable but never feed an effect prediction.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -22,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .archive import Archive, Experiment
+from .archive import Archive, Experiment, jsonl_records
 from .atlas import isolated_ratio
 from .composer import ComposerConfig, FeatureStore, gate_rows
 from .evaluator import TargetResult
@@ -113,31 +112,20 @@ class ScriptedStubChat:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedStubChat":
+        """Load a transcript file read by :func:`~exatlas.archive.jsonl_records`;
+        every error is a :class:`ChatError` naming the file and, for a bad
+        record, the line."""
         transcript: dict[str, str] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
-            try:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise ChatError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-                    except RecursionError:
-                        raise ChatError(
-                            f"{path}:{line_no}: invalid JSON: nested too deeply") from None
-                    if not isinstance(rec, dict):
-                        raise ChatError(f"{path}:{line_no}: expected a JSON object")
-                    missing = [k for k in ("prompt_hash", "response") if k not in rec]
-                    if missing:
-                        raise ChatError(f"{path}:{line_no}: missing field {missing[0]!r}")
-                    if not (isinstance(rec["prompt_hash"], str)
-                            and isinstance(rec["response"], str)):
-                        raise ChatError(
-                            f"{path}:{line_no}: prompt_hash and response must be strings")
-                    transcript[rec["prompt_hash"]] = rec["response"]
-            except UnicodeDecodeError as e:
-                raise ChatError(f"{path}: not UTF-8 text: {e.reason}") from None
+            for line_no, rec in jsonl_records(path, fh, ChatError):
+                missing = [k for k in ("prompt_hash", "response") if k not in rec]
+                if missing:
+                    raise ChatError(f"{path}:{line_no}: missing field {missing[0]!r}")
+                if not (isinstance(rec["prompt_hash"], str)
+                        and isinstance(rec["response"], str)):
+                    raise ChatError(
+                        f"{path}:{line_no}: prompt_hash and response must be strings")
+                transcript[rec["prompt_hash"]] = rec["response"]
         return cls(transcript)
 
     @classmethod

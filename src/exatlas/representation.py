@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .archive import Archive
+from .archive import Archive, jsonl_records
 from .remote import post_json, requests_transport
 
 ENV_EMBED_KEY = "EXATLAS_EMBED_KEY"
@@ -339,52 +339,46 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
 
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a ``{id, values}``-per-line vector file, enforcing one dimension."""
+    """Read a ``{id, values}``-per-line vector file, enforcing one dimension.
+
+    Lines are read by :func:`~exatlas.archive.jsonl_records`; every error is an
+    :class:`EmbeddingError` naming the file and, for a bad record, the line."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         return _parse_vector_lines(path, fh)
 
 
 def _parse_vector_lines(path: Path, lines: Iterable[str]) -> dict[str, np.ndarray]:
-    import orjson
-
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = orjson.loads(line)
-            except orjson.JSONDecodeError:
-                rec = None
-            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)):
-                # The standard library decides every line orjson rejects (NaN,
-                # Infinity, 1e400, lone surrogates, bad syntax) and every record
-                # whose id is not a string, since orjson reads integers beyond
-                # 64 bits as floats and str(id) would change.
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-                except RecursionError:
-                    raise EmbeddingError(
-                        f"{path}:{line_no}: invalid JSON: nested too deeply") from None
-            vec = _record_values(path, line_no, rec)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
-            vectors[str(rec["id"])] = vec
-    except UnicodeDecodeError as e:
-        raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
+    for line_no, rec in jsonl_records(path, lines, EmbeddingError, _decode_vector_line):
+        vec = _record_values(path, line_no, rec)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+        vectors[str(rec["id"])] = vec
     return vectors
 
 
-def _record_values(path: Path, line_no: int, rec) -> np.ndarray:
+def _decode_vector_line(line: str):
+    import orjson
+
+    try:
+        rec = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        rec = None
+    if isinstance(rec, dict) and isinstance(rec.get("id"), str):
+        return rec
+    # The standard library decides every line orjson rejects (NaN, Infinity,
+    # 1e400, lone surrogates, bad syntax) and every record whose id is not a
+    # string, since orjson reads integers beyond 64 bits as floats and str(id)
+    # would change.
+    return json.loads(line)
+
+
+def _record_values(path: Path, line_no: int, rec: dict) -> np.ndarray:
     """The checked ``values`` of one decoded vector record."""
-    if not isinstance(rec, dict):
-        raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
     missing = [k for k in ("id", "values") if k not in rec]
     if missing:
         raise EmbeddingError(f"{path}:{line_no}: missing field {missing[0]!r}")

@@ -66,7 +66,7 @@ class TestLoad:
         path.write_text(json.dumps(record("a")) + "\n{not json\n", encoding="utf-8")
         with pytest.raises(ArchiveParseError) as err:
             load_archive(path)
-        assert err.value.line_no == 2
+        assert ":2: invalid JSON" in str(err.value)
 
     def test_missing_field_names_field_and_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
@@ -137,7 +137,7 @@ class TestSaveRoundTrip:
 
 class TestGet:
     def test_returns_named_experiment(self):
-        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")), {"source": "s"})
+        arc = Archive((make_exp("a"), make_exp("b"), make_exp("c")))
         assert arc.get("b") is arc.experiments[1]
         assert "b" in arc
         assert arc.ids() == ("a", "b", "c")

@@ -12,6 +12,7 @@ import pytest
 import exatlas
 from exatlas import cli as cli_mod
 from exatlas import evaluator as evaluator_mod
+from exatlas import representation as representation_mod
 from exatlas.archive import load_archive
 from exatlas.cli import MAX_GRID_POINTS, CliError, _parse_grid, main, toy_archive_path
 from exatlas.composer import ComposerConfig, assess
@@ -253,6 +254,21 @@ class TestErrorsExitCleanly:
                    "--chat", "stub", "--stub-transcript", str(transcript)) == 2
         assert self.one_error_line(capsys.readouterr().err) == \
             f"error: {transcript}:1: {message}"
+
+    def test_malformed_embedding_cache(self, tmp_path, capsys, monkeypatch):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(representation_mod, "post_json", no_request)
+        cache = tmp_path / "m.jsonl"
+        cache.write_text("{\n", encoding="utf-8")
+        assert run("embed", "--archive", TOY, "--provider",
+                   "remote:endpoint=http://127.0.0.1:9,model=m", "--cache-dir", str(tmp_path),
+                   "--out", str(tmp_path / "v.jsonl")) == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == \
+            f"error: {cache}:1: invalid JSON: Expecting property name enclosed in double quotes"
+        assert captured.out == ""
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"

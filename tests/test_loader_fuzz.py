@@ -21,7 +21,8 @@ from test_vector_file import new_file
 from exatlas.archive import ArchiveError, load_archive
 from exatlas.cli import CONFIG_KEYS, CliError, _load_config_file, main, toy_archive_path
 from exatlas.generators import ChatError, ScriptedStubChat
-from exatlas.representation import EmbeddingError, read_vector_file
+from exatlas.representation import (EmbeddingError, RemoteEmbeddingProvider,
+                                    read_vector_file)
 
 TOY = toy_archive_path()
 TOY_LINES = TOY.read_text(encoding="utf-8").splitlines()
@@ -242,6 +243,17 @@ def _config(path):
     return _load_config_file(str(path))
 
 
+def _no_request(endpoint, payload, headers):
+    raise AssertionError("loading the embedding cache sent a request")
+
+
+def _embedding_cache(path):
+    """Load ``path`` as the --cache-dir file of a remote provider for model m."""
+    path = path.rename(path.with_name("m.jsonl"))
+    return RemoteEmbeddingProvider(endpoint="http://127.0.0.1:9", model="m",
+                                   cache_dir=path.parent, transport=_no_request)
+
+
 @pytest.mark.parametrize("loader, error, data, message", [
     (load_archive, ArchiveError, b"\xff\n", "not UTF-8 text: invalid start byte"),
     (load_archive, ArchiveError, _toy_line(enriched_outcome=True),
@@ -266,6 +278,12 @@ def _config(path):
     (ScriptedStubChat.from_file, ChatError, f'\n{{"prompt_hash": {DEEP}}}\n'.encode(),
      ":2: invalid JSON: nested too deeply"),
     (_config, CliError, f'{{"grid": {DEEP}}}'.encode(), ": invalid JSON: nested too deeply"),
+    (load_archive, ArchiveError, b"[1]\n", ":1: expected a JSON object"),
+    (read_vector_file, EmbeddingError, b"[1]\n", ":1: expected a JSON object"),
+    (ScriptedStubChat.from_file, ChatError, b"[1]\n", ":1: expected a JSON object"),
+    (_embedding_cache, EmbeddingError, b"{\n",
+     "/m.jsonl:1: invalid JSON: Expecting property name enclosed in double quotes"),
+    (_embedding_cache, EmbeddingError, b"\xff\n", "/m.jsonl: not UTF-8 text: invalid start byte"),
 ])
 def test_found_inputs_raise_the_loaders_error(tmp_path, loader, error, data, message):
     with pytest.raises(error) as err:
