@@ -1,10 +1,13 @@
 """Command-line surface: ingest, embed, calibrate, evaluate, atlas, bridge,
 reconcile, and the synthetic bound sweep.
 
-Configuration precedence is flag > environment > config file > default; the
-environment supplies only the API keys (EXATLAS_EMBED_KEY, EXATLAS_CHAT_KEY).
-Every command writes machine-readable output next to its human-readable one,
-and identical inputs produce byte-identical outputs.
+:func:`build_parser` is the one table of settings: each option's name, type
+and default. A ``--config`` JSON file may set any option but ``--archive``,
+``--out`` and ``--target``, keyed by its dest (``lambda_``, ``cache_dir``, ...)
+and typed as its flag, as that option's default: a flag wins over the file
+and the file over the parser. The environment supplies only the API keys
+(EXATLAS_EMBED_KEY, EXATLAS_CHAT_KEY). Every command writes machine-readable
+output next to its human-readable one, byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -38,16 +41,9 @@ from .representation import (
 
 _TOY_ARCHIVE = "data/toy_archive.jsonl"
 
-# Every setting a --config file may hold (the names that _setting reads) and
-# the type of its value.
-_CONFIG_TYPES: dict[str, type] = {
-    **dict.fromkeys(("cache_dir", "chat", "grid", "provider", "stub_transcript",
-                     "vectors"), str),
-    **dict.fromkeys(("max_candidates", "max_rounds", "seed"), int),
-    **dict.fromkeys(("lambda_", "radius_factor", "relax", "ridge"), float),
-}
+# Options that name a run's files or target rather than a setting.
+_NOT_SETTINGS = frozenset({"help", "config", "archive", "out", "target"})
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
-CONFIG_KEYS = frozenset(_CONFIG_TYPES)
 # The most points a calibrate --grid may have; the default grid has 291.
 MAX_GRID_POINTS = 100_000
 
@@ -145,10 +141,11 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     if unknown:
         raise CliError(f"unknown key in config file {path}: "
                        + ", ".join(repr(k) for k in unknown))
-    for key, kind in _CONFIG_TYPES.items():
-        if key in doc and not _is_config_value(doc[key], kind):
+    for key in sorted(doc):
+        kind = _SETTINGS[key]
+        if not _is_config_value(doc[key], kind):
             raise CliError(f"config file {path}: {key!r} must be {_TYPE_NAMES[kind]}")
-    return doc
+    return {key: _SETTINGS[key](value) for key, value in doc.items()}
 
 
 def _is_config_value(value: Any, kind: type) -> bool:
@@ -162,60 +159,44 @@ def _is_config_value(value: Any, kind: type) -> bool:
         return False
 
 
-def _setting(args, config: Mapping[str, Any], name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+def _composer_config(args) -> ComposerConfig:
+    return ComposerConfig(radius_factor=args.radius_factor, max_candidates=args.max_candidates,
+                          ridge=args.ridge, lambda_=args.lambda_)
 
 
-def _composer_config(args, config: Mapping[str, Any]) -> ComposerConfig:
-    default = ComposerConfig()
-    return ComposerConfig(
-        radius_factor=float(_setting(args, config, "radius_factor", default.radius_factor)),
-        max_candidates=int(_setting(args, config, "max_candidates", default.max_candidates)),
-        ridge=float(_setting(args, config, "ridge", default.ridge)),
-        lambda_=float(_setting(args, config, "lambda_", default.lambda_)),
-    )
+def _embedding_provider(args):
+    return parse_embedding_provider(args.provider, seed=args.seed, cache_dir=args.cache_dir)
 
 
-def _embedding_provider(args, config: Mapping[str, Any]):
-    return parse_embedding_provider(
-        _setting(args, config, "provider", "stub"),
-        seed=int(_setting(args, config, "seed", 0)),
-        cache_dir=_setting(args, config, "cache_dir", None),
-    )
-
-
-def _features_for(args, config: Mapping[str, Any], archive: Archive) -> dict[str, np.ndarray]:
+def _features_for(args, archive: Archive) -> dict[str, np.ndarray]:
     """Feature vectors either from a precomputed --vectors file or a provider."""
-    vectors = _setting(args, config, "vectors", None)
-    if vectors:
-        feats = read_vector_file(vectors)
-        missing = [i for i in archive.ids() if i not in feats]
-        if missing:
-            raise CliError(f"vector file lacks features for ids: {missing[:5]}")
-        return feats
-    return feature_matrix(archive, _embedding_provider(args, config)).features
+    if args.vectors:
+        return read_vector_file(args.vectors)
+    return feature_matrix(archive, _embedding_provider(args)).features
+
+
+def _out_dir(args) -> Path | None:
+    """The --out directory, made before any work so that a bad path fails first."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_json(path: Path, doc: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
 
 
 def _write_jsonl(path: Path, records) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
             fh.write("\n")
 
 
-def cmd_ingest(args, config) -> int:
+def cmd_ingest(args) -> int:
     arc = load_archive(args.archive)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -230,9 +211,9 @@ def cmd_ingest(args, config) -> int:
     return 0
 
 
-def cmd_embed(args, config) -> int:
+def cmd_embed(args) -> int:
     arc = load_archive(args.archive)
-    fm = feature_matrix(arc, _embedding_provider(args, config))
+    fm = feature_matrix(arc, _embedding_provider(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_vector_file(out, fm.features)
@@ -243,20 +224,20 @@ def cmd_embed(args, config) -> int:
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args) -> int:
     arc = load_archive(args.archive)
-    cfg = _composer_config(args, config)
-    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
+    cfg = _composer_config(args)
+    out = _out_dir(args)
+    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg)
     report = evaluator_mod.build_report(results, lambda_used=cfg.lambda_)
     print(report.format_table())
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         _write_json(out / "report.json", report.to_record())
         _write_jsonl(out / "results.jsonl", (r.to_record() for r in results))
     return 0
 
 
-def _parse_grid(spec: str | None) -> Sequence[float]:
+def _parse_grid(spec: str) -> Sequence[float]:
     if not spec:
         return evaluator_mod.default_grid()
     try:
@@ -274,17 +255,16 @@ def _parse_grid(spec: str | None) -> Sequence[float]:
     return evaluator_mod.check_grid(evaluator_mod.default_grid(lo, hi, step))
 
 
-def cmd_calibrate(args, config) -> int:
+def cmd_calibrate(args) -> int:
     arc = load_archive(args.archive)
-    cfg = _composer_config(args, config)
-    grid = _parse_grid(_setting(args, config, "grid", None))
-    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
+    cfg = _composer_config(args)
+    grid = _parse_grid(args.grid)
+    out = _out_dir(args)
+    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg)
     curve = evaluator_mod.calibrate_lambda(results, grid)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         _write_json(out / "calibration.json", curve.to_record())
-        out.mkdir(parents=True, exist_ok=True)
         with (out / "curve.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lambda", "coverage", "mse", "scaled_mse", "objective"])
@@ -294,17 +274,16 @@ def cmd_calibrate(args, config) -> int:
     return 0
 
 
-def cmd_atlas(args, config) -> int:
+def cmd_atlas(args) -> int:
     arc = load_archive(args.archive)
-    cfg = _composer_config(args, config)
-    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    relax = float(_setting(args, config, "relax", atlas_mod.DEFAULT_RELAX))
-    conflicts = atlas_mod.mine_conflicts(cfg=cfg, relax_factor=relax, results=results)
+    cfg = _composer_config(args)
+    out = _out_dir(args)
+    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg)
+    conflicts = atlas_mod.mine_conflicts(cfg=cfg, relax_factor=args.relax, results=results)
     routes = Counter(r.status for r in results)
     print(f"links: {routes['link']}  conflicts: {routes['conflict']}  gaps: {routes['gap']}")
-    print(f"conflicts at relax={relax:g}: {len(conflicts)}")
-    if args.out:
-        out = Path(args.out)
+    print(f"conflicts at relax={args.relax:g}: {len(conflicts)}")
+    if out is not None:
         graph = atlas_mod.export_graph(results)
         _write_json(out / "atlas.json", graph.to_json_doc())
         (out / "atlas.dot").write_text(graph.to_dot(), encoding="utf-8")
@@ -316,29 +295,23 @@ def cmd_atlas(args, config) -> int:
     return 0
 
 
-def _chat_and_out(args, config: Mapping[str, Any]):
+def _chat(args, out: Path | None):
     """The chat provider of ``bridge`` and ``reconcile``, recording each prompt
-    and reply under OUT/audit when --out is given, and that OUT or None."""
-    chat = parse_chat_provider(_setting(args, config, "chat", "stub"),
-                               _setting(args, config, "stub_transcript", None))
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        chat = generators_mod.AuditingChat(chat, out / "audit")
-    return chat, out
+    and reply under OUT/audit when there is an --out directory."""
+    chat = parse_chat_provider(args.chat, args.stub_transcript)
+    return chat if out is None else generators_mod.AuditingChat(chat, out / "audit")
 
 
-def cmd_bridge(args, config) -> int:
+def cmd_bridge(args) -> int:
     arc = load_archive(args.archive)
-    cfg = _composer_config(args, config)
+    cfg = _composer_config(args)
     target = arc.get(args.target)
-    features = _features_for(args, config, arc)
-    provider = _embedding_provider(args, config)
-    chat, out = _chat_and_out(args, config)
-    result = generators_mod.bridge_loop(
-        target, arc, features, provider, chat, cfg,
-        max_rounds=int(_setting(args, config, "max_rounds",
-                                generators_mod.DEFAULT_MAX_ROUNDS)),
-    )
+    features = _features_for(args, arc)
+    provider = _embedding_provider(args)
+    out = _out_dir(args)
+    chat = _chat(args, out)
+    result = generators_mod.bridge_loop(target, arc, features, provider, chat, cfg,
+                                        max_rounds=args.max_rounds)
     print(f"target {result.target_id}: rounds={result.rounds_run} "
           f"composable={result.final_composable}")
     print("isolated ratio trace: "
@@ -348,18 +321,18 @@ def cmd_bridge(args, config) -> int:
     return 0
 
 
-def cmd_reconcile(args, config) -> int:
+def cmd_reconcile(args) -> int:
     arc = load_archive(args.archive)
-    cfg = _composer_config(args, config)
+    cfg = _composer_config(args)
     target = arc.get(args.target)
-    results = evaluator_mod.loo_run(arc, _features_for(args, config, arc), cfg)
-    relax = float(_setting(args, config, "relax", atlas_mod.STRICT_RELAX))
+    out = _out_dir(args)
+    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg)
     conflict = {r.target_id: r for r in
-                atlas_mod.mine_conflicts(results, cfg, relax)}.get(args.target)
+                atlas_mod.mine_conflicts(results, cfg, args.relax)}.get(args.target)
     if conflict is None:
-        raise CliError(f"target {args.target!r} is not a conflict at relax={relax:g}")
+        raise CliError(f"target {args.target!r} is not a conflict at relax={args.relax:g}")
     sources = [arc.get(i) for i in conflict.composition.weights]
-    chat, out = _chat_and_out(args, config)
+    chat = _chat(args, out)
     request = generators_mod.build_reconciliation_prompt(conflict, sources, target)
     response = chat.complete(request)
     needed, _ = generators_mod.parse_reconciliation_response(response)
@@ -367,15 +340,15 @@ def cmd_reconcile(args, config) -> int:
     if out is not None:
         _write_json(out / "reconciliation.json", {
             "target_id": conflict.target_id,
-            "relax_factor": relax,
+            "relax_factor": args.relax,
             "needed": needed,
             "response": response,
         })
     return 0
 
 
-def cmd_theory_check(args, config) -> int:
-    rows = theory_lab.bound_sweep(base_seed=int(_setting(args, config, "seed", 0)))
+def cmd_theory_check(args) -> int:
+    rows = theory_lab.bound_sweep(base_seed=args.seed)
     violations = [r for r in rows if not r.report.holds]
     residual_bad = [r for r in rows if not r.residual_ok]
     print(f"checked {len(rows)} triples: "
@@ -394,6 +367,7 @@ def cmd_theory_check(args, config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser: the one place each setting's name, type and default are written."""
     parser = argparse.ArgumentParser(
         prog="exatlas",
         description="Compose archived experiment effects into an atlas of "
@@ -405,19 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--archive", required=True, help="archive .jsonl path")
         p.add_argument("--vectors", help="precomputed feature-vector file")
-        p.add_argument("--provider", help="embedding provider spec (default stub)")
-        p.add_argument("--seed", type=int,
-                       help="seed for stub providers and sweeps (default 0)")
+        p.add_argument("--provider", default="stub",
+                       help="embedding provider spec (default %(default)s)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for stub providers and sweeps (default %(default)s)")
         p.add_argument("--cache-dir", dest="cache_dir", help="embedding cache directory")
-        p.add_argument("--lambda", dest="lambda_", type=float,
-                       help=f"composability threshold (default {ComposerConfig.lambda_:g})")
-        p.add_argument("--ridge", type=float,
-                       help=f"ridge penalty (default {ComposerConfig.ridge:g})")
+        p.add_argument("--lambda", dest="lambda_", type=float, default=ComposerConfig.lambda_,
+                       help="composability threshold (default %(default)g)")
+        p.add_argument("--ridge", type=float, default=ComposerConfig.ridge,
+                       help="ridge penalty (default %(default)g)")
         p.add_argument("--radius-factor", dest="radius_factor", type=float,
-                       help="candidate radius in median distances "
-                            f"(default {ComposerConfig.radius_factor:g})")
+                       default=ComposerConfig.radius_factor,
+                       help="candidate radius in median distances (default %(default)g)")
         p.add_argument("--max-candidates", dest="max_candidates", type=int,
-                       help=f"candidate cap (default {ComposerConfig.max_candidates})")
+                       default=ComposerConfig.max_candidates,
+                       help="candidate cap (default %(default)s)")
+
+    def chat(p, transcript_help=None):
+        p.add_argument("--chat", default="stub", help="chat provider spec (default %(default)s)")
+        p.add_argument("--stub-transcript", dest="stub_transcript", help=transcript_help)
 
     p = sub.add_parser("ingest", help="validate and normalize an archive file")
     p.add_argument("--archive", required=True)
@@ -436,45 +416,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibration curve and chosen threshold")
     common(p)
-    p.add_argument("--grid", help="LO:HI:STEP (default 0.05:1.50:0.005)")
+    p.add_argument("--grid", default="0.05:1.50:0.005", help="LO:HI:STEP (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("atlas", help="route targets and export the atlas graph")
     common(p)
-    p.add_argument("--relax", type=float,
-                   help=f"conflict-mining factor (default {atlas_mod.DEFAULT_RELAX:g})")
+    p.add_argument("--relax", type=float, default=atlas_mod.DEFAULT_RELAX,
+                   help="conflict-mining factor (default %(default)g)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("bridge", help="run the iterative bridge loop for a gap target")
     common(p)
     p.add_argument("--target", required=True, help="gap target experiment id")
-    p.add_argument("--chat", help="chat provider spec (default stub)")
-    p.add_argument("--stub-transcript", dest="stub_transcript",
-                   help="scripted chat transcript file")
+    chat(p, "scripted chat transcript file")
     p.add_argument("--max-rounds", dest="max_rounds", type=int,
-                   help=f"bridge rounds (default {generators_mod.DEFAULT_MAX_ROUNDS})")
+                   default=generators_mod.DEFAULT_MAX_ROUNDS,
+                   help="bridge rounds (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("reconcile", help="build and send a reconciliation prompt")
     common(p)
     p.add_argument("--target", required=True, help="conflict target experiment id")
-    p.add_argument("--relax", type=float,
+    p.add_argument("--relax", type=float, default=atlas_mod.STRICT_RELAX,
                    help="admit conflicts up to relax*lambda "
-                        f"(default {atlas_mod.STRICT_RELAX:g}, strict conflicts)")
-    p.add_argument("--chat", help="chat provider spec (default stub)")
-    p.add_argument("--stub-transcript", dest="stub_transcript")
+                        "(default %(default)g, strict conflicts)")
+    chat(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_reconcile)
 
     p = sub.add_parser("theory-check", help="run the synthetic error-bound sweep")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (default %(default)s)")
     p.add_argument("--out", help="output CSV path")
     p.set_defaults(func=cmd_theory_check)
 
     return parser
+
+
+def _commands(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices.values())
+
+
+# Each setting a --config file may hold, read off the parser: dest -> its flag's type.
+_SETTINGS = {action.dest: action.type or str for command in _commands(build_parser())
+             for action in command._actions if action.dest not in _NOT_SETTINGS}
+CONFIG_KEYS = frozenset(_SETTINGS)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -482,7 +471,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config_file(args.config)
-        return args.func(args, config)
+        if config:
+            # The file's values become the commands' defaults, so a flag still
+            # wins; a command ignores the settings it has no option for.
+            for command in _commands(parser):
+                command.set_defaults(**config)
+            args = parser.parse_args(argv)
+        return args.func(args)
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (ArchiveError, EmbeddingError, ComposerError, evaluator_mod.EvaluatorError,
             generators_mod.ChatError, CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -425,6 +425,9 @@ class FeatureStore:
     def from_features(cls, features: Mapping[str, np.ndarray],
                       ids: Sequence[str]) -> "FeatureStore":
         """The store of ``features[i]`` for each of ``ids``, in that order."""
+        missing = [i for i in ids if i not in features]
+        if missing:
+            raise ComposerError(f"features missing for ids: {missing[:5]}")
         rows = _feature_rows(features, ids, None)
         return cls(ids, rows, _inner_products(rows, rows))
 

@@ -383,16 +383,16 @@ def bridge_loop(target: Experiment, archive: Archive,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    width = len(features[target.id])
+    # One store grows by each round's proposals; the memo skips the solve for
+    # every target whose candidates a round leaves unchanged, and every exact
+    # distance and residual an earlier pass has taken.
+    store = FeatureStore.from_features(features, archive.ids())
+    width = store.rows[0].size
     if 3 * embedder.dimension != width:
         raise EmbeddingError(
             f"embedding provider dimension {embedder.dimension} gives features of "
             f"length {3 * embedder.dimension}, but the archive's features have "
             f"length {width}")
-    # One store grows by each round's proposals; the memo skips the solve for
-    # every target whose candidates a round leaves unchanged, and every exact
-    # distance and residual an earlier pass has taken.
-    store = FeatureStore.from_features(features, archive.ids())
     memo: dict = {}
     row = archive.ids().index(target.id)
     (gate,) = gate_rows(store, [row], cfg, memo)

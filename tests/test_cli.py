@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,18 +100,53 @@ class TestEvaluate:
 
 class TestConfig:
     @staticmethod
-    def composer_config(argv, config):
-        from exatlas.cli import _composer_config, build_parser
+    def composer_config(monkeypatch, tmp_path, argv, config=None) -> ComposerConfig:
+        """The ComposerConfig that ``main`` passes to the leave-one-out pass."""
+        seen = []
 
-        return _composer_config(build_parser().parse_args(argv), config)
+        def loo_run(archive, features, cfg):
+            seen.append(cfg)
+            raise CliError("stop")
 
-    def test_defaults_are_composer_config_defaults(self):
-        assert self.composer_config(["evaluate", "--archive", TOY], {}) == ComposerConfig()
+        monkeypatch.setattr(evaluator_mod, "loo_run", loo_run)
+        pre = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            pre = ["--config", str(path)]
+        assert run(*pre, "evaluate", "--archive", TOY, "--provider", "stub:d=8", *argv) == 2
+        (cfg,) = seen
+        return cfg
 
-    def test_flag_over_config_over_default(self):
-        got = self.composer_config(["evaluate", "--archive", TOY, "--lambda", "0.9"],
-                                   {"lambda_": 0.7, "ridge": 0.5})
-        assert got == ComposerConfig(lambda_=0.9, ridge=0.5)
+    def test_defaults_are_composer_config_defaults(self, monkeypatch, tmp_path):
+        assert self.composer_config(monkeypatch, tmp_path, []) == ComposerConfig()
+        parser = cli_mod.build_parser()
+        assert cli_mod._composer_config(parser.parse_args(["evaluate", "--archive", TOY])) \
+            == ComposerConfig()
+
+    def test_flag_over_config_over_default(self, monkeypatch, tmp_path):
+        config = {"lambda_": 0.7, "ridge": 0.5, "max_candidates": 4}
+        assert self.composer_config(monkeypatch, tmp_path, ["--lambda", "0.9"], config) \
+            == ComposerConfig(lambda_=0.9, ridge=0.5, max_candidates=4)
+        assert self.composer_config(monkeypatch, tmp_path, [], config) \
+            == ComposerConfig(lambda_=0.7, ridge=0.5, max_candidates=4)
+
+    def test_config_sets_each_commands_own_default(self, tmp_path, capsys):
+        """One relax in the file is the default of both commands that take it,
+        and a flag still wins over it."""
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"relax": 3, "stub_transcript": str(transcript)}),
+                          encoding="utf-8")
+        argv = ["--archive", TOY, "--provider", "stub:d=8,seed=1"]
+        assert run("--config", str(config), "atlas", *argv) == 0
+        assert capsys.readouterr().out.endswith("conflicts at relax=3: 6\n")
+        assert run("--config", str(config), "atlas", *argv, "--relax", "1") == 0
+        assert capsys.readouterr().out.endswith("conflicts at relax=1: 2\n")
+        assert run("--config", str(config), "reconcile", *argv, "--target", "toy-001") == 2
+        assert capsys.readouterr().err == \
+            "error: target 'toy-001' is not a conflict at relax=3\n"
 
     def test_remote_provider_specs_keep_the_constructor_defaults(self):
         from exatlas.generators import RemoteChatProvider
@@ -133,14 +169,21 @@ class TestConfig:
         assert (chat.temperature, chat.max_retries) == (0.7, 1)
 
     def test_config_keys_are_the_settings_read(self):
-        import ast
-        import inspect
-
-        from exatlas import cli
-
-        read = {node.args[2].value for node in ast.walk(ast.parse(inspect.getsource(cli)))
-                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_setting"}
-        assert read == cli.CONFIG_KEYS
+        """A config key is an option's dest, typed as its flag in every command
+        that has it: every option but --archive, --out and --target."""
+        types: dict[str, set] = {}
+        for command in cli_mod._commands(cli_mod.build_parser()):
+            for action in command._actions:
+                if action.option_strings and action.dest not in (
+                        "help", "archive", "out", "target"):
+                    types.setdefault(action.dest, set()).add(action.type or str)
+        assert types == {
+            **dict.fromkeys(("cache_dir", "chat", "grid", "provider", "stub_transcript",
+                             "vectors"), {str}),
+            **dict.fromkeys(("max_candidates", "max_rounds", "seed"), {int}),
+            **dict.fromkeys(("lambda_", "radius_factor", "relax", "ridge"), {float}),
+        }
+        assert cli_mod.CONFIG_KEYS == set(types)
 
     def test_config_file_is_applied(self, tmp_path):
         config = tmp_path / "config.json"
@@ -153,25 +196,26 @@ class TestConfig:
 
 
 class TestHelp:
-    @pytest.mark.parametrize("command", ["embed", "evaluate", "calibrate", "atlas",
-                                         "bridge", "reconcile"])
+    @pytest.mark.parametrize("command", ["ingest", "embed", "evaluate", "calibrate", "atlas",
+                                         "bridge", "reconcile", "theory-check"])
     def test_every_default_is_stated(self, command, capsys):
+        """Rendering the help is what expands each %(default) in it; the
+        default it states must be the parser's."""
         with pytest.raises(SystemExit):
             run(command, "--help")
         text = " ".join(capsys.readouterr().out.split())
-        cfg = ComposerConfig()
-        for option, default in [("--seed SEED", "0"),
-                                ("--lambda LAMBDA_", f"{cfg.lambda_:g}"),
-                                ("--ridge RIDGE", f"{cfg.ridge:g}"),
-                                ("--radius-factor RADIUS_FACTOR", f"{cfg.radius_factor:g}"),
-                                ("--max-candidates MAX_CANDIDATES", f"{cfg.max_candidates}")]:
-            described = text.split(f" {option} ", 1)[1]
-            assert described.split(")", 1)[0].endswith(f"(default {default}"), option
-        if command == "bridge":
-            from exatlas.generators import DEFAULT_MAX_ROUNDS
-
-            assert f"--max-rounds MAX_ROUNDS bridge rounds (default {DEFAULT_MAX_ROUNDS})" \
-                in text
+        (parser,) = (p for p in cli_mod._commands(cli_mod.build_parser())
+                     if p.prog.endswith(f" {command}"))
+        for action in parser._actions:
+            if action.dest not in cli_mod.CONFIG_KEYS:
+                continue
+            option = f"{action.option_strings[0]} {action.dest.upper()}"
+            described = text.split(f" {option} ", 1)[1].split(" --", 1)[0]
+            stated = re.search(r"\(default ([^,)]*)", described)
+            if action.default is None:
+                assert stated is None, option
+            else:
+                assert (action.type or str)(stated.group(1)) == action.default, option
 
 
 class TestErrorsExitCleanly:
@@ -315,6 +359,42 @@ class TestErrorsExitCleanly:
         assert run("evaluate", "--archive", str(one), "--provider", "stub:d=8") == 2
         line = self.one_error_line(capsys.readouterr().err)
         assert "at least 2 experiments" in line
+
+    @pytest.mark.parametrize("command", ["evaluate", "calibrate", "atlas", "reconcile"])
+    def test_unusable_out_fails_before_the_pass(self, command, tmp_path, capsys, monkeypatch):
+        def loo_run(*args, **kwargs):
+            raise AssertionError("loo_run called")
+
+        monkeypatch.setattr(evaluator_mod, "loo_run", loo_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        extra = ["--target", "toy-003", "--stub-transcript", str(blocker)] \
+            if command == "reconcile" else []
+        assert run(command, "--archive", TOY, "--provider", "stub:d=8", *extra,
+                   "--out", str(blocker / "out")) == 2
+        assert str(blocker / "out") in self.one_error_line(capsys.readouterr().err)
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        def loo_run(*args, **kwargs):
+            raise MemoryError("Unable to allocate 487. MiB for an array")
+
+        monkeypatch.setattr(evaluator_mod, "loo_run", loo_run)
+        assert run("evaluate", "--archive", TOY, "--provider", "stub:d=8") == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == \
+            "error: out of memory: Unable to allocate 487. MiB for an array"
+        assert captured.out == ""
+
+    def test_vector_file_missing_ids(self, tmp_path, capsys):
+        vec = tmp_path / "v.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        vec.write_text("\n".join(lines[:3] + lines[4:5]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("evaluate", "--archive", TOY, "--vectors", str(vec)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            "error: features missing for ids: " \
+            "['toy-004', 'toy-006', 'toy-007', 'toy-008', 'toy-009']"
 
     def test_composer_error(self, monkeypatch, capsys):
         from exatlas import evaluator as evaluator_mod
@@ -561,6 +641,17 @@ class TestBridgeCommand:
         assert code == 2
         assert "already composable" in capsys.readouterr().err
 
+
+    def test_vector_file_missing_the_target(self, tmp_path, capsys):
+        archive_path, provider_path, feature_path, transcript = make_bridge_inputs(tmp_path)
+        lines = feature_path.read_text(encoding="utf-8").splitlines()
+        feature_path.write_text("\n".join(l for l in lines if '"gap-t"' not in l) + "\n",
+                                encoding="utf-8")
+        code = run("bridge", "--archive", str(archive_path), "--vectors", str(feature_path),
+                   "--provider", f"file:{provider_path}", "--target", "gap-t",
+                   "--chat", "stub", "--stub-transcript", str(transcript))
+        assert code == 2
+        assert capsys.readouterr().err == "error: features missing for ids: ['gap-t']\n"
 
     def test_provider_dimension_checked_before_round_one(self, tmp_path, capsys):
         archive_path, _, feature_path, transcript = make_bridge_inputs(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from oracles import reference_isolated_ratio
 
 from exatlas.archive import Archive, Experiment
-from exatlas.composer import Composition, Neighborhood, assess
+from exatlas.composer import ComposerError, Composition, Neighborhood, assess
 from exatlas.cli import parse_chat_provider
 from exatlas.evaluator import TargetResult
 from exatlas.generators import (
@@ -435,6 +435,13 @@ class TestBridgeLoop:
         with pytest.raises(ValueError):
             bridge_loop(archive.get("gap-t"), archive, features, provider,
                         ScriptedStubChat({}), default_cfg, max_rounds=0)
+
+    def test_missing_target_features_rejected(self, tmp_path, default_cfg):
+        archive, features, provider = make_gap_fixture(tmp_path)
+        del features["gap-t"]
+        with pytest.raises(ComposerError, match=r"^features missing for ids: \['gap-t'\]$"):
+            bridge_loop(archive.get("gap-t"), archive, features, provider,
+                        ScriptedStubChat({}), default_cfg)
 
     def test_already_composable_target_rejected(self, tmp_path, default_cfg):
         archive, features, provider = make_gap_fixture(tmp_path)

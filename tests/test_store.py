@@ -188,6 +188,45 @@ def test_loo_run_independent_of_input_order():
             for r in results} == base
 
 
+def layout_outputs(features: dict[str, np.ndarray], ids: list[str],
+                   cfg: ComposerConfig) -> dict[str, tuple]:
+    """By target id: its result record, its composition record with the
+    weights in candidate order, and its gate_rows decision, for the archive
+    of ``ids`` in that order (each id keeps one effect)."""
+    archive = Archive(tuple(
+        Experiment(id=i, treatment_text="t", outcome_text="o",
+                   effect_size=float(sum(map(ord, i)) % 5) - 1.75) for i in ids))
+    results = loo_run(archive, {i: features[i] for i in reversed(ids)}, cfg)
+    store = FeatureStore.from_features(features, ids)
+    gates = {store.ids[t]: gate_record(store, gate)
+             for t, gate in enumerate(gate_rows(store, range(len(ids)), cfg))}
+    return {r.target_id: (json.dumps(r.to_record(), sort_keys=True),
+                          json.dumps(r.composition.to_record()), gates[r.target_id])
+            for r in results}
+
+
+@pytest.mark.parametrize("case", ["lattice-tight-cap", "near-ties-even-pool"])
+def test_outputs_independent_of_layout(case, monkeypatch):
+    """However the pass is cut (targets per block, Gram chunk width, exact
+    distances per chunk) and in whatever order the records come, every
+    record and gate decision is the same; distance ties break by id, never
+    by row. Each cut runs on the records in another order than the
+    reference's: default cut, file order."""
+    from exatlas import composer as composer_mod
+
+    features, cfg = CASES[case]
+    ids = list(features)
+    want = layout_outputs(features, ids, cfg)
+    permuted = [ids[k] for k in np.random.default_rng(11).permutation(len(ids))]
+    for block in (1, 7, len(ids)):
+        for chunk in (1 << 10, 1 << 30):
+            for pair in (1, 1000):
+                monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", block)
+                monkeypatch.setattr(composer_mod, "GRAM_CHUNK_VALUES", chunk)
+                monkeypatch.setattr(composer_mod, "PAIR_CHUNK", pair)
+                assert layout_outputs(features, permuted, cfg) == want, (block, chunk, pair)
+
+
 def test_isolated_ratio_with_and_without_memo():
     features = gaussian_features(8, 50, dim=6)
     ids = tuple(features)
@@ -396,6 +435,16 @@ def test_store_rejects_bad_rows():
     with pytest.raises(ValueError, match="already"):
         store.extended({"a": np.zeros(3)})
     assert store.extended({}) is store
+
+
+def test_missing_features_name_up_to_five_ids():
+    features = gaussian_features(0, 4)
+    ids = [f"x{k}" for k in range(7)] + list(features)
+    message = r"^features missing for ids: \['x0', 'x1', 'x2', 'x3', 'x4'\]$"
+    with pytest.raises(ComposerError, match=message):
+        FeatureStore.from_features(features, ids)
+    with pytest.raises(ComposerError, match=message):
+        loo_run(make_archive(ids), features, ComposerConfig())
 
 
 # The gate path: gate_rows brackets each residual from the normal equations
