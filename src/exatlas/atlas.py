@@ -22,6 +22,14 @@ DEFAULT_RELAX = 1.5
 STRICT_RELAX = 1.0
 
 
+def check_relax(relax_factor: float) -> None:
+    """Reject a conflict-mining factor that is not a finite number >= 1."""
+    if not math.isfinite(relax_factor):
+        raise ValueError(f"relax_factor must be a finite number, got {relax_factor!r}")
+    if relax_factor < 1:
+        raise ValueError("relax_factor must be >= 1")
+
+
 def mine_conflicts(results: Sequence[TargetResult], cfg: ComposerConfig,
                    relax_factor: float = DEFAULT_RELAX) -> list[TargetResult]:
     """The ``results`` whose predicted direction contradicts the observed one,
@@ -31,10 +39,7 @@ def mine_conflicts(results: Sequence[TargetResult], cfg: ComposerConfig,
     add cases, which are not composable. The results' weights and rho values
     are reused, not re-solved.
     """
-    if not math.isfinite(relax_factor):
-        raise ValueError(f"relax_factor must be a finite number, got {relax_factor!r}")
-    if relax_factor < 1:
-        raise ValueError("relax_factor must be >= 1")
+    check_relax(relax_factor)
     relaxed_lambda = relax_factor * cfg.lambda_
     out = [r for r in results
            if r.rho <= relaxed_lambda and not sign_match(r.predicted_effect, r.observed_effect)]

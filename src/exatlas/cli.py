@@ -275,6 +275,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_atlas(args) -> int:
+    atlas_mod.check_relax(args.relax)
     arc = load_archive(args.archive)
     cfg = _composer_config(args)
     out = _out_dir(args)
@@ -303,6 +304,7 @@ def _chat(args, out: Path | None):
 
 
 def cmd_bridge(args) -> int:
+    generators_mod.check_max_rounds(args.max_rounds)
     arc = load_archive(args.archive)
     cfg = _composer_config(args)
     target = arc.get(args.target)
@@ -322,15 +324,16 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_reconcile(args) -> int:
+    atlas_mod.check_relax(args.relax)
     arc = load_archive(args.archive)
     cfg = _composer_config(args)
     target = arc.get(args.target)
     out = _out_dir(args)
-    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg)
-    conflict = {r.target_id: r for r in
-                atlas_mod.mine_conflicts(results, cfg, args.relax)}.get(args.target)
-    if conflict is None:
+    results = evaluator_mod.loo_run(arc, _features_for(args, arc), cfg, [target.id])
+    conflicts = atlas_mod.mine_conflicts(results, cfg, args.relax)
+    if not conflicts:
         raise CliError(f"target {args.target!r} is not a conflict at relax={args.relax:g}")
+    (conflict,) = conflicts
     sources = [arc.get(i) for i in conflict.composition.weights]
     chat = _chat(args, out)
     request = generators_mod.build_reconciliation_prompt(conflict, sources, target)

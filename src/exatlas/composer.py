@@ -364,12 +364,13 @@ def assess(target: Experiment, target_x: np.ndarray,
     every positive-weight candidate has a known effect, whether or not the
     target passes the gate; callers that admit effect-free hypothetical
     candidates get ``composed_effect=None``. This is :func:`assess_rows` for
-    one target, on a store of the target (row 0) and the pool.
+    one target, on a store of the target (row 0, its one Gram row) and the pool.
     """
     if target.id in pool_features:
         raise ValueError(f"pool must exclude the target id {target.id!r}")
-    store = FeatureStore.from_features({target.id: target_x, **pool_features},
-                                       (target.id, *pool_features))
+    ids = (target.id, *pool_features)
+    rows = _feature_rows({target.id: target_x, **pool_features}, ids, None)
+    store = FeatureStore(ids, rows, _inner_products(rows[:1], rows))
     return next(assess_rows(store, [0], pool_effects, cfg))
 
 
@@ -395,25 +396,27 @@ def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
 
 
 class FeatureStore:
-    """Feature vectors by row number, with their Gram matrix.
+    """Feature vectors by row number, with the Gram rows of the targets.
 
     ``rows[i]`` is the feature vector of ``ids[i]``: the caller's array itself
     when it is already contiguous float64, so a store adds no copy of the
     features, and the caller must not modify it while the store is in use.
-    ``gram`` holds every inner product of two rows and ``sq_norms`` its
-    diagonal. Together they bracket every pairwise distance, within GRAM_BAND
-    (and SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets
-    alone all it can: at N=360 it takes about one exact norm a target.
-    ``id_rank`` is each id's position in sorted order, which breaks distance
-    ties. Rows are finite and of one length, no squared distance between
-    them overflows, and a store is not modified after it is built.
+    The targets are the first ``len(gram)`` rows: ``gram[t]`` holds row t's
+    inner products with every row, ``sq_norms`` each row's with itself. They
+    bracket every distance from a target, within GRAM_BAND (and
+    SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets alone
+    all it can: at N=360 it takes about one exact norm a target. ``id_rank``
+    is each id's position in sorted order, which breaks distance ties. Rows
+    are finite and of one length, no squared distance between them
+    overflows, and a store is not modified after it is built.
     """
 
     def __init__(self, ids: Sequence[str], rows: Sequence[np.ndarray], gram: np.ndarray):
         self.ids = tuple(ids)
         self.rows = tuple(rows)
         self.gram = gram
-        self.sq_norms = np.diagonal(gram).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sq_norms = np.array([row @ row for row in self.rows])
         # Every squared distance is at most 4 * max(sq_norms).
         if not self.sq_norms.max() <= np.finfo(float).max / 4:
             raise ComposerError("feature vectors too long: squared distances overflow")
@@ -424,7 +427,7 @@ class FeatureStore:
     @classmethod
     def from_features(cls, features: Mapping[str, np.ndarray],
                       ids: Sequence[str]) -> "FeatureStore":
-        """The store of ``features[i]`` for each of ``ids``, in that order."""
+        """The store of ``features[i]`` for each of ``ids``, in that order, all targets."""
         missing = [i for i in ids if i not in features]
         if missing:
             raise ComposerError(f"features missing for ids: {missing[:5]}")
@@ -432,12 +435,12 @@ class FeatureStore:
         return cls(ids, rows, _inner_products(rows, rows))
 
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
-        """A store with ``extra``'s rows appended; the Gram block of the
-        existing rows is reused, so the cost is O(k * n * length). Every
-        existing row keeps its index, so what the ``memo`` of
-        :func:`gate_rows` holds by row number (exact distances, and each
-        target's weights, solver status and residual bracket) stays valid
-        for the new store."""
+        """A store with ``extra``'s rows appended, which are not targets: the
+        targets' Gram rows gain the new rows' columns, so the cost is
+        O(targets * k * length). Every existing row keeps its index, so what
+        the ``memo`` of :func:`gate_rows` holds by row number (exact
+        distances, and each target's weights, solver status and residual
+        bracket) stays valid for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -445,18 +448,13 @@ class FeatureStore:
             raise ValueError(f"ids already in the feature store: {clash[:5]}")
         new_ids = tuple(extra)
         rows = _feature_rows(extra, new_ids, self.rows[0].size)
-        n, k = len(self.ids), len(new_ids)
-        gram = np.empty((n + k, n + k))
-        gram[:n, :n] = self.gram
-        gram[n:, :n] = _inner_products(rows, self.rows)
-        gram[:n, n:] = gram[n:, :n].T
-        gram[n:, n:] = _inner_products(rows, rows)
+        gram = np.hstack((self.gram, _inner_products(self.rows[:len(self.gram)], rows)))
         return FeatureStore(self.ids + new_ids, self.rows + rows, gram)
 
 
 # Inner products are summed over this many stacked row elements at a time,
 # so that no copy of all the rows is ever made. Their order of summation is
-# free: the Gram matrix only screens distances, within GRAM_BAND.
+# free: the Gram rows and squared norms only screen distances, within GRAM_BAND.
 GRAM_CHUNK_VALUES = 1 << 17
 
 
@@ -621,7 +619,8 @@ ASSESS_BLOCK = 64
 def assess_rows(store: FeatureStore, targets: Sequence[int],
                 pool_effects: Mapping[str, float] | None,
                 cfg: ComposerConfig) -> Iterator[Composition]:
-    """:func:`assess` of each row in ``targets`` against every other row of ``store``.
+    """:func:`assess` of each row in ``targets`` against every other row of
+    ``store``; the targets are among its first ``len(store.gram)`` rows.
 
     A result does not depend on the order of the rows or on the other
     targets. Every residual is taken exactly, on the pipeline that
@@ -649,7 +648,8 @@ class Gate(NamedTuple):
 def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
               memo: dict | None = None) -> Iterator[Gate]:
     """The candidates, local scale, weights and gate decision of
-    :func:`assess_rows` for each row in ``targets``, without the residuals.
+    :func:`assess_rows` for each row in ``targets``, without the residuals;
+    the targets are among the first ``len(store.gram)`` rows of ``store``.
 
     Both run one pipeline, which brackets each residual r from the normal
     equations of the solve. Here the exact r is taken only where the bracket
@@ -695,7 +695,6 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     for r, key in enumerate(keys):
         if key not in found:
             by_size.setdefault(len(key[1]), []).append(r)
-    sq = store.sq_norms
     for n, rows in by_size.items():
         if n == 0:
             raise EmptyPoolError("need at least one candidate")
@@ -705,7 +704,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
                               cfg.ridge, G[i], b[i])
         solved = _solve_stack(G, b)
         w = np.stack([wr for wr, _ in solved])
-        yy = sq[targets[rows]]
+        yy = store.sq_norms[targets[rows]]
         # r^2 = y'y - 2w'b + w'(G - ridge*I)w, with w'Gw taken as w'(Gw) so
         # that every sum has at most n or feature length terms. Each term errs
         # by a small multiple of (feature length + 2n) * 2**-53 of (||y|| +
@@ -720,7 +719,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         q = (yy - 2.0 * np.einsum("pi,pi->p", w, b)
              + (np.einsum("pi,pi->p", w, Gw) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
         cols = np.stack([picks[r][0] for r in rows])
-        size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(sq[cols]))
+        size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(store.sq_norms[cols]))
         band = (GRAM_BAND * (size * size + cfg.ridge)
                 + SUBNORMAL_BAND * (store.rows[0].size + n * n + 1))
         lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()

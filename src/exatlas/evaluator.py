@@ -1,7 +1,8 @@
 """Leave-one-out evaluation, prediction metrics, and threshold calibration.
 
-:func:`loo_run` gives one :class:`TargetResult` per archive member. The report,
-the calibration curve and the atlas (:mod:`exatlas.atlas`) all read that list.
+:func:`loo_run` gives one :class:`TargetResult` per target, by default every
+archive member. The report, the calibration curve and the atlas
+(:mod:`exatlas.atlas`) all read that list.
 """
 
 from __future__ import annotations
@@ -88,22 +89,27 @@ class TargetResult:
 
 
 def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
-            cfg: ComposerConfig) -> list[TargetResult]:
-    """Assess every experiment against the rest of the archive.
+            cfg: ComposerConfig, ids: Sequence[str] | None = None) -> list[TargetResult]:
+    """Assess each experiment of ``ids`` (every member by default) against the
+    rest of the archive.
 
-    Every target is assessed over one shared :class:`FeatureStore` of the
+    The targets are assessed over one shared :class:`FeatureStore` of the
     archive's features, with the same results as ``assess`` over a per-target
-    pool. Results come back sorted by target id.
+    pool, whichever other targets are assessed. Results come back sorted by
+    target id.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")
     store = FeatureStore.from_features(features, archive.ids())
     effects = {exp.id: float(exp.effect_size) for exp in archive}
+    row = {i: k for k, i in enumerate(store.ids)}
+    # archive.get rejects an id that is not a member.
+    targets = store.ids if ids is None else [archive.get(i).id for i in ids]
     results = []
-    for exp, comp in zip(archive, assess_rows(store, range(len(archive)), effects, cfg)):
+    for i, comp in zip(targets, assess_rows(store, [row[i] for i in targets], effects, cfg)):
         if comp.composed_effect is None:
-            raise EvaluatorError(f"no effect prediction for target {exp.id!r}")
-        results.append(TargetResult(comp, float(exp.effect_size)))
+            raise EvaluatorError(f"no effect prediction for target {i!r}")
+        results.append(TargetResult(comp, effects[i]))
     return sorted(results, key=lambda r: r.target_id)
 
 

@@ -364,6 +364,12 @@ class BridgeResult:
         }
 
 
+def check_max_rounds(max_rounds: int) -> None:
+    """Reject a bridge loop of no rounds."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+
+
 def bridge_loop(target: Experiment, archive: Archive,
                 features: Mapping[str, np.ndarray],
                 embedder: EmbeddingProvider, chat,
@@ -381,8 +387,7 @@ def bridge_loop(target: Experiment, archive: Archive,
     only where its bracket cannot settle rho <= lambda, and no composition is
     built.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    check_max_rounds(max_rounds)
     # One store grows by each round's proposals; the memo skips the solve for
     # every target whose candidates a round leaves unchanged, and every exact
     # distance and residual an earlier pass has taken.

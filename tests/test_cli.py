@@ -245,6 +245,35 @@ class TestErrorsExitCleanly:
         assert self.one_error_line(captured.err) == f"error: {message}"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["atlas", "--relax", "nan"], None, "relax_factor must be a finite number, got nan"),
+        (["atlas", "--relax", "0.5"], None, "relax_factor must be >= 1"),
+        (["reconcile", "--target", "toy-003", "--relax", "inf"], None,
+         "relax_factor must be a finite number, got inf"),
+        (["atlas"], {"relax": 0.5}, "relax_factor must be >= 1"),
+        (["bridge", "--target", "toy-003", "--max-rounds", "0"], None,
+         "max_rounds must be >= 1"),
+    ])
+    def test_bad_relax_and_rounds_fail_before_any_input(self, argv, config, message, tmp_path,
+                                                        capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli_mod, "read_vector_file", unreachable)
+        monkeypatch.setattr(cli_mod, "load_archive", unreachable)
+        pre = []
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            pre = ["--config", str(path)]
+        out = tmp_path / "out"
+        assert run(*pre, *argv, "--archive", TOY, "--vectors", str(tmp_path / "v.jsonl"),
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == f"error: {message}"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_non_finite_vector_file(self, tmp_path, capsys):
         vec = tmp_path / "v.jsonl"
         run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
@@ -710,6 +739,41 @@ class TestReconcileCommand:
         assert doc["needed"] is False
         assert "Q1" in sent["prompt"]
 
+    def test_assesses_only_its_target(self, tmp_path, monkeypatch):
+        """One target is assessed, and its prompt is the one built from the
+        conflict that the whole leave-one-out pass mines."""
+        import exatlas.atlas as atlas_mod
+        import exatlas.generators as generators_mod
+
+        vec = tmp_path / "vectors.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        archive, features, cfg = load_archive(TOY), read_vector_file(vec), ComposerConfig()
+        conflicts = atlas_mod.mine_conflicts(evaluator_mod.loo_run(archive, features, cfg),
+                                             cfg, 1.5)
+        assert any(c.composable for c in conflicts) and not all(c.composable for c in conflicts)
+        assessed = []
+        real = evaluator_mod.assess_rows
+
+        def recording(store, targets, *args):
+            assessed.append([store.ids[t] for t in targets])
+            return real(store, targets, *args)
+
+        monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
+        for conflict in conflicts:
+            prompt = generators_mod.build_reconciliation_prompt(
+                conflict, [archive.get(i) for i in conflict.composition.weights],
+                archive.get(conflict.target_id)).prompt
+            transcript = tmp_path / "t.jsonl"
+            transcript.write_text(json.dumps({"prompt_hash": prompt_hash(prompt),
+                                              "response": "No"}) + "\n", encoding="utf-8")
+            out = tmp_path / conflict.target_id
+            assessed.clear()
+            assert run("reconcile", "--archive", TOY, "--vectors", str(vec),
+                       "--target", conflict.target_id, "--relax", "1.5", "--chat", "stub",
+                       "--stub-transcript", str(transcript), "--out", str(out)) == 0
+            assert assessed == [[conflict.target_id]]
+            assert (out / "audit" / "001_prompt.txt").read_text(encoding="utf-8") == prompt
+
     def test_link_target_rejected(self, tmp_path, capsys):
         transcript = tmp_path / "t.jsonl"
         transcript.write_text("", encoding="utf-8")
@@ -778,6 +842,39 @@ class TestEndToEnd:
         assert digests[0].keys() == digests[1].keys()
         for key in digests[0]:
             assert digests[0][key] == digests[1][key], key
+
+
+    def test_atlas_bytes_independent_of_blas_threads(self, tmp_path):
+        """``atlas --out`` at one and two BLAS threads, in fresh interpreters,
+        on an archive large enough (200 rows of length 384) that OpenBLAS
+        splits its Gram product across threads."""
+        rng = np.random.default_rng(5)
+        n, length = 200, 384
+        rows = rng.standard_normal((n, 6)) @ rng.standard_normal((6, length))
+        rows += 0.05 * rng.standard_normal((n, length))
+        ids = [f"exp-{k:03d}" for k in range(n)]
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text("".join(
+            json.dumps({"id": i, "treatment": f"t {i}", "outcome": f"o {i}", "context": "",
+                        "effect_size": float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0))})
+            + "\n" for i in ids), encoding="utf-8")
+        vectors = tmp_path / "vectors.jsonl"
+        write_vector_file(vectors, dict(zip(ids, rows)))
+        src = str(Path(exatlas.__file__).parents[1])
+        seen = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            proc = subprocess.run([sys.executable, "-m", "exatlas.cli", "atlas",
+                                   "--archive", str(archive), "--vectors", str(vectors),
+                                   "--out", str(out)],
+                                  capture_output=True, text=True, env=env, check=True)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            seen.append((proc.stdout, files))
+        assert re.match(r"links: [1-9]\d*  conflicts: [1-9]", seen[0][0]), seen[0][0]
+        assert seen[0] == seen[1]
 
 
 def test_evaluate_does_not_import_numpy_ma():

@@ -155,11 +155,46 @@ def test_extended_store_matches_assess(case):
         dict(list(extra.items())[2:]))
     assert grown.ids == ids + tuple(extra)
     matrix = np.stack(grown.rows)
-    np.testing.assert_allclose(grown.gram, matrix @ matrix.T)
+    np.testing.assert_allclose(grown.gram, matrix[:len(ids)] @ matrix.T)
     effects = {i: 1.0 for i in ids}
     for tid, got in zip(ids, assess_rows(grown, range(len(ids)), effects, cfg)):
         want = reference_assess(tid, features, ids, effects, cfg, extra)
         assert record_bytes(got) == record_bytes(want), tid
+
+
+def test_store_holds_gram_rows_of_its_targets(monkeypatch):
+    """``assess`` computes its target's Gram row alone, and ``extended`` the
+    targets' products with the new rows alone, in one call: the rows it
+    appends are never targets."""
+    from exatlas import composer as composer_mod
+
+    features, cfg = CASES["lattice-ties"]
+    ids = tuple(features)
+    rows = list(features.values())
+    calls = []
+    real = composer_mod._inner_products
+
+    def recording(left, right):
+        calls.append((tuple(left), tuple(right)))
+        return real(left, right)
+
+    monkeypatch.setattr(composer_mod, "_inner_products", recording)
+    target = Experiment(id=ids[0], treatment_text="t", outcome_text="o", effect_size=0.0)
+    assess(target, rows[0], {i: features[i] for i in ids[1:]}, None, cfg)
+    ((left, right),) = calls
+    assert len(left) == 1 and left[0] is rows[0] and len(right) == len(ids)
+
+    store = FeatureStore.from_features(features, ids)
+    for k in (2, 3):
+        calls.clear()
+        added = {f"hypothetical:{len(store.ids)}:{j}": rows[j] + 0.5 for j in range(k)}
+        grown = store.extended(added)
+        ((left, right),) = calls
+        assert all(a is b for a, b in zip(left, store.rows[:len(ids)], strict=True))
+        assert all(a is b for a, b in zip(right, grown.rows[len(store.ids):], strict=True))
+        assert grown.gram.shape == (len(ids), len(grown.ids))
+        assert grown.sq_norms.shape == (len(grown.ids),)
+        store = grown
 
 
 def make_archive(ids) -> Archive:
