@@ -58,16 +58,17 @@ def conflict_to_record(r: TargetResult) -> dict[str, Any]:
     }
 
 
-def isolated_ratio(store: FeatureStore, n_real: int, cfg: ComposerConfig,
+def isolated_ratio(store: FeatureStore, cfg: ComposerConfig,
                    memo: dict | None = None) -> float:
     """Fraction of archive members that neither compose as targets nor
     carry positive weight in any other target's composition.
 
-    The first ``n_real`` rows of ``store`` are the archive; any further rows
-    are effect-free candidates (hypothetical bridge nodes), which can change
-    the geometry but are not counted in the ratio. The decisions are
-    :func:`gate_rows`', which takes ``memo``.
+    The archive is the store's targets, its first ``len(store.gram)`` rows;
+    any further rows are effect-free candidates (hypothetical bridge nodes),
+    which can change the geometry but are not counted in the ratio. The
+    decisions are :func:`gate_rows`', which takes ``memo``.
     """
+    n_real = len(store.gram)
     weighted = np.zeros(len(store.ids), dtype=bool)
     composable = np.zeros(n_real, dtype=bool)
     for t, gate in enumerate(gate_rows(store, range(n_real), cfg, memo)):

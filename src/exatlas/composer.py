@@ -368,9 +368,8 @@ def assess(target: Experiment, target_x: np.ndarray,
     """
     if target.id in pool_features:
         raise ValueError(f"pool must exclude the target id {target.id!r}")
-    ids = (target.id, *pool_features)
-    rows = _feature_rows({target.id: target_x, **pool_features}, ids, None)
-    store = FeatureStore(ids, rows, _inner_products(rows[:1], rows))
+    store = FeatureStore.from_features({target.id: target_x, **pool_features},
+                                       (target.id, *pool_features), 1)
     return next(assess_rows(store, [0], pool_effects, cfg))
 
 
@@ -425,22 +424,23 @@ class FeatureStore:
             np.arange(len(self.ids))
 
     @classmethod
-    def from_features(cls, features: Mapping[str, np.ndarray],
-                      ids: Sequence[str]) -> "FeatureStore":
-        """The store of ``features[i]`` for each of ``ids``, in that order, all targets."""
+    def from_features(cls, features: Mapping[str, np.ndarray], ids: Sequence[str],
+                      targets: int | None = None) -> "FeatureStore":
+        """The store of ``features[i]`` for each of ``ids``, in that order,
+        whose targets are the first ``targets`` rows (by default all)."""
         missing = [i for i in ids if i not in features]
         if missing:
             raise ComposerError(f"features missing for ids: {missing[:5]}")
         rows = _feature_rows(features, ids, None)
-        return cls(ids, rows, _inner_products(rows, rows))
+        return cls(ids, rows, _inner_products(rows[:targets], rows))
 
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
         """A store with ``extra``'s rows appended, which are not targets: the
         targets' Gram rows gain the new rows' columns, so the cost is
         O(targets * k * length). Every existing row keeps its index, so what
-        the ``memo`` of :func:`gate_rows` holds by row number (exact
-        distances, and each target's weights, solver status and residual
-        bracket) stays valid for the new store."""
+        the ``memo`` of :func:`gate_rows` holds by row number (each target's
+        weights, solver status and residual bracket, by its candidate rows)
+        stays valid for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -488,8 +488,8 @@ def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
     return rows
 
 
-def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
-                  memo: dict | None) -> list[tuple[np.ndarray, float]]:
+def _select_block(store: FeatureStore, targets: np.ndarray,
+                  cfg: ComposerConfig) -> list[tuple[np.ndarray, float]]:
     """The candidates of :func:`assess` for each row of ``targets`` against
     every other row: (candidate rows, local scale) per target.
 
@@ -499,10 +499,9 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     rows that could be kept but straddle the radius, and the rows that could
     be kept whose brackets touch or overlap another's. So scale, candidates
     and their order equal those of a plain sort of the exact distances. A
-    bracket narrows to its exact distance once that is taken. All of it is
-    worked for the whole block at once. ``memo`` maps a target row t to the
-    rows whose exact distance to t it holds, ascending, and those distances:
-    a held distance is read, not taken again, and every one taken is added.
+    bracket narrows to its exact distance once that is taken, and no
+    distance is taken twice in a call. All of it is worked for the whole
+    block at once.
     """
     n = len(store.ids)
     if n < 2:
@@ -526,12 +525,6 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         # middle value, never below a bound and never within the radius.
         bound[np.arange(targets.size), targets] = np.inf
     known = np.zeros(lo.shape, dtype=bool)  # lo == hi == the exact distance
-    if memo:
-        for r, t in enumerate(targets.tolist()):
-            if t in memo:
-                seen, values = memo[t]
-                lo[r, seen] = hi[r, seen] = values
-                known[r, seen] = True
 
     def refine(r: np.ndarray, j: np.ndarray) -> None:
         take = ~known[r, j]
@@ -597,17 +590,8 @@ def _select_block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     if np.any(meets & ~known[r, j]):
         refine(r[meets], j[meets])
         r, j = by_bound(r, j)
-    out = [(j[a:a + min(k, cap)], s)
-           for a, k, s in zip(start.tolist(), counts.tolist(), scale.tolist())]
-    if memo is not None:
-        # Each target's entry is a slice of one array for the block, which
-        # holds only the pairs known.
-        rows, seen = np.nonzero(known)
-        values = lo[rows, seen]
-        counts, start = segments(rows)
-        for t, a, k in zip(targets.tolist(), start.tolist(), counts.tolist()):
-            memo[t] = (seen[a:a + k], values[a:a + k])
-    return out
+    return [(j[a:a + min(k, cap)], s)
+            for a, k, s in zip(start.tolist(), counts.tolist(), scale.tolist())]
 
 
 # Targets that assess_rows and gate_rows take at once. The screening arrays of
@@ -657,12 +641,11 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
     decision equals ``assess_rows``'. ``memo`` maps (t, candidate rows) to
     (weights, solver status, lo, hi), a bracket of r that is a point once r
     is taken, and skips the solve when a target's candidates are unchanged;
-    a held bracket is decided again under the pass's scale. It also maps t
-    to the exact distances from row t taken so far, so that a pass takes
-    only those it lacks. It is valid only across a store and the stores
-    :meth:`FeatureStore.extended` makes from it, which keep every existing
-    row where it is: a distance depends on its two rows alone, and a
-    residual on its target and candidates.
+    a held bracket is decided again under the pass's scale. Selection is
+    worked afresh on every pass. The memo is valid only across a store and
+    the stores :meth:`FeatureStore.extended` makes from it, which keep every
+    existing row where it is: a residual depends on its target and
+    candidates alone.
     """
     for _, cols, scale, w, _, r in _pipeline(store, targets, cfg, memo, exact=False):
         yield Gate(cols, scale, w, _normalized(r, scale) <= cfg.lambda_)
@@ -688,7 +671,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     it is the upper end of a bracket of the residual that settles r / s <=
     lambda as the exact residual would. The solves are stacked by candidate
     count; ``memo`` is that of :func:`gate_rows`."""
-    picks = _select_block(store, targets, cfg, memo)
+    picks = _select_block(store, targets, cfg)
     keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
     found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
     by_size: dict[int, list[int]] = {}

@@ -91,22 +91,26 @@ class TargetResult:
 def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
             cfg: ComposerConfig, ids: Sequence[str] | None = None) -> list[TargetResult]:
     """Assess each experiment of ``ids`` (every member by default) against the
-    rest of the archive.
+    rest of the archive; an id given more than once is assessed once.
 
     The targets are assessed over one shared :class:`FeatureStore` of the
-    archive's features, with the same results as ``assess`` over a per-target
-    pool, whichever other targets are assessed. Results come back sorted by
-    target id.
+    archive's features, whose Gram matrix holds the targets' rows alone,
+    with the same results as ``assess`` over a per-target pool, whichever
+    other targets are assessed. Results come back sorted by target id.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")
-    store = FeatureStore.from_features(features, archive.ids())
-    effects = {exp.id: float(exp.effect_size) for exp in archive}
-    row = {i: k for k, i in enumerate(store.ids)}
     # archive.get rejects an id that is not a member.
-    targets = store.ids if ids is None else [archive.get(i).id for i in ids]
+    targets = archive.ids() if ids is None else tuple(
+        dict.fromkeys(archive.get(i).id for i in ids))
+    if not targets:
+        return []
+    # The targets come first: they are the store's targets.
+    store = FeatureStore.from_features(features, tuple(dict.fromkeys(targets + archive.ids())),
+                                       len(targets))
+    effects = {exp.id: float(exp.effect_size) for exp in archive}
     results = []
-    for i, comp in zip(targets, assess_rows(store, [row[i] for i in targets], effects, cfg)):
+    for i, comp in zip(targets, assess_rows(store, range(len(targets)), effects, cfg)):
         if comp.composed_effect is None:
             raise EvaluatorError(f"no effect prediction for target {i!r}")
         results.append(TargetResult(comp, effects[i]))

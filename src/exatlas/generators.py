@@ -383,14 +383,14 @@ def bridge_loop(target: Experiment, archive: Archive,
     augmented pool. The trace records the archive-wide isolated ratio before
     any proposals and after each round; hypothetical nodes carry no observed
     effect and are not counted in it. Every decision is
-    :func:`~exatlas.composer.gate_rows`', on one memo: a residual is taken
-    only where its bracket cannot settle rho <= lambda, and no composition is
-    built.
+    :func:`~exatlas.composer.gate_rows`', on one memo of solves: a residual
+    is taken only where its bracket cannot settle rho <= lambda, and no
+    composition is built.
     """
     check_max_rounds(max_rounds)
     # One store grows by each round's proposals; the memo skips the solve for
     # every target whose candidates a round leaves unchanged, and every exact
-    # distance and residual an earlier pass has taken.
+    # residual an earlier pass has taken.
     store = FeatureStore.from_features(features, archive.ids())
     width = store.rows[0].size
     if 3 * embedder.dimension != width:
@@ -404,7 +404,7 @@ def bridge_loop(target: Experiment, archive: Archive,
     if gate.composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
-    trace = [isolated_ratio(store, len(archive), cfg, memo)]
+    trace = [isolated_ratio(store, cfg, memo)]
     proposals_all: list[BridgeProposal] = []
     known: list[str] = []
     rounds_run = 0
@@ -431,7 +431,7 @@ def bridge_loop(target: Experiment, archive: Archive,
         known.extend(p.text for p in proposals)
         rounds_run = rnd
         (gate,) = gate_rows(store, [row], cfg, memo)
-        trace.append(isolated_ratio(store, len(archive), cfg, memo))
+        trace.append(isolated_ratio(store, cfg, memo))
         if gate.composable:
             final_composable = True
             break

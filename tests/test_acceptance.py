@@ -159,9 +159,8 @@ def test_criterion_5_bridge_loop(tmp_path, default_cfg):
     from exatlas.composer import FeatureStore
 
     store = FeatureStore.from_features(features, archive.ids())
-    direct_before = isolated_ratio(store, len(archive), default_cfg)
-    direct_after = isolated_ratio(store.extended({"h": hypo_feature}), len(archive),
-                                  default_cfg)
+    direct_before = isolated_ratio(store, default_cfg)
+    direct_after = isolated_ratio(store.extended({"h": hypo_feature}), default_cfg)
     trace = result.isolated_ratio_trace
     assert trace[0] == pytest.approx(direct_before)
     assert trace[-1] == pytest.approx(direct_after)

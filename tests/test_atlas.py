@@ -204,16 +204,16 @@ class TestIsolatedRatio:
         vec = np.array([1.0, 2.0])
         features = {"a": vec, "b": vec.copy()}
         store = FeatureStore.from_features(features, arc.ids())
-        assert isolated_ratio(store, len(arc), default_cfg) == 0.0
+        assert isolated_ratio(store, default_cfg) == 0.0
 
     def test_extra_features_can_reduce_isolation(self, toy_archive, toy_features,
                                                  default_cfg):
         store = FeatureStore.from_features(toy_features, toy_archive.ids())
-        base = isolated_ratio(store, len(toy_archive), default_cfg)
+        base = isolated_ratio(store, default_cfg)
         # Planting a clone of an isolated target's feature makes it composable.
         results = loo_run(toy_archive, toy_features, default_cfg)
         gap_ids = [r.target_id for r in results if not r.composable]
         assert gap_ids, "fixture needs at least one gap"
         extra = {"hypothetical:clone": toy_features[gap_ids[0]].copy()}
-        with_extra = isolated_ratio(store.extended(extra), len(toy_archive), default_cfg)
+        with_extra = isolated_ratio(store.extended(extra), default_cfg)
         assert with_extra <= base

@@ -740,8 +740,8 @@ class TestReconcileCommand:
         assert "Q1" in sent["prompt"]
 
     def test_assesses_only_its_target(self, tmp_path, monkeypatch):
-        """One target is assessed, and its prompt is the one built from the
-        conflict that the whole leave-one-out pass mines."""
+        """One target is assessed, on one Gram row, and its prompt is the one
+        built from the conflict that the whole leave-one-out pass mines."""
         import exatlas.atlas as atlas_mod
         import exatlas.generators as generators_mod
 
@@ -755,7 +755,7 @@ class TestReconcileCommand:
         real = evaluator_mod.assess_rows
 
         def recording(store, targets, *args):
-            assessed.append([store.ids[t] for t in targets])
+            assessed.append(([store.ids[t] for t in targets], store.gram.shape))
             return real(store, targets, *args)
 
         monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
@@ -771,7 +771,7 @@ class TestReconcileCommand:
             assert run("reconcile", "--archive", TOY, "--vectors", str(vec),
                        "--target", conflict.target_id, "--relax", "1.5", "--chat", "stub",
                        "--stub-transcript", str(transcript), "--out", str(out)) == 0
-            assert assessed == [[conflict.target_id]]
+            assert assessed == [([conflict.target_id], (1, len(archive)))]
             assert (out / "audit" / "001_prompt.txt").read_text(encoding="utf-8") == prompt
 
     def test_link_target_rejected(self, tmp_path, capsys):

@@ -274,15 +274,16 @@ def test_isolated_ratio_with_and_without_memo():
     store = FeatureStore.from_features(features, ids)
     memo: dict = {}
     extra: dict[str, np.ndarray] = {}
-    trace = [isolated_ratio(store, len(ids), cfg, memo)]
+    trace = [isolated_ratio(store, cfg, memo)]
     weighted = 0
     for added in rounds:
         extra.update(added)
         store = store.extended(added)
-        trace.append(isolated_ratio(store, len(ids), cfg, memo))
-        assert trace[-1] == isolated_ratio(store, len(ids), cfg)
-        rebuilt = FeatureStore.from_features({**features, **extra}, ids + tuple(extra))
-        assert trace[-1] == isolated_ratio(rebuilt, len(ids), cfg)
+        trace.append(isolated_ratio(store, cfg, memo))
+        assert trace[-1] == isolated_ratio(store, cfg)
+        rebuilt = FeatureStore.from_features({**features, **extra}, ids + tuple(extra),
+                                             len(ids))
+        assert trace[-1] == isolated_ratio(rebuilt, cfg)
         assert trace[-1] == reference_isolated_ratio(archive, features, cfg, extra)
         comps = list(assess_rows(store, range(len(ids)), effects, cfg))
         for comp in comps:
@@ -358,7 +359,10 @@ ROUNDS = {
 
 
 @pytest.mark.parametrize("case", sorted(ROUNDS))
-def test_memo_takes_each_exact_distance_once(case, monkeypatch):
+def test_memo_pass_takes_the_exact_distances_of_a_fresh_pass(case, monkeypatch):
+    """The memo holds solves alone: round by round, a gate_rows pass on the
+    memo of the earlier rounds takes the same exact distances as a fresh
+    assess_rows pass on the same store, and decides as the reference does."""
     features, cfg, rounds = ROUNDS[case]
     ids = tuple(features)
     archive = make_archive(ids)
@@ -367,27 +371,21 @@ def test_memo_takes_each_exact_distance_once(case, monkeypatch):
     store = FeatureStore.from_features(features, ids)
     memo: dict = {}
     extra: dict[str, np.ndarray] = {}
-    per_round = []
     for added in [{}] + rounds(features):
         extra.update(added)
         store = store.extended(added)
-        start = len(pairs)
+        pairs.clear()
         got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
-        ratio = isolated_ratio(store, len(ids), cfg, memo)
-        per_round.append(len(pairs) - start)
-        assert got == [gate_of(c) for c in assess_rows(store, range(len(ids)), effects, cfg)]
+        taken = sorted(pairs)
+        pairs.clear()
+        comps = list(assess_rows(store, range(len(ids)), effects, cfg))
+        assert taken == sorted(pairs)
+        assert got == [gate_of(c) for c in comps]
         assert got == [gate_of(reference_assess(t, features, ids, effects, cfg, extra))
                        for t in ids]
-        assert ratio == reference_isolated_ratio(archive, features, cfg, extra)
-        del pairs[start + per_round[-1]:]  # keep only the passes with the memo
-    assert len(pairs) == len(set(pairs)) == sum(per_round)
-    # The memo holds each distance taken once, ascending by row, and nothing else.
-    held = {t: entry for t, entry in memo.items() if isinstance(t, int)}
-    assert sorted((t, j) for t, (seen, _) in held.items() for j in seen.tolist()) == sorted(pairs)
-    for t, (seen, values) in held.items():
-        assert np.all(np.diff(seen) > 0)
-        exact = np.linalg.norm(np.stack([store.rows[j] for j in seen]) - store.rows[t], axis=1)
-        assert values.tobytes() == exact.tobytes()
+        assert isolated_ratio(store, cfg, memo) == \
+            reference_isolated_ratio(archive, features, cfg, extra)
+    assert all(isinstance(t, int) and isinstance(cols, tuple) for t, cols in memo)
 
 
 def tie_free(features: dict[str, np.ndarray], cfg: ComposerConfig) -> bool:
@@ -436,20 +434,21 @@ def test_tie_free_pass_takes_only_the_median_norms(seed, n, dim, cap):
     assert sorted(pairs) == want
 
 
-def test_run_reaches_past_a_held_distance():
-    """Sorted by lower bound: W's wide bracket, then P's held exact distance,
-    then Q's bracket, which meets W's but not P's. Q is refined too, since W's
+def test_run_reaches_past_a_held_distance(monkeypatch):
+    """Sorted by lower bound: W's wide bracket, then P's exact distance, held
+    since the median (P's bracket reaches M's, the upper middle value), then
+    Q's bracket, which meets W's but not P's. Q is refined too, since W's
     exact distance, once taken, falls inside Q's bracket."""
-    distances = {"a0": 0.30, "a1": 0.31, "a2": 0.32, "a3": 0.33, "a4": 0.34,
-                 "a5": 0.35, "a6": 0.36, "p": 1.0, "w": 1.0009, "q": 1.0012}
+    distances = {"a0": 0.30, "a1": 0.31, "a2": 0.32, "a3": 0.33,
+                 "m": 0.9985, "p": 1.0, "w": 1.0009, "q": 1.0012}
     features = {"t": np.array([1e3])}
     features.update((i, np.array([1e3 + d])) for i, d in distances.items())
     ids = tuple(features)
     cfg = ComposerConfig(radius_factor=3.0)
     store = FeatureStore.from_features(features, ids)
-    p = ids.index("p")
-    memo = {0: (np.array([p]), np.array([np.linalg.norm(store.rows[p] - store.rows[0])]))}
-    (got,) = gate_rows(store, [0], cfg, memo)
+    pairs = record_exact_distances(monkeypatch)
+    (got,) = gate_rows(store, [0], cfg)
+    assert [ids[j] for _, j in pairs] == ["a3", "m", "p", "w", "q"]
     kept = tuple(ids[j] for j in got.cols.tolist())
     pool = {i: features[i] for i in ids[1:]}
     want = select_candidates("t", features["t"], pool, cfg)
@@ -516,7 +515,7 @@ def test_tie_free_gate_pass_takes_no_residual(seed, n, dim, cap, lambda_):
     with pytest.MonkeyPatch.context() as mp:
         taken = record_exact_residuals(mp)
         got = [gate_record(store, g) for g in gate_rows(store, range(n), cfg)]
-        ratio = isolated_ratio(store, n, cfg)
+        ratio = isolated_ratio(store, cfg)
     assert taken == []
     assert got == [gate_of(c) for c in want]
     archive = make_archive(ids)
@@ -623,7 +622,7 @@ def test_held_bracket_is_decided_again_under_a_new_scale(monkeypatch):
         got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg, memo)]
         assert got == expected
         per_round.append([row_of(store, y) for y in taken[start:]])
-        (entry,) = [v for k, v in memo.items() if isinstance(k, tuple) and k[0] == t]
+        (entry,) = [v for k, v in memo.items() if k[0] == t]
         held.append(entry[-2:])
     assert per_round == [[], [t], [], []]
     assert held[0][0] < exact < held[0][1]
@@ -636,3 +635,27 @@ def test_loo_run_takes_every_residual_exactly(monkeypatch):
     taken = record_exact_residuals(monkeypatch)
     loo_run(make_archive(ids), features, ComposerConfig())
     assert [next(i for i in ids if features[i] is y) for y in taken] == list(ids)
+
+
+def test_loo_run_assesses_a_repeated_id_once(monkeypatch):
+    """Given ids, loo_run assesses each distinct one once, on a store whose
+    Gram matrix holds their rows alone, with the results of the full pass."""
+    from exatlas import evaluator as evaluator_mod
+
+    features = gaussian_features(6, 40)
+    ids = tuple(features)
+    archive, cfg = make_archive(ids), ComposerConfig()
+    full = {r.target_id: json.dumps(r.to_record()) for r in loo_run(archive, features, cfg)}
+    shapes = []
+    real = evaluator_mod.assess_rows
+
+    def recording(store, targets, *args):
+        shapes.append(store.gram.shape)
+        return real(store, targets, *args)
+
+    monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
+    got = loo_run(archive, features, cfg, [ids[5], ids[2], ids[5]])
+    assert [r.target_id for r in got] == sorted([ids[2], ids[5]])
+    assert [json.dumps(r.to_record()) for r in got] == [full[r.target_id] for r in got]
+    assert shapes == [(2, len(ids))]
+    assert loo_run(archive, features, cfg, []) == []
