@@ -102,15 +102,6 @@ class AtlasGraph:
     edges: tuple[AtlasEdge, ...]
     conflicts: tuple[str, ...]
 
-    def to_json_doc(self) -> dict[str, Any]:
-        return {
-            "nodes": [{"id": n.id, "sign": n.sign, "status": n.status}
-                      for n in self.nodes],
-            "edges": [{"src": e.src, "dst": e.dst, "weight": e.weight}
-                      for e in self.edges],
-            "conflicts": list(self.conflicts),
-        }
-
     def to_dot(self) -> str:
         def q(s: str) -> str:
             return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -185,8 +185,17 @@ def _out_dir(args) -> Path | None:
 
 
 def _write_json(path: Path, doc: Any) -> None:
-    path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """Write ``doc`` as indented JSON with sorted keys; a dataclass record in it
+    is written as its fields, so a record's file holds every field it has."""
+    path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2,
+                               default=vars) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -232,7 +241,7 @@ def cmd_evaluate(args) -> int:
     report = evaluator_mod.build_report(results, lambda_used=cfg.lambda_)
     print(report.format_table())
     if out is not None:
-        _write_json(out / "report.json", report.to_record())
+        _write_json(out / "report.json", report)
         _write_jsonl(out / "results.jsonl", (r.to_record() for r in results))
     return 0
 
@@ -264,13 +273,11 @@ def cmd_calibrate(args) -> int:
     curve = evaluator_mod.calibrate_lambda(results, grid)
     print(f"chosen lambda: {curve.chosen_lambda:g}")
     if out is not None:
-        _write_json(out / "calibration.json", curve.to_record())
-        with (out / "curve.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "coverage", "mse", "scaled_mse", "objective"])
-            for row in zip(curve.grid, curve.coverage_at, curve.mse_at,
-                           curve.scaled_mse_at, curve.objective_at):
-                writer.writerow(["" if v is None else repr(float(v)) for v in row])
+        _write_json(out / "calibration.json", curve)
+        _write_csv(out / "curve.csv", ["lambda", "coverage", "mse", "scaled_mse", "objective"],
+                   (["" if v is None else repr(float(v)) for v in row]
+                    for row in zip(curve.grid, curve.coverage_at, curve.mse_at,
+                                   curve.scaled_mse_at, curve.objective_at)))
     return 0
 
 
@@ -286,7 +293,7 @@ def cmd_atlas(args) -> int:
     print(f"conflicts at relax={args.relax:g}: {len(conflicts)}")
     if out is not None:
         graph = atlas_mod.export_graph(results)
-        _write_json(out / "atlas.json", graph.to_json_doc())
+        _write_json(out / "atlas.json", graph)
         (out / "atlas.dot").write_text(graph.to_dot(), encoding="utf-8")
         _write_jsonl(out / "compositions.jsonl",
                      (r.composition.to_record() for r in results))
@@ -319,7 +326,7 @@ def cmd_bridge(args) -> int:
     print("isolated ratio trace: "
           + ", ".join(f"{x:.4f}" for x in result.isolated_ratio_trace))
     if out is not None:
-        _write_json(out / "bridge.json", result.to_record())
+        _write_json(out / "bridge.json", result)
     return 0
 
 
@@ -360,11 +367,7 @@ def cmd_theory_check(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(theory_lab.CSV_HEADER)
-            for row in rows:
-                writer.writerow(row.to_csv_row())
+        _write_csv(out, theory_lab.CSV_HEADER, (row.to_csv_row() for row in rows))
         print(f"sweep written to {out}")
     return 0 if not violations and not residual_bad else 1
 

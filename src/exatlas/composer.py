@@ -196,7 +196,12 @@ def _solve_stack(G: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, str]]:
     if n == 1:
         return [(np.ones(1), OPTIMAL) for _ in range(m)]
     out = []
-    for w in _active_set_simplex(G, b):
+    # A ridge near the largest float overflows 2G: its faces go unsolved and
+    # its weights fall back to uniform, which is also the limit of the
+    # minimizer as the ridge grows.
+    with np.errstate(over="ignore"):
+        solutions = _active_set_simplex(G, b)
+    for w in solutions:
         if w is None or not (np.all(np.isfinite(w)) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL
                              and w.min() >= -WEIGHT_SUM_TOL):
             # Conservative posture: a numerical failure degrades to uniform
@@ -310,6 +315,12 @@ def _solve_faces(G: np.ndarray, b: np.ndarray, free: np.ndarray,
         kkt[:, k, :k] = 1.0
         rhs = np.ones((sel.size, k + 1))
         rhs[:, :k] = 2.0 * b[sel[:, None], idx]
+        # A system that overflowed is not solved; LAPACK is not given it.
+        finite = np.isfinite(kkt).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+        if not finite.all():
+            solved[pos[~finite]] = False
+            pos, idx, kkt, rhs = pos[finite], idx[finite], kkt[finite], rhs[finite]
+            sel = live[pos]
         try:
             sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -436,11 +447,12 @@ class FeatureStore:
 
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
         """A store with ``extra``'s rows appended, which are not targets: the
-        targets' Gram rows gain the new rows' columns, so the cost is
-        O(targets * k * length). Every existing row keeps its index, so what
-        the ``memo`` of :func:`gate_rows` holds by row number (each target's
-        weights, solver status and residual bracket, by its candidate rows)
-        stays valid for the new store."""
+        targets' Gram rows gain the new rows' columns, each target row's
+        products with the k new rows stacked once, so the cost is
+        O(targets * k * length) and no target row is copied. Every existing
+        row keeps its index, so what the ``memo`` of :func:`gate_rows` holds
+        by row number (each target's weights, solver status and residual
+        bracket, by its candidate rows) stays valid for the new store."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -448,7 +460,9 @@ class FeatureStore:
             raise ValueError(f"ids already in the feature store: {clash[:5]}")
         new_ids = tuple(extra)
         rows = _feature_rows(extra, new_ids, self.rows[0].size)
-        gram = np.hstack((self.gram, _inner_products(self.rows[:len(self.gram)], rows)))
+        new = np.stack(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _inner_products
+            gram = np.hstack((self.gram, [new @ row for row in self.rows[:len(self.gram)]]))
         return FeatureStore(self.ids + new_ids, self.rows + rows, gram)
 
 
@@ -595,9 +609,13 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
 
 
 # Targets that assess_rows and gate_rows take at once. The screening arrays of
-# a block are (block, rows in the store) and its solver stacks (block, k, k); a
-# larger block saves little more per-call overhead and costs memory.
+# a block are (block, rows in the store) and its solver stacks at most (block,
+# k, k); a larger block saves little more per-call overhead and costs memory.
 ASSESS_BLOCK = 64
+# A block's problems of k candidates are solved max(1, SOLVE_STACK_VALUES // k**2)
+# at a time, so that a stack of their G (and each of the solver's working
+# stacks) holds about this many doubles at most, 32 MB.
+SOLVE_STACK_VALUES = 1 << 22
 
 
 def assess_rows(store: FeatureStore, targets: Sequence[int],
@@ -670,7 +688,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     of ``targets``. r is the exact residual where ``exact`` is set; otherwise
     it is the upper end of a bracket of the residual that settles r / s <=
     lambda as the exact residual would. The solves are stacked by candidate
-    count; ``memo`` is that of :func:`gate_rows`."""
+    count, within SOLVE_STACK_VALUES; ``memo`` is that of :func:`gate_rows`."""
     picks = _select_block(store, targets, cfg)
     keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
     found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
@@ -678,37 +696,41 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
     for r, key in enumerate(keys):
         if key not in found:
             by_size.setdefault(len(key[1]), []).append(r)
-    for n, rows in by_size.items():
+    for n, same in by_size.items():
         if n == 0:
             raise EmptyPoolError("need at least one candidate")
-        G, b = np.empty((len(rows), n, n)), np.empty((len(rows), n))
-        for i, r in enumerate(rows):
-            _normal_equations(_columns(store, picks[r][0]), store.rows[targets[r]],
-                              cfg.ridge, G[i], b[i])
-        solved = _solve_stack(G, b)
-        w = np.stack([wr for wr, _ in solved])
-        yy = store.sq_norms[targets[rows]]
-        # r^2 = y'y - 2w'b + w'(G - ridge*I)w, with w'Gw taken as w'(Gw) so
-        # that every sum has at most n or feature length terms. Each term errs
-        # by a small multiple of (feature length + 2n) * 2**-53 of (||y|| +
-        # sum_j w_j ||x_j||)^2 (w >= 0), the ridge on G's diagonal by 2**-53
-        # of ridge, and so does the exact form _residual computes: about 1e-12
-        # at length 2304 and n = 3000, far inside GRAM_BAND. Where products
-        # are subnormal each rounding errs by at most 2**-1075 instead: about
-        # 10 roundings per feature element and 3 per pair of candidates in
-        # all, which SUBNORMAL_BAND per element and per pair covers. So
-        # [lo, hi] holds the r that _residual computes.
-        Gw = np.matmul(G, w[:, :, None])[:, :, 0]
-        q = (yy - 2.0 * np.einsum("pi,pi->p", w, b)
-             + (np.einsum("pi,pi->p", w, Gw) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
-        cols = np.stack([picks[r][0] for r in rows])
-        size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(store.sq_norms[cols]))
-        band = (GRAM_BAND * (size * size + cfg.ridge)
-                + SUBNORMAL_BAND * (store.rows[0].size + n * n + 1))
-        lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
-        hi = np.sqrt(q + band).tolist()
-        for i, r in enumerate(rows):
-            found[keys[r]] = (*solved[i], lo[i], hi[i])
+        # A problem's result does not depend on the stack it is solved in.
+        per_stack = max(1, SOLVE_STACK_VALUES // (n * n))
+        for first in range(0, len(same), per_stack):
+            rows = same[first:first + per_stack]
+            G, b = np.empty((len(rows), n, n)), np.empty((len(rows), n))
+            for i, r in enumerate(rows):
+                _normal_equations(_columns(store, picks[r][0]), store.rows[targets[r]],
+                                  cfg.ridge, G[i], b[i])
+            solved = _solve_stack(G, b)
+            w = np.stack([wr for wr, _ in solved])
+            yy = store.sq_norms[targets[rows]]
+            # r^2 = y'y - 2w'b + w'(G - ridge*I)w, with w'Gw taken as w'(Gw) so
+            # that every sum has at most n or feature length terms. Each term errs
+            # by a small multiple of (feature length + 2n) * 2**-53 of (||y|| +
+            # sum_j w_j ||x_j||)^2 (w >= 0), the ridge on G's diagonal by 2**-53
+            # of ridge, and so does the exact form _residual computes: about 1e-12
+            # at length 2304 and n = 3000, far inside GRAM_BAND. Where products
+            # are subnormal each rounding errs by at most 2**-1075 instead: about
+            # 10 roundings per feature element and 3 per pair of candidates in
+            # all, which SUBNORMAL_BAND per element and per pair covers. So
+            # [lo, hi] holds the r that _residual computes.
+            Gw = np.matmul(G, w[:, :, None])[:, :, 0]
+            q = (yy - 2.0 * np.einsum("pi,pi->p", w, b)
+                 + (np.einsum("pi,pi->p", w, Gw) - cfg.ridge * np.einsum("pi,pi->p", w, w)))
+            cols = np.stack([picks[r][0] for r in rows])
+            size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(store.sq_norms[cols]))
+            band = (GRAM_BAND * (size * size + cfg.ridge)
+                    + SUBNORMAL_BAND * (store.rows[0].size + n * n + 1))
+            lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
+            hi = np.sqrt(q + band).tolist()
+            for i, r in enumerate(rows):
+                found[keys[r]] = (*solved[i], lo[i], hi[i])
     out = []
     for key, (cols, scale) in zip(keys, picks):
         w, status, lo, hi = found[key]

@@ -187,18 +187,6 @@ class EvalReport:
     spearman: float | None
     lambda_used: float
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "n_total": self.n_total,
-            "n_composable": self.n_composable,
-            "coverage": self.coverage,
-            "sign_match_rate": self.sign_match_rate,
-            "mse": self.mse,
-            "mae": self.mae,
-            "spearman": self.spearman,
-            "lambda_used": self.lambda_used,
-        }
-
     def format_table(self) -> str:
         def fmt(v, pct=False):
             if v is None:
@@ -251,16 +239,6 @@ class CalibrationCurve:
     scaled_mse_at: tuple[float | None, ...]
     objective_at: tuple[float, ...]
     chosen_lambda: float
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "grid": list(self.grid),
-            "coverage_at": list(self.coverage_at),
-            "mse_at": list(self.mse_at),
-            "scaled_mse_at": list(self.scaled_mse_at),
-            "objective_at": list(self.objective_at),
-            "chosen_lambda": self.chosen_lambda,
-        }
 
 
 def default_grid(start: float = 0.05, stop: float = 1.50,

@@ -349,20 +349,6 @@ class BridgeResult:
     final_composable: bool
     isolated_ratio_trace: tuple[float, ...]
 
-    def to_record(self) -> dict:
-        return {
-            "target_id": self.target_id,
-            "rounds_run": self.rounds_run,
-            "final_composable": self.final_composable,
-            "isolated_ratio_trace": list(self.isolated_ratio_trace),
-            "proposals": [
-                {"text": p.text, "round": p.round,
-                 "parsed_treatment": p.parsed_treatment,
-                 "parsed_outcome": p.parsed_outcome}
-                for p in self.proposals
-            ],
-        }
-
 
 def check_max_rounds(max_rounds: int) -> None:
     """Reject a bridge loop of no rounds."""

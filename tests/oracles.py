@@ -293,46 +293,51 @@ def record_exact_residuals(monkeypatch) -> list[np.ndarray]:
 def reference_read_vector_file(path) -> dict[str, np.ndarray]:
     """``read_vector_file`` with every line decoded by ``json.loads``: the
     same checks in the same order, worded the same way."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        return reference_parse_vector_lines(path, fh)
+
+
+def reference_parse_vector_lines(path, lines) -> dict[str, np.ndarray]:
+    """The reference reader on ``lines``, the text of the file ``path``."""
     from exatlas.representation import DimensionMismatchError, EmbeddingError
 
-    path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-                except RecursionError:
-                    raise EmbeddingError(
-                        f"{path}:{line_no}: invalid JSON: nested too deeply") from None
-                if not isinstance(rec, dict):
-                    raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
-                for key in ("id", "values"):
-                    if key not in rec:
-                        raise EmbeddingError(f"{path}:{line_no}: missing field {key!r}")
-                try:
-                    vec = np.asarray(rec["values"], dtype=float)
-                    if vec.ndim != 1:
-                        raise ValueError
-                except (TypeError, ValueError):
-                    raise EmbeddingError(
-                        f"{path}:{line_no}: values must be a list of numbers") from None
-                except OverflowError:
-                    raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
-                if not np.all(np.isfinite(vec)):
-                    raise EmbeddingError(f"{path}:{line_no}: non-finite value")
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
-                vectors[str(rec["id"])] = vec
-        except UnicodeDecodeError as e:
-            raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+            except RecursionError:
+                raise EmbeddingError(
+                    f"{path}:{line_no}: invalid JSON: nested too deeply") from None
+            if not isinstance(rec, dict):
+                raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
+            for key in ("id", "values"):
+                if key not in rec:
+                    raise EmbeddingError(f"{path}:{line_no}: missing field {key!r}")
+            try:
+                vec = np.asarray(rec["values"], dtype=float)
+                if vec.ndim != 1:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise EmbeddingError(
+                    f"{path}:{line_no}: values must be a list of numbers") from None
+            except OverflowError:
+                raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+            vectors[str(rec["id"])] = vec
+    except UnicodeDecodeError as e:
+        raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
     return vectors
 
 

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from exatlas.atlas import (
+    AtlasEdge,
+    AtlasGraph,
+    AtlasNode,
     conflict_to_record,
     export_graph,
     isolated_ratio,
     mine_conflicts,
 )
+from exatlas.cli import _write_json
 from exatlas.composer import ComposerConfig, Composition, FeatureStore, Neighborhood
 from exatlas.evaluator import TargetResult, loo_run
 
@@ -26,6 +31,12 @@ def comp(target_id="t", rho=0.1, composable=True, composed=0.5,
 def result(target_id="t", obs=1.0, pred=0.5, rho=0.1, weights=None, lam=0.462):
     """A leave-one-out result as ``loo_run`` builds it, gated at ``lam``."""
     return TargetResult(comp(target_id, rho, rho <= lam, pred, weights), obs)
+
+
+def atlas_json(graph, tmp_path):
+    """The ``atlas.json`` document of ``graph``, as ``atlas --out`` writes it."""
+    _write_json(tmp_path / "atlas.json", graph)
+    return json.loads((tmp_path / "atlas.json").read_text(encoding="utf-8"))
 
 
 class TestStatus:
@@ -150,18 +161,20 @@ class TestExportGraph:
         runs = []
         for _ in (1, 2):
             graph = export_graph(results)
-            runs.append((json.dumps(graph.to_json_doc(), sort_keys=True), graph.to_dot()))
+            runs.append((json.dumps(asdict(graph), sort_keys=True), graph.to_dot()))
         assert runs[0] == runs[1]
 
-    def test_json_round_trip(self, toy_archive, toy_features, default_cfg):
-        results = loo_run(toy_archive, toy_features, default_cfg)
-        doc = export_graph(results).to_json_doc()
-        assert json.loads(json.dumps(doc)) == doc
+    def test_json_round_trip(self, toy_archive, toy_features, default_cfg, tmp_path):
+        graph = export_graph(loo_run(toy_archive, toy_features, default_cfg))
+        doc = atlas_json(graph, tmp_path)
+        assert AtlasGraph(nodes=tuple(AtlasNode(**n) for n in doc["nodes"]),
+                          edges=tuple(AtlasEdge(**e) for e in doc["edges"]),
+                          conflicts=tuple(doc["conflicts"])) == graph
 
-    def test_schema_keys(self):
+    def test_schema_keys(self, tmp_path):
         graph = export_graph([result("t", obs=-1.0, pred=0.5, weights={"a": 1.0}),
                               result("a", obs=0.5, pred=-0.2, rho=0.9)])
-        doc = graph.to_json_doc()
+        doc = atlas_json(graph, tmp_path)
         assert set(doc) == {"nodes", "edges", "conflicts"}
         assert doc["conflicts"] == ["t"]
         # Each node's sign is its observed effect's, not its prediction's.

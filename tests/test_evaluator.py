@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,10 +105,10 @@ class TestMetrics:
         rng = np.random.default_rng(4)
         results = [fake_result(f"e{i}", float(rng.normal()), float(rng.normal()), 0.1)
                    for i in range(10)]
-        base = build_report(results, lambda_used=0.462).to_record()
+        base = asdict(build_report(results, lambda_used=0.462))
         shuffled = list(results)
         rng.shuffle(shuffled)
-        assert build_report(shuffled, lambda_used=0.462).to_record() == pytest.approx(base)
+        assert asdict(build_report(shuffled, lambda_used=0.462)) == pytest.approx(base)
 
     def test_empty_composable_set_raises(self):
         with pytest.raises(InsufficientDataError):

@@ -223,6 +223,7 @@ def config_file(draw):
 @given(data=config_file())
 @example(data=f'{{"grid": {DEEP}}}'.encode())
 @example(data=b'{"radius_factor": 1e+308}')
+@example(data=b'{"ridge": 1e+308}')
 def test_config_files(tmp_path, capsys, monkeypatch, data):
     monkeypatch.chdir(tmp_path)  # relative paths in the config resolve here
     path = new_file(tmp_path, data)

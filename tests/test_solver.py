@@ -9,6 +9,10 @@ for bit, whatever else is in the stack and in whatever order.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from oracles import count_problems_solved, reference_assess, reference_solve_wei
 import exatlas.composer as composer_mod
 from exatlas.composer import (FALLBACK_UNIFORM, OPTIMAL, ComposerConfig, EmptyPoolError,
                               FeatureStore, _normal_equations, _solve_stack, assess_rows,
-                              solve_weights)
+                              gate_rows, solve_weights)
 
 
 def stack(problems, ridge):
@@ -163,6 +167,75 @@ def test_mixed_candidate_counts_in_one_block(monkeypatch):
             json.dumps(want.to_record(), sort_keys=True), tid
 
 
+@pytest.mark.parametrize("budget", [1, 200])
+def test_solve_stacks_split_by_budget(monkeypatch, budget):
+    """A block's problems of n candidates are solved in stacks of at most
+    max(1, SOLVE_STACK_VALUES // n**2), and every record and gate decision
+    keeps its bytes."""
+    rng = np.random.default_rng(5)
+    features = {f"m{k:02d}": row for k, row in enumerate(rng.uniform(-1, 1, (40, 3)))}
+    ids = tuple(features)
+    store = FeatureStore.from_features(features, ids)
+    cfg = ComposerConfig(radius_factor=0.6)
+    monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", len(ids))
+
+    def outputs():
+        return ([json.dumps(c.to_record(), sort_keys=True)
+                 for c in assess_rows(store, range(len(ids)), None, cfg)],
+                [(g.cols.tobytes(), g.scale, g.weights.tobytes(), g.composable)
+                 for g in gate_rows(store, range(len(ids)), cfg)])
+
+    want = outputs()
+    stacks = []
+    original = composer_mod._solve_stack
+
+    def recording(G, b):
+        stacks.append(G.shape[:2])
+        return original(G, b)
+
+    monkeypatch.setattr(composer_mod, "_solve_stack", recording)
+    monkeypatch.setattr(composer_mod, "SOLVE_STACK_VALUES", budget)
+    assert outputs() == want
+    assert sum(m for m, _ in stacks) == 2 * len(ids)
+    assert all(m <= max(1, budget // (n * n)) for m, n in stacks)
+    assert len(stacks) > len(set(n for _, n in stacks))  # some size was split
+
+
+# A block of 64 targets, each with every other row as a candidate; with no
+# ridge each target's exact copy among them takes weight 1 in one face solve.
+# One stack of the block's 64 normal-equation matrices would take 487 MiB.
+_WIDE_POOL = """
+import resource
+import numpy as np
+from exatlas.composer import ComposerConfig, FeatureStore, assess_rows
+
+rows = np.random.default_rng(0).standard_normal((936, 8))
+features = {f"w{k:04d}": row for k, row in enumerate(np.concatenate([rows[:64], rows]))}
+store = FeatureStore.from_features(features, tuple(features))
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (300 << 20), hard))
+cfg = ComposerConfig(radius_factor=1000.0, max_candidates=100_000, ridge=0.0)
+comps = list(assess_rows(store, range(64), None, cfg))
+print(sum(len(c.weights) == 999 and c.composable for c in comps))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/statm; RLIMIT_AS binds on Linux")
+def test_wide_pool_solves_within_an_address_space_limit():
+    """The 64 targets of a block, each with 999 candidates, assessed with
+    300 MiB of address space to spare: the solve stacks stay small enough."""
+    src = str(Path(composer_mod.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _WIDE_POOL], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "64"
+
+
 def test_target_without_candidates_fails_as_reference():
     """A radius below the nearest distance leaves no candidate: the error of
     the per-target path, not a failed gather."""
@@ -189,3 +262,18 @@ def test_zero_weight_sum_falls_back_without_a_warning():
     assert got[1] == FALLBACK_UNIFORM
     with np.errstate(invalid="ignore"):
         assert_bit_equal(got, reference_solve_weights(y, candidates, 1e-2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ridge, want", [(1e308, FALLBACK_UNIFORM), (5e307, OPTIMAL)])
+def test_ridge_near_float_max_solves_without_a_warning(capfd, ridge, want):
+    """A ridge whose double overflows leaves no face system to solve: the
+    problem falls back to uniform weights, the limit of the minimizer as the
+    ridge grows, and LAPACK is never handed the overflowed system. Just below
+    that, the solve succeeds at that limit."""
+    rng = np.random.default_rng(3)
+    candidates = list(rng.standard_normal((3, 4)))
+    w, status = solve_weights(rng.standard_normal(4), candidates, ridge)
+    assert status == want
+    np.testing.assert_allclose(w, [1.0 / 3] * 3, rtol=1e-12)
+    assert capfd.readouterr() == ("", "")

@@ -4,12 +4,15 @@ The reader decodes with orjson and hands every line orjson rejects, and every
 record whose id is not a string, to ``json.loads``. These tests hold it to
 :func:`oracles.reference_read_vector_file`, which decodes every line with
 ``json.loads``: the same ids in the same order, bit-identical arrays, and the
-same exception type and message.
+same exception type and message. Generated examples are decoded from
+memory, in the text mode ``read_vector_file`` opens a file with; the rest
+are files on disk.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import sys
 import tempfile
@@ -17,19 +20,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_read_vector_file
+from oracles import reference_parse_vector_lines, reference_read_vector_file
 
-from exatlas.representation import EmbeddingError, read_vector_file, write_vector_file
+from exatlas.representation import (EmbeddingError, _parse_vector_lines, read_vector_file,
+                                    write_vector_file)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def outcome(reader, path):
+def outcome(reader, *args):
     """("ok", [(id, dtype, bytes)]) or ("error", type, message)."""
     try:
-        vectors = reader(path)
+        vectors = reader(*args)
     except Exception as e:  # noqa: BLE001 - the type is part of the comparison
         return ("error", type(e), str(e))
     return ("ok", [(k, v.dtype.str, v.shape, v.tobytes()) for k, v in vectors.items()])
@@ -49,6 +53,18 @@ def assert_same_as_reference(path):
     want = outcome(reference_read_vector_file, path)
     assert got == want
     return got
+
+
+def text_stream(data: bytes) -> io.TextIOWrapper:
+    """``data`` as ``read_vector_file`` reads a file's bytes: UTF-8 text with
+    universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def assert_same_as_reference_in_memory(data: bytes):
+    path = Path("generated.jsonl")  # named in the messages only
+    assert outcome(_parse_vector_lines, path, text_stream(data)) == \
+        outcome(reference_parse_vector_lines, path, text_stream(data))
 
 
 def test_planted_file(tmp_path):
@@ -172,17 +188,15 @@ def vector_file(draw):
     return text.encode("utf-8")
 
 
-@settings(max_examples=600, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=600, deadline=None)
 @given(data=vector_file())
-def test_generated_files_match_reference(tmp_path, data):
-    assert_same_as_reference(new_file(tmp_path, data))
+def test_generated_files_match_reference(data):
+    assert_same_as_reference_in_memory(data)
 
 
-@settings(max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=400, deadline=None)
 @given(values=st.lists(_NUMBER, min_size=1, max_size=8))
-def test_generated_values_decode_to_the_same_bits(tmp_path, values):
+def test_generated_values_decode_to_the_same_bits(values):
     """One record a file, so most examples get as far as comparing arrays."""
     line = '{"id": "a", "values": [' + ", ".join(values) + "]}\n"
-    assert_same_as_reference(new_file(tmp_path, line.encode("utf-8")))
+    assert_same_as_reference_in_memory(line.encode("utf-8"))
