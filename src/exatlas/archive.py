@@ -10,16 +10,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 # Canonical key order for serialized records; unknown keys follow, sorted.
-_RECORD_KEYS = (
-    "id",
-    "treatment",
-    "outcome",
-    "context",
-    "enriched_treatment",
-    "enriched_outcome",
-    "effect_size",
-    "source_ref",
-)
+_RECORD_KEYS = ("id", "treatment", "outcome", "context", "enriched_treatment",
+                "enriched_outcome", "effect_size", "source_ref")
 _REQUIRED_KEYS = ("id", "treatment", "outcome", "context", "effect_size")
 
 
@@ -114,21 +106,13 @@ class Experiment:
             raise RecordValidationError(self.id, "effect_size", "must be finite", line_no)
 
     def to_record(self) -> dict[str, Any]:
-        rec: dict[str, Any] = {
-            "id": self.id,
-            "treatment": self.treatment_text,
-            "outcome": self.outcome_text,
-            "context": self.context_text,
-        }
-        if self.enriched_treatment is not None:
-            rec["enriched_treatment"] = self.enriched_treatment
-        if self.enriched_outcome is not None:
-            rec["enriched_outcome"] = self.enriched_outcome
-        rec["effect_size"] = self.effect_size
-        if self.source_ref is not None:
-            rec["source_ref"] = self.source_ref
-        for key in sorted(self.extra):
-            rec[key] = self.extra[key]
+        """The record that :meth:`from_record` reads back, in _RECORD_KEYS
+        order; the optional fields that are None are left out."""
+        values = (self.id, self.treatment_text, self.outcome_text, self.context_text,
+                  self.enriched_treatment, self.enriched_outcome, self.effect_size,
+                  self.source_ref)
+        rec = {k: v for k, v in zip(_RECORD_KEYS, values) if v is not None}
+        rec.update((key, self.extra[key]) for key in sorted(self.extra))
         return rec
 
     @classmethod

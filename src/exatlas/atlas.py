@@ -1,6 +1,7 @@
 """The atlas of leave-one-out results: graph export, conflict mining and the
 isolated ratio. Every function here reads the
-:class:`~exatlas.evaluator.TargetResult` list of one ``loo_run``. Each
+:class:`~exatlas.evaluator.TargetResult` list of one ``loo_run``, except the
+isolated ratio, which reads the gates of one ``gate_rows`` pass. Each
 target's route (link, conflict or gap) is its
 :attr:`~exatlas.evaluator.TargetResult.status`, and a conflict is the
 result itself; this module never decides either again.
@@ -14,7 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .composer import ComposerConfig, FeatureStore, gate_rows
+from .composer import ComposerConfig, Gate
 from .evaluator import TargetResult, sign, sign_match
 
 # The conflict-mining factors of `atlas` and of `reconcile` (strict conflicts only).
@@ -58,23 +59,22 @@ def conflict_to_record(r: TargetResult) -> dict[str, Any]:
     }
 
 
-def isolated_ratio(store: FeatureStore, cfg: ComposerConfig,
-                   memo: dict | None = None) -> float:
+def isolated_ratio(gates: Sequence[Gate]) -> float:
     """Fraction of archive members that neither compose as targets nor
     carry positive weight in any other target's composition.
 
-    The archive is the store's targets, its first ``len(store.gram)`` rows;
-    any further rows are effect-free candidates (hypothetical bridge nodes),
-    which can change the geometry but are not counted in the ratio. The
-    decisions are :func:`gate_rows`', which takes ``memo``.
+    ``gates`` is one :func:`~exatlas.composer.gate_rows` pass over the
+    archive: the gate of each of its members, its store's first
+    ``len(gates)`` rows. Any further rows of that store are effect-free
+    candidates (hypothetical bridge nodes), which can change the geometry
+    but are not counted in the ratio.
     """
-    n_real = len(store.gram)
-    weighted = np.zeros(len(store.ids), dtype=bool)
-    composable = np.zeros(n_real, dtype=bool)
-    for t, gate in enumerate(gate_rows(store, range(n_real), cfg, memo)):
-        composable[t] = gate.composable
-        weighted[gate.cols[gate.weights > 0.0]] = True
-    return np.count_nonzero(~composable & ~weighted[:n_real]) / n_real
+    n_real = len(gates)
+    isolated = np.array([not gate.composable for gate in gates], dtype=bool)
+    for gate in gates:
+        cols = gate.cols[gate.weights > 0.0]
+        isolated[cols[cols < n_real]] = False
+    return np.count_nonzero(isolated) / n_real
 
 
 _DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box"}

@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="calibration curve and chosen threshold")
     common(p)
-    p.add_argument("--grid", default="0.05:1.50:0.005", help="LO:HI:STEP (default %(default)s)")
+    p.add_argument("--grid", default=evaluator_mod.DEFAULT_GRID,
+                   help="LO:HI:STEP (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_calibrate)
 

@@ -418,13 +418,15 @@ class FeatureStore:
     all it can: at N=360 it takes about one exact norm a target. ``id_rank``
     is each id's position in sorted order, which breaks distance ties. Rows
     are finite and of one length, no squared distance between them
-    overflows, and a store is not modified after it is built.
+    overflows, and a store is not modified after it is built but for
+    ``memo``, its own record of what :func:`gate_rows` has solved on it.
     """
 
     def __init__(self, ids: Sequence[str], rows: Sequence[np.ndarray], gram: np.ndarray):
         self.ids = tuple(ids)
         self.rows = tuple(rows)
         self.gram = gram
+        self.memo: dict = {}
         with np.errstate(over="ignore", invalid="ignore"):
             self.sq_norms = np.array([row @ row for row in self.rows])
         # Every squared distance is at most 4 * max(sq_norms).
@@ -450,9 +452,9 @@ class FeatureStore:
         targets' Gram rows gain the new rows' columns, each target row's
         products with the k new rows stacked once, so the cost is
         O(targets * k * length) and no target row is copied. Every existing
-        row keeps its index, so what the ``memo`` of :func:`gate_rows` holds
-        by row number (each target's weights, solver status and residual
-        bracket, by its candidate rows) stays valid for the new store."""
+        row keeps its index, so the new store starts from a copy of this
+        one's ``memo``, which holds rows by number: two stores extended from
+        one never share entries."""
         if not extra:
             return self
         clash = sorted(set(extra) & set(self.ids))
@@ -463,7 +465,9 @@ class FeatureStore:
         new = np.stack(rows)
         with np.errstate(over="ignore", invalid="ignore"):  # as in _inner_products
             gram = np.hstack((self.gram, [new @ row for row in self.rows[:len(self.gram)]]))
-        return FeatureStore(self.ids + new_ids, self.rows + rows, gram)
+        store = FeatureStore(self.ids + new_ids, self.rows + rows, gram)
+        store.memo = dict(self.memo)
+        return store
 
 
 # Inner products are summed over this many stacked row elements at a time,
@@ -630,7 +634,7 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
     yielded in the order of ``targets``, ASSESS_BLOCK targets at a time, so a
     caller that keeps only a summary never holds a whole pass of them.
     """
-    for t, cols, scale, w, status, r in _pipeline(store, targets, cfg, None, exact=True):
+    for t, cols, scale, w, status, r in _pipeline(store, targets, cfg, exact=True):
         nb = Neighborhood(target_id=store.ids[t],
                           candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
                           local_scale=scale)
@@ -647,8 +651,7 @@ class Gate(NamedTuple):
     composable: bool
 
 
-def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
-              memo: dict | None = None) -> Iterator[Gate]:
+def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig) -> Iterator[Gate]:
     """The candidates, local scale, weights and gate decision of
     :func:`assess_rows` for each row in ``targets``, without the residuals;
     the targets are among the first ``len(store.gram)`` rows of ``store``.
@@ -656,16 +659,16 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
     Both run one pipeline, which brackets each residual r from the normal
     equations of the solve. Here the exact r is taken only where the bracket
     cannot settle r / s <= lambda (or the local scale s is 0), so every
-    decision equals ``assess_rows``'. ``memo`` maps (t, candidate rows) to
-    (weights, solver status, lo, hi), a bracket of r that is a point once r
-    is taken, and skips the solve when a target's candidates are unchanged;
-    a held bracket is decided again under the pass's scale. Selection is
-    worked afresh on every pass. The memo is valid only across a store and
-    the stores :meth:`FeatureStore.extended` makes from it, which keep every
-    existing row where it is: a residual depends on its target and
-    candidates alone.
+    decision equals ``assess_rows``'. A pass reads and adds to
+    ``store.memo``, which maps (t, candidate rows) to (weights, solver
+    status, lo, hi), a bracket of r that is a point once r is taken, and
+    skips the solve where a target's candidates are those of an earlier
+    pass on this store or on one it was extended from; a held bracket is
+    decided again under the pass's scale. A residual depends on its target
+    and candidates alone, so every decision is that of a fresh store.
+    Selection is worked afresh on every pass.
     """
-    for _, cols, scale, w, _, r in _pipeline(store, targets, cfg, memo, exact=False):
+    for _, cols, scale, w, _, r in _pipeline(store, targets, cfg, exact=False):
         yield Gate(cols, scale, w, _normalized(r, scale) <= cfg.lambda_)
 
 
@@ -676,21 +679,23 @@ def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
 
 
 def _pipeline(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
-              memo: dict | None, exact: bool) -> Iterator[tuple]:
+              exact: bool) -> Iterator[tuple]:
     targets = np.asarray(targets, dtype=int).reshape(-1)
     for start in range(0, targets.size, ASSESS_BLOCK):
-        yield from _block(store, targets[start:start + ASSESS_BLOCK], cfg, memo, exact)
+        yield from _block(store, targets[start:start + ASSESS_BLOCK], cfg, exact)
 
 
 def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
-           memo: dict | None, exact: bool) -> list[tuple]:
+           exact: bool) -> list[tuple]:
     """(row, candidate rows, local scale, weights, solver status, r) for each
-    of ``targets``. r is the exact residual where ``exact`` is set; otherwise
-    it is the upper end of a bracket of the residual that settles r / s <=
-    lambda as the exact residual would. The solves are stacked by candidate
-    count, within SOLVE_STACK_VALUES; ``memo`` is that of :func:`gate_rows`."""
+    of ``targets``. r is the exact residual where ``exact`` is set, with no
+    memo; otherwise it is the upper end of a bracket of the residual that
+    settles r / s <= lambda as the exact residual would, on the store's memo
+    (see :func:`gate_rows`). The solves are stacked by candidate count,
+    within SOLVE_STACK_VALUES."""
     picks = _select_block(store, targets, cfg)
     keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
+    memo = None if exact else store.memo
     found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
     by_size: dict[int, list[int]] = {}
     for r, key in enumerate(keys):

@@ -123,11 +123,22 @@ def sign_match_rate(results: Sequence[TargetResult]) -> float:
     return sum(1 for r in results if r.sign_matched) / len(results)
 
 
+def _squared_errors(results: Sequence[TargetResult]) -> list[float]:
+    """Each result's squared prediction error; they and their sum must be
+    finite doubles."""
+    try:
+        out = [(r.predicted_effect - r.observed_effect) ** 2 for r in results]
+        if math.isfinite(math.fsum(out)):
+            return out
+    except OverflowError:
+        pass
+    raise EvaluatorError("squared prediction errors overflow")
+
+
 def mse(results: Sequence[TargetResult]) -> float:
     if not results:
         raise InsufficientDataError("no composable results")
-    return math.fsum((r.predicted_effect - r.observed_effect) ** 2
-                     for r in results) / len(results)
+    return math.fsum(_squared_errors(results)) / len(results)
 
 
 def mae(results: Sequence[TargetResult]) -> float:
@@ -241,8 +252,12 @@ class CalibrationCurve:
     chosen_lambda: float
 
 
-def default_grid(start: float = 0.05, stop: float = 1.50,
-                 step: float = 0.005) -> tuple[float, ...]:
+DEFAULT_GRID = "0.05:1.50:0.005"  # calibrate's --grid LO:HI:STEP by default
+
+
+def default_grid(*bounds: float) -> tuple[float, ...]:
+    """The grid of LO, HI and STEP ``bounds``, by default DEFAULT_GRID's."""
+    start, stop, step = bounds or map(float, DEFAULT_GRID.split(":"))
     count = int(round((stop - start) / step)) + 1
     return tuple(round(start + i * step, 10) for i in range(count))
 
@@ -268,16 +283,18 @@ def calibrate_lambda(results: Sequence[TargetResult],
     """
     grid = check_grid(grid)
     rho = np.asarray([r.rho for r in results])
-    sq_err = np.asarray([(r.predicted_effect - r.observed_effect) ** 2
-                         for r in results])
+    sq_err = np.asarray(_squared_errors(results))
     n = len(results)
 
     coverage_at: list[float] = []
     mse_at: list[float | None] = []
-    for lam in grid:
-        mask = rho <= lam
-        coverage_at.append(float(mask.sum()) / n)
-        mse_at.append(float(sq_err[mask].mean()) if mask.any() else None)
+    with np.errstate(over="ignore"):
+        for lam in grid:
+            mask = rho <= lam
+            coverage_at.append(float(mask.sum()) / n)
+            mse_at.append(float(sq_err[mask].mean()) if mask.any() else None)
+    if any(m == math.inf for m in mse_at):
+        raise EvaluatorError("squared prediction errors overflow")
 
     defined = [m for m in mse_at if m is not None]
     lo = min(defined) if defined else 0.0

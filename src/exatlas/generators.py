@@ -9,7 +9,6 @@ composable but never feed an effect prediction.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import re
@@ -33,6 +32,8 @@ from .representation import (
     embed_text,
     embedding_texts,
 )
+# A transcript keys each prompt by the SHA-256 hex digest of its UTF-8 text.
+from .representation import text_key as prompt_hash
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +71,6 @@ class MissingTranscriptError(ChatError):
     def __init__(self, prompt_hash: str):
         super().__init__(f"scripted stub has no response for prompt hash {prompt_hash}")
         self.prompt_hash = prompt_hash
-
-
-def prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 def load_template(name: str) -> str:
@@ -365,18 +362,18 @@ def bridge_loop(target: Experiment, archive: Archive,
 
     Each round builds a prompt from the target's nearest real neighbors and
     every earlier proposal, parses the reply into proposals, embeds them from
-    their parsed texts, and decides the target's gate again over the
-    augmented pool. The trace records the archive-wide isolated ratio before
-    any proposals and after each round; hypothetical nodes carry no observed
-    effect and are not counted in it. Every decision is
-    :func:`~exatlas.composer.gate_rows`', on one memo of solves: a residual
-    is taken only where its bracket cannot settle rho <= lambda, and no
-    composition is built.
+    their parsed texts, and gates the archive again over the augmented pool.
+    Round 0 and each round run one :func:`~exatlas.composer.gate_rows` pass
+    over every archive member: the target's gate (its decision, and its
+    candidates for the literature) and the round's entry of the trace, the
+    archive-wide isolated ratio, come from that pass. Hypothetical nodes
+    carry no observed effect and are not counted in the ratio. One store
+    grows by each round's proposals, and its memo skips the solve for every
+    target whose candidates a round leaves unchanged: a residual is taken
+    only where its bracket cannot settle rho <= lambda, and no composition
+    is built.
     """
     check_max_rounds(max_rounds)
-    # One store grows by each round's proposals; the memo skips the solve for
-    # every target whose candidates a round leaves unchanged, and every exact
-    # residual an earlier pass has taken.
     store = FeatureStore.from_features(features, archive.ids())
     width = store.rows[0].size
     if 3 * embedder.dimension != width:
@@ -384,22 +381,17 @@ def bridge_loop(target: Experiment, archive: Archive,
             f"embedding provider dimension {embedder.dimension} gives features of "
             f"length {3 * embedder.dimension}, but the archive's features have "
             f"length {width}")
-    memo: dict = {}
     row = archive.ids().index(target.id)
-    (gate,) = gate_rows(store, [row], cfg, memo)
-    if gate.composable:
+    gates = list(gate_rows(store, range(len(archive)), cfg))
+    if gates[row].composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
-    trace = [isolated_ratio(store, cfg, memo)]
+    trace = [isolated_ratio(gates)]
     proposals_all: list[BridgeProposal] = []
-    known: list[str] = []
-    rounds_run = 0
-    final_composable = False
     for rnd in range(1, max_rounds + 1):
-        nearest_real = [store.ids[j] for j in gate.cols.tolist()
-                        if j < len(archive)][:LITERATURE_SIZE]
-        literature = [archive.get(cid) for cid in nearest_real]
-        request = build_bridge_prompt(target, literature, known)
+        literature = [archive.experiments[j] for j in gates[row].cols.tolist()
+                      if j < len(archive)][:LITERATURE_SIZE]
+        request = build_bridge_prompt(target, literature, [p.text for p in proposals_all])
         response = chat.complete(request)
         proposals = parse_bridge_response(response, round=rnd)
         added: dict[str, np.ndarray] = {}
@@ -414,17 +406,14 @@ def bridge_loop(target: Experiment, archive: Archive,
             added[f"hypothetical:{target.id}:{rnd}:{k}"] = build_feature(t, o)
         store = store.extended(added)
         proposals_all.extend(proposals)
-        known.extend(p.text for p in proposals)
-        rounds_run = rnd
-        (gate,) = gate_rows(store, [row], cfg, memo)
-        trace.append(isolated_ratio(store, cfg, memo))
-        if gate.composable:
-            final_composable = True
+        gates = list(gate_rows(store, range(len(archive)), cfg))
+        trace.append(isolated_ratio(gates))
+        if gates[row].composable:
             break
     return BridgeResult(
         target_id=target.id,
-        rounds_run=rounds_run,
+        rounds_run=len(trace) - 1,
         proposals=tuple(proposals_all),
-        final_composable=final_composable,
+        final_composable=gates[row].composable,
         isolated_ratio_trace=tuple(trace),
     )

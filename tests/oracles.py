@@ -242,6 +242,31 @@ def reference_isolated_ratio(archive, features, cfg, extra=None) -> float:
     return sum(1 for i in ids if not composable[i] and not receives[i]) / len(ids)
 
 
+def pass_ratio(store, cfg) -> float:
+    """``isolated_ratio`` of one ``gate_rows`` pass over the store's targets."""
+    from exatlas.atlas import isolated_ratio
+    from exatlas.composer import gate_rows
+
+    return isolated_ratio(list(gate_rows(store, range(len(store.gram)), cfg)))
+
+
+def record_selected_targets(monkeypatch) -> list[list[int]]:
+    """Record the targets the composer selects candidates for: the list grows
+    by one list of target rows per call of ``_select_block``, so a pass over
+    N targets shows as calls whose rows add up to N."""
+    import exatlas.composer as composer_mod
+
+    calls: list[list[int]] = []
+    original = composer_mod._select_block
+
+    def recording(store, targets, cfg):
+        calls.append(targets.tolist())
+        return original(store, targets, cfg)
+
+    monkeypatch.setattr(composer_mod, "_select_block", recording)
+    return calls
+
+
 def count_problems_solved(monkeypatch) -> dict:
     """Count the weight problems the composer solves, however it batches
     them: ``counts["n"]`` grows by one per target solved."""

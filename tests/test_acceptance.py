@@ -155,12 +155,13 @@ def test_criterion_5_bridge_loop(tmp_path, default_cfg):
     assert comp.composed_effect is None
 
     # Isolated ratio recomputed independently per round, non-increasing.
-    from exatlas.atlas import isolated_ratio
+    from oracles import pass_ratio
+
     from exatlas.composer import FeatureStore
 
     store = FeatureStore.from_features(features, archive.ids())
-    direct_before = isolated_ratio(store, default_cfg)
-    direct_after = isolated_ratio(store.extended({"h": hypo_feature}), default_cfg)
+    direct_before = pass_ratio(store, default_cfg)
+    direct_after = pass_ratio(store.extended({"h": hypo_feature}), default_cfg)
     trace = result.isolated_ratio_trace
     assert trace[0] == pytest.approx(direct_before)
     assert trace[-1] == pytest.approx(direct_after)

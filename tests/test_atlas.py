@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import pass_ratio
 
 from exatlas.atlas import (
     AtlasEdge,
@@ -16,7 +17,8 @@ from exatlas.atlas import (
     mine_conflicts,
 )
 from exatlas.cli import _write_json
-from exatlas.composer import ComposerConfig, Composition, FeatureStore, Neighborhood
+from exatlas.composer import (ComposerConfig, Composition, FeatureStore, Gate, Neighborhood,
+                              gate_rows)
 from exatlas.evaluator import TargetResult, loo_run
 
 
@@ -217,16 +219,26 @@ class TestIsolatedRatio:
         vec = np.array([1.0, 2.0])
         features = {"a": vec, "b": vec.copy()}
         store = FeatureStore.from_features(features, arc.ids())
-        assert isolated_ratio(store, default_cfg) == 0.0
+        assert isolated_ratio(list(gate_rows(store, range(2), default_cfg))) == 0.0
+
+    def test_counts_real_rows_of_positive_weight(self):
+        """Row 0 composes; row 1 takes weight; row 2 gets only a zero weight;
+        row 3 weights only row 4, a hypothetical row beyond the archive."""
+        def gate(cols, weights, composable=False):
+            return Gate(np.array(cols), 1.0, np.array(weights), composable)
+
+        gates = [gate([1, 2], [1.0, 0.0], composable=True), gate([0], [1.0]),
+                 gate([1], [1.0]), gate([4, 2], [1.0, 0.0])]
+        assert isolated_ratio(gates) == 2 / 4
 
     def test_extra_features_can_reduce_isolation(self, toy_archive, toy_features,
                                                  default_cfg):
         store = FeatureStore.from_features(toy_features, toy_archive.ids())
-        base = isolated_ratio(store, default_cfg)
+        base = pass_ratio(store, default_cfg)
         # Planting a clone of an isolated target's feature makes it composable.
         results = loo_run(toy_archive, toy_features, default_cfg)
         gap_ids = [r.target_id for r in results if not r.composable]
         assert gap_ids, "fixture needs at least one gap"
         extra = {"hypothetical:clone": toy_features[gap_ids[0]].copy()}
-        with_extra = isolated_ratio(store.extended(extra), default_cfg)
+        with_extra = pass_ratio(store.extended(extra), default_cfg)
         assert with_extra <= base

@@ -245,6 +245,26 @@ class TestErrorsExitCleanly:
         assert self.one_error_line(captured.err) == f"error: {message}"
         assert captured.out == ""
 
+    # At 6e153 each square is finite, but not their sum.
+    @pytest.mark.parametrize("effect", [1e154, 1e200, 1.7e308, 6e153])
+    def test_prediction_errors_that_overflow(self, tmp_path, capsys, effect):
+        """Toy effects of alternating sign that load: evaluate and calibrate
+        square the errors and fail; atlas squares none and writes its files."""
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text("".join(
+            json.dumps({**rec.to_record(), "effect_size": effect * (-1) ** k}) + "\n"
+            for k, rec in enumerate(load_archive(TOY))), encoding="utf-8")
+        for command in ("evaluate", "calibrate"):
+            assert run(command, "--archive", str(archive), "--provider", "stub:d=8,seed=1",
+                       "--out", str(tmp_path / command)) == 2
+            assert self.one_error_line(capsys.readouterr().err) == \
+                "error: squared prediction errors overflow"
+            assert not any((tmp_path / command).iterdir())
+        assert run("atlas", "--archive", str(archive), "--provider", "stub:d=8,seed=1",
+                   "--out", str(tmp_path / "atlas")) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "atlas" / "atlas.json").is_file()
+
     @pytest.mark.parametrize("argv, config, message", [
         (["atlas", "--relax", "nan"], None, "relax_factor must be a finite number, got nan"),
         (["atlas", "--relax", "0.5"], None, "relax_factor must be >= 1"),

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from oracles import reference_isolated_ratio
+from oracles import record_selected_targets, reference_isolated_ratio
 
 from exatlas.archive import Archive, Experiment
 from exatlas.composer import ComposerError, Composition, Neighborhood, assess
@@ -431,6 +431,29 @@ class TestBridgeLoop:
         assert not result.final_composable
         assert result.rounds_run == 2
 
+    @pytest.mark.parametrize("useless", [False, True])
+    def test_one_gate_pass_per_round(self, tmp_path, default_cfg, monkeypatch, useless):
+        """Round 0 and each round run one gate pass over the archive, two
+        targets a block here, and no target is gated on its own."""
+        import exatlas.composer as composer_mod
+
+        archive, features, provider = make_gap_fixture(tmp_path)
+        target = archive.get("gap-t")
+        pool = {i: features[i] for i in archive.ids() if i != "gap-t"}
+        comp0 = assess(target, features["gap-t"], pool, None, default_cfg)
+        literature = [archive.get(c) for c in comp0.neighborhood.candidate_ids[:5]]
+        response = ("useless treatment" if useless else "planted bridge treatment") \
+            + " increases common outcome"
+        stub = ScriptedStubChat.from_pairs({
+            build_bridge_prompt(target, literature, known).prompt: response
+            for known in ([], [response], [response] * 2)})
+        monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", 2)
+        calls = record_selected_targets(monkeypatch)
+        result = bridge_loop(target, archive, features, provider, stub, default_cfg,
+                             max_rounds=3)
+        assert result.rounds_run == (3 if useless else 1)
+        assert calls == [[0, 1], [2, 3], [4]] * (result.rounds_run + 1)
+
     def test_zero_round_sentinel_rejected(self, tmp_path, default_cfg):
         archive, features, provider = make_gap_fixture(tmp_path)
         with pytest.raises(ValueError):
@@ -444,11 +467,14 @@ class TestBridgeLoop:
             bridge_loop(archive.get("gap-t"), archive, features, provider,
                         ScriptedStubChat({}), default_cfg)
 
-    def test_already_composable_target_rejected(self, tmp_path, default_cfg):
+    def test_already_composable_target_rejected(self, tmp_path, default_cfg, monkeypatch):
+        """The round-0 pass decides it, before any chat call."""
         archive, features, provider = make_gap_fixture(tmp_path)
-        with pytest.raises(ValueError):
+        calls = record_selected_targets(monkeypatch)
+        with pytest.raises(ValueError, match="^target 'src-b' is already composable$"):
             bridge_loop(archive.get("src-b"), archive, features, provider,
                         ScriptedStubChat({}), default_cfg)
+        assert calls == [list(range(len(archive)))]
 
     def test_hypotheticals_never_reach_effect_predictions(self, tmp_path,
                                                           default_cfg):

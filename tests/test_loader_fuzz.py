@@ -108,15 +108,29 @@ def test_load_archive(tmp_path, data):
         pass
 
 
+def with_effects(*effects: float) -> bytes:
+    """The first toy records, one for each of ``effects``, which they take."""
+    return "".join(json.dumps({**rec, "effect_size": e}) + "\n"
+                   for rec, e in zip(TOY_RECORDS, effects)).encode()
+
+
 @FUZZ
 @given(data=ARCHIVE_FILE)
 @example(data=f'{{"id": "a", "treatment": {DEEP}}}\n'.encode())
+# Squared prediction errors, and sums of them, that overflow a double.
+@example(data=with_effects(1e154, -1e154, 1e154, -1e154))
+@example(data=with_effects(1.7e308, -1.7e308, 1.7e308, -1.7e308))
+@example(data=with_effects(6e153, -6e153, 6e153, -6e153, 6e153, -6e153))
 def test_archive_at_the_cli(tmp_path, capsys, data):
+    """Every command that reads an archive alone, the leave-one-out ones too."""
     path = new_file(tmp_path, data)
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     run_cli(capsys, "ingest", "--archive", path, "--out", out / "archive.jsonl")
     run_cli(capsys, "embed", "--archive", path, "--provider", "stub:d=4",
             "--out", out / "vectors.jsonl")
+    for command in ("evaluate", "calibrate", "atlas"):
+        run_cli(capsys, command, "--archive", path, "--provider", "stub:d=4",
+                "--out", out / command)
 
 
 # -- vector files ------------------------------------------------------------

@@ -175,11 +175,13 @@ def test_solve_stacks_split_by_budget(monkeypatch, budget):
     rng = np.random.default_rng(5)
     features = {f"m{k:02d}": row for k, row in enumerate(rng.uniform(-1, 1, (40, 3)))}
     ids = tuple(features)
-    store = FeatureStore.from_features(features, ids)
     cfg = ComposerConfig(radius_factor=0.6)
     monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", len(ids))
 
     def outputs():
+        # A fresh store each time: a gate pass on a store that one has run
+        # on reads the solves held in its memo.
+        store = FeatureStore.from_features(features, ids)
         return ([json.dumps(c.to_record(), sort_keys=True)
                  for c in assess_rows(store, range(len(ids)), None, cfg)],
                 [(g.cols.tobytes(), g.scale, g.weights.tobytes(), g.composable)
