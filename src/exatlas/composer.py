@@ -137,21 +137,20 @@ class Composition:
 PAIR_CHUNK = 32
 
 
-def _pair_distances(rows: Sequence[np.ndarray], targets: np.ndarray,
+def _pair_distances(store: "FeatureStore", targets: np.ndarray,
                     cols: np.ndarray) -> np.ndarray:
-    """The exact distance from ``rows[targets[i]]`` to ``rows[cols[i]]`` for each i.
+    """The exact distance from row ``targets[i]`` of ``store`` to row ``cols[i]``.
 
-    Each is computed as np.linalg.norm(rows[cols[i]] - rows[targets[i]])
-    computes it. Row-wise sums add each row alike however many rows are
-    stacked, so a distance has the same bits in any call.
+    Each is computed as np.linalg.norm(x_j - x_t) computes it. Row-wise sums
+    add each row alike however many rows are stacked, so a distance has the
+    same bits in any call.
     """
     out = np.empty(cols.size)
     for a in range(0, cols.size, PAIR_CHUNK):
-        ts, js = targets[a:a + PAIR_CHUNK].tolist(), cols[a:a + PAIR_CHUNK].tolist()
-        block = np.stack([rows[j] for j in js])
-        block -= np.stack([rows[t] for t in ts])
+        block = store.take(cols[a:a + PAIR_CHUNK])
+        block -= store.matrix[targets[a:a + PAIR_CHUNK]]
         block *= block
-        out[a:a + len(js)] = np.sqrt(np.add.reduce(block, axis=1))
+        out[a:a + len(block)] = np.sqrt(np.add.reduce(block, axis=1))
     return out
 
 
@@ -380,7 +379,7 @@ def assess(target: Experiment, target_x: np.ndarray,
     if target.id in pool_features:
         raise ValueError(f"pool must exclude the target id {target.id!r}")
     store = FeatureStore.from_features({target.id: target_x, **pool_features},
-                                       (target.id, *pool_features), 1)
+                                       (target.id, *pool_features), [0])
     return next(assess_rows(store, [0], pool_effects, cfg))
 
 
@@ -408,27 +407,34 @@ def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
 class FeatureStore:
     """Feature vectors by row number, with the Gram rows of the targets.
 
-    ``rows[i]`` is the feature vector of ``ids[i]``: the caller's array itself
-    when it is already contiguous float64, so a store adds no copy of the
-    features, and the caller must not modify it while the store is in use.
-    The targets are the first ``len(gram)`` rows: ``gram[t]`` holds row t's
-    inner products with every row, ``sq_norms`` each row's with itself. They
-    bracket every distance from a target, within GRAM_BAND (and
-    SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets alone
-    all it can: at N=360 it takes about one exact norm a target. ``id_rank``
-    is each id's position in sorted order, which breaks distance ties. Rows
-    are finite and of one length, no squared distance between them
-    overflows, and a store is not modified after it is built but for
+    Row i of the C-contiguous float64 ``matrix`` is the feature vector of
+    ``ids[i]``. It is the caller's matrix itself when the vectors given are
+    its rows in order, as :func:`~exatlas.representation.read_vector_file`
+    returns them, else a stack of them; the caller must not modify it while
+    the store is in use. Rows that :meth:`extended` appends follow, in
+    ``extra``. The ``targets`` are rows of ``matrix``: ``gram[gram_row[t]]``
+    holds target t's inner products with every row, ``sq_norms`` each row's
+    with itself. They bracket every distance from a target, within GRAM_BAND
+    (and SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets
+    alone all it can: at N=360 it takes about one exact norm a target.
+    ``id_rank`` is each id's position in sorted order, which breaks distance
+    ties. Rows are finite and of one length, no squared distance between
+    them overflows, and a store is not modified after it is built but for
     ``memo``, its own record of what :func:`gate_rows` has solved on it.
     """
 
-    def __init__(self, ids: Sequence[str], rows: Sequence[np.ndarray], gram: np.ndarray):
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray, targets: Sequence[int],
+                 gram: np.ndarray, extra: np.ndarray | None = None):
         self.ids = tuple(ids)
-        self.rows = tuple(rows)
+        self.matrix = matrix
+        self.extra = matrix[:0] if extra is None else extra
+        self.targets = np.asarray(targets, dtype=int)
+        self.gram_row = {t: k for k, t in enumerate(self.targets.tolist())}
         self.gram = gram
         self.memo: dict = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            self.sq_norms = np.array([row @ row for row in self.rows])
+            self.sq_norms = np.concatenate([np.einsum("ij,ij->i", m, m)
+                                            for m in (matrix, self.extra)])
         # Every squared distance is at most 4 * max(sq_norms).
         if not self.sq_norms.max() <= np.finfo(float).max / 4:
             raise ComposerError("feature vectors too long: squared distances overflow")
@@ -438,20 +444,21 @@ class FeatureStore:
 
     @classmethod
     def from_features(cls, features: Mapping[str, np.ndarray], ids: Sequence[str],
-                      targets: int | None = None) -> "FeatureStore":
+                      targets: Sequence[int] | None = None) -> "FeatureStore":
         """The store of ``features[i]`` for each of ``ids``, in that order,
-        whose targets are the first ``targets`` rows (by default all)."""
+        whose targets are the rows ``targets`` (by default all)."""
         missing = [i for i in ids if i not in features]
         if missing:
             raise ComposerError(f"features missing for ids: {missing[:5]}")
-        rows = _feature_rows(features, ids, None)
-        return cls(ids, rows, _inner_products(rows[:targets], rows))
+        matrix = _matrix_of(features, ids, None)
+        targets = np.arange(len(ids)) if targets is None else np.asarray(targets, dtype=int)
+        return cls(ids, matrix, targets, _inner_products(matrix, targets, matrix))
 
     def extended(self, extra: Mapping[str, np.ndarray]) -> "FeatureStore":
         """A store with ``extra``'s rows appended, which are not targets: the
-        targets' Gram rows gain the new rows' columns, each target row's
-        products with the k new rows stacked once, so the cost is
-        O(targets * k * length) and no target row is copied. Every existing
+        targets' Gram rows gain the new rows' columns, one product of the
+        targets' rows and the k new ones, so the cost is O(targets * k *
+        length) and ``matrix`` is neither copied nor restacked. Every existing
         row keeps its index, so the new store starts from a copy of this
         one's ``memo``, which holds rows by number: two stores extended from
         one never share entries."""
@@ -461,49 +468,55 @@ class FeatureStore:
         if clash:
             raise ValueError(f"ids already in the feature store: {clash[:5]}")
         new_ids = tuple(extra)
-        rows = _feature_rows(extra, new_ids, self.rows[0].size)
-        new = np.stack(rows)
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _inner_products
-            gram = np.hstack((self.gram, [new @ row for row in self.rows[:len(self.gram)]]))
-        store = FeatureStore(self.ids + new_ids, self.rows + rows, gram)
+        new = _matrix_of(extra, new_ids, self.matrix.shape[1])
+        gram = np.hstack((self.gram, _inner_products(self.matrix, self.targets, new)))
+        store = FeatureStore(self.ids + new_ids, self.matrix, self.targets, gram,
+                             np.concatenate((self.extra, new)))
         store.memo = dict(self.memo)
         return store
 
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The feature vectors of ``rows`` (those past ``matrix`` from ``extra``),
+        stacked in a new C-contiguous array."""
+        out = self.matrix[np.minimum(rows, len(self.matrix) - 1)]
+        beyond = rows >= len(self.matrix)
+        out[beyond] = self.extra[rows[beyond] - len(self.matrix)]
+        return out
 
-# Inner products are summed over this many stacked row elements at a time,
-# so that no copy of all the rows is ever made. Their order of summation is
-# free: the Gram rows and squared norms only screen distances, within GRAM_BAND.
-GRAM_CHUNK_VALUES = 1 << 17
 
-
-def _inner_products(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> np.ndarray:
-    """The matrix of ``left[i] @ right[j]``, summed over column chunks.
-
-    A product that overflows is left infinite without a warning: the store
-    rejects rows whose squared norms overflow with one error.
-    """
-    out = np.zeros((len(left), len(right)))
-    step = max(1, GRAM_CHUNK_VALUES // max(len(left), len(right)))
+def _inner_products(matrix: np.ndarray, rows: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The matrix of ``matrix[rows[i]] @ right[j]``, with no copy of ``matrix``
+    when ``rows`` are all of its rows in order. Its order of summation is
+    free: the Gram rows only screen distances, within GRAM_BAND. A product
+    that overflows is left infinite without a warning: the store rejects
+    rows whose squared norms overflow with one error."""
+    left = matrix if np.array_equal(rows, np.arange(len(matrix))) else matrix[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in range(0, left[0].size, step):
-            a = np.stack([row[c:c + step] for row in left])
-            b = a if right is left else np.stack([row[c:c + step] for row in right])
-            out += a @ b.T
-    return out
+        return left @ right.T
 
 
-def _feature_rows(features: Mapping[str, np.ndarray], ids: Sequence[str],
-                  width: int | None) -> tuple[np.ndarray, ...]:
-    rows = tuple(np.ascontiguousarray(features[i], dtype=float) for i in ids)
+def _matrix_of(features: Mapping[str, np.ndarray], ids: Sequence[str],
+               width: int | None) -> np.ndarray:
+    """The feature vectors of ``ids`` as the rows of one C-contiguous float64
+    matrix: the one whose first rows they are, in order, if any, else a stack."""
+    rows = [np.asarray(features[i], dtype=float) for i in ids]
     if not rows:
         raise EmptyPoolError("feature store needs at least one row")
     width = rows[0].size if width is None else width
-    for i, row in zip(ids, rows):
+    for row in rows:
         if row.shape != (width,):
             raise DimensionError(width, row.size)
-        if not np.all(np.isfinite(row)):
-            raise ComposerError(f"feature vector of {i!r} has non-finite values")
-    return rows
+    base = rows[0].base  # the array that owns the memory of a view
+    own = (isinstance(base, np.ndarray) and base.dtype == float and base.flags.c_contiguous
+           and base.shape[1:] == (width,) and len(base) >= len(rows)
+           and all(row.flags.c_contiguous and row.ctypes.data == base.ctypes.data + k * row.nbytes
+                   for k, row in enumerate(rows)))
+    matrix = base[:len(rows)] if own else np.stack(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ComposerError(f"feature vector of {ids[int(np.argmin(finite))]!r} "
+                            "has non-finite values")
+    return matrix
 
 
 def _select_block(store: FeatureStore, targets: np.ndarray,
@@ -528,11 +541,11 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
     # a block holds few (block, n) arrays.
     sq = store.sq_norms
     band = sq[targets][:, None] + sq
-    hi = store.gram[targets]
+    hi = store.gram[[store.gram_row[t] for t in targets.tolist()]]
     hi *= 2.0
     np.subtract(band, hi, out=hi)  # squared distance
     band *= GRAM_BAND
-    band += SUBNORMAL_BAND * (store.rows[0].size + 1)
+    band += SUBNORMAL_BAND * (store.matrix.shape[1] + 1)
     lo = hi - band
     hi += band
     del band
@@ -547,7 +560,7 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
     def refine(r: np.ndarray, j: np.ndarray) -> None:
         take = ~known[r, j]
         r, j = r[take], j[take]
-        lo[r, j] = hi[r, j] = _pair_distances(store.rows, targets[r], j)
+        lo[r, j] = hi[r, j] = _pair_distances(store, targets[r], j)
         known[r, j] = True
 
     def segments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -626,7 +639,7 @@ def assess_rows(store: FeatureStore, targets: Sequence[int],
                 pool_effects: Mapping[str, float] | None,
                 cfg: ComposerConfig) -> Iterator[Composition]:
     """:func:`assess` of each row in ``targets`` against every other row of
-    ``store``; the targets are among its first ``len(store.gram)`` rows.
+    ``store``; the targets are among the store's ``targets``.
 
     A result does not depend on the order of the rows or on the other
     targets. Every residual is taken exactly, on the pipeline that
@@ -654,7 +667,7 @@ class Gate(NamedTuple):
 def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig) -> Iterator[Gate]:
     """The candidates, local scale, weights and gate decision of
     :func:`assess_rows` for each row in ``targets``, without the residuals;
-    the targets are among the first ``len(store.gram)`` rows of ``store``.
+    the targets are among the store's ``targets``.
 
     Both run one pipeline, which brackets each residual r from the normal
     equations of the solve. Here the exact r is taken only where the bracket
@@ -673,9 +686,10 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig) 
 
 
 def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
-    # As solve_weights gathers them, once for the normal equations and again
-    # for a residual, so that a block never holds every target's columns at once.
-    return np.column_stack([store.rows[j] for j in cols])
+    # The C-contiguous columns that solve_weights gathers, once for the normal
+    # equations and again for a residual, so that a block never holds every
+    # target's columns at once.
+    return np.ascontiguousarray(store.take(cols).T)
 
 
 def _pipeline(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
@@ -710,7 +724,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
             rows = same[first:first + per_stack]
             G, b = np.empty((len(rows), n, n)), np.empty((len(rows), n))
             for i, r in enumerate(rows):
-                _normal_equations(_columns(store, picks[r][0]), store.rows[targets[r]],
+                _normal_equations(_columns(store, picks[r][0]), store.matrix[targets[r]],
                                   cfg.ridge, G[i], b[i])
             solved = _solve_stack(G, b)
             w = np.stack([wr for wr, _ in solved])
@@ -731,7 +745,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
             cols = np.stack([picks[r][0] for r in rows])
             size = np.sqrt(yy) + np.einsum("pi,pi->p", w, np.sqrt(store.sq_norms[cols]))
             band = (GRAM_BAND * (size * size + cfg.ridge)
-                    + SUBNORMAL_BAND * (store.rows[0].size + n * n + 1))
+                    + SUBNORMAL_BAND * (store.matrix.shape[1] + n * n + 1))
             lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
             hi = np.sqrt(q + band).tolist()
             for i, r in enumerate(rows):
@@ -742,7 +756,7 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
         # Division is monotone, so r / s <= lambda is settled unless the
         # bracket's ends fall on either side of it.
         if exact or (lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale)):
-            lo = hi = _residual(_columns(store, cols), store.rows[key[0]], w)
+            lo = hi = _residual(_columns(store, cols), store.matrix[key[0]], w)
             found[key] = (w, status, lo, hi)
         if memo is not None:
             memo[key] = found[key]

@@ -94,9 +94,10 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
     rest of the archive; an id given more than once is assessed once.
 
     The targets are assessed over one shared :class:`FeatureStore` of the
-    archive's features, whose Gram matrix holds the targets' rows alone,
-    with the same results as ``assess`` over a per-target pool, whichever
-    other targets are assessed. Results come back sorted by target id.
+    archive's features in archive order, whose Gram matrix holds the
+    targets' rows alone, with the same results as ``assess`` over a
+    per-target pool, whichever other targets are assessed. Results come back
+    sorted by target id.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")
@@ -105,12 +106,12 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
         dict.fromkeys(archive.get(i).id for i in ids))
     if not targets:
         return []
-    # The targets come first: they are the store's targets.
-    store = FeatureStore.from_features(features, tuple(dict.fromkeys(targets + archive.ids())),
-                                       len(targets))
+    row = {i: k for k, i in enumerate(archive.ids())}
+    rows = [row[i] for i in targets]
+    store = FeatureStore.from_features(features, archive.ids(), rows)
     effects = {exp.id: float(exp.effect_size) for exp in archive}
     results = []
-    for i, comp in zip(targets, assess_rows(store, range(len(targets)), effects, cfg)):
+    for i, comp in zip(targets, assess_rows(store, rows, effects, cfg)):
         if comp.composed_effect is None:
             raise EvaluatorError(f"no effect prediction for target {i!r}")
         results.append(TargetResult(comp, effects[i]))

@@ -375,7 +375,7 @@ def bridge_loop(target: Experiment, archive: Archive,
     """
     check_max_rounds(max_rounds)
     store = FeatureStore.from_features(features, archive.ids())
-    width = store.rows[0].size
+    width = store.matrix.shape[1]
     if 3 * embedder.dimension != width:
         raise EmbeddingError(
             f"embedding provider dimension {embedder.dimension} gives features of "

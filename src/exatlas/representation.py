@@ -130,7 +130,9 @@ class RemoteEmbeddingProvider:
     is set, appended to ``<cache_dir>/<model-slug>.jsonl`` so reruns make no
     remote calls. An unterminated last line in that file, left by a write that
     was cut short, is dropped with a warning and cut off the file before the
-    next append. All cache access is lock-synchronized.
+    next append. Two processes that share ``cache_dir`` may each append the
+    same text's vector, so a key may recur in that file: the cache keeps the
+    vector of its last line. All cache access is lock-synchronized.
     """
 
     kind = "remote-service"
@@ -179,7 +181,8 @@ class RemoteEmbeddingProvider:
                            path, len(data) - end)
             self._torn_tail = end
         lines = io.TextIOWrapper(io.BytesIO(data[:end]), encoding="utf-8")
-        self._cache.update(_parse_vector_lines(path, lines))
+        self._cache.update(_parse_vector_lines(path, lines, data.count(b"\n", 0, end),
+                                               repeats=True))
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -295,7 +298,8 @@ def embedding_texts(exp) -> tuple[str, str, bool]:
 
 
 def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatrix:
-    """Build one feature vector per experiment; results are keyed by id.
+    """Build one feature vector per experiment; results are keyed by id, each
+    a view of its row of one matrix in archive order.
 
     Each distinct text is embedded once, in archive order: in one
     ``embed_many`` call when the provider has one, so that a remote provider
@@ -332,33 +336,50 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
         vectors = [for_text(text, _checked_vector, provider, vec)
                    for text, vec in zip(texts, raw)]
     by_text = dict(zip(texts, vectors))
+    matrix = np.empty((len(picked), 3 * provider.dimension))
+    for row, (_, t, o, _) in zip(matrix, picked):
+        row[:] = build_feature(by_text[t], by_text[o])
     return FeatureMatrix(
-        {exp_id: build_feature(by_text[t], by_text[o]) for exp_id, t, o, _ in picked},
+        {exp_id: row for row, (exp_id, _, _, _) in zip(matrix, picked)},
         {exp_id: enriched for exp_id, _, _, enriched in picked},
         provider.dimension)
 
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a ``{id, values}``-per-line vector file, enforcing one dimension.
+    """Read a ``{id, values}``-per-line vector file, enforcing one dimension
+    and one line per id. The vectors are views of the rows of one matrix,
+    allocated from a count of the file's lines.
 
     Lines are read by :func:`~exatlas.archive.jsonl_records`; every error is an
     :class:`EmbeddingError` naming the file and, for a bad record, the line."""
     path = Path(path)
+    with path.open("rb") as fh:  # at least the lines: one more than the newlines
+        rows = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
     with path.open("r", encoding="utf-8") as fh:
-        return _parse_vector_lines(path, fh)
+        return _parse_vector_lines(path, fh, rows)
 
 
-def _parse_vector_lines(path: Path, lines: Iterable[str]) -> dict[str, np.ndarray]:
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+def _parse_vector_lines(path: Path, lines: Iterable[str], rows: int,
+                        repeats: bool = False) -> dict[str, np.ndarray]:
+    """The vectors of ``lines``, the text of ``path``, as row views of one
+    matrix of ``rows`` rows, doubled whenever the lines hold more. A repeated
+    id is an error, or with ``repeats`` set replaces the earlier vector."""
+    matrix: np.ndarray | None = None
+    first: dict[str, tuple[int, int]] = {}  # id -> (row, line)
     for line_no, rec in jsonl_records(path, lines, EmbeddingError, _decode_vector_line):
         vec = _record_values(path, line_no, rec)
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
-        vectors[str(rec["id"])] = vec
-    return vectors
+        if matrix is None:
+            matrix = np.empty((max(rows, 1), vec.size))
+        elif vec.size != matrix.shape[1]:
+            raise DimensionMismatchError(matrix.shape[1], vec.size, f"{path}:{line_no}")
+        key = str(rec["id"])
+        row, line = first.setdefault(key, (len(first), line_no))
+        if line != line_no and not repeats:
+            raise EmbeddingError(f"{path}:{line_no}: duplicate id {key!r} (first on line {line})")
+        if row == len(matrix):
+            matrix = np.concatenate((matrix, np.empty_like(matrix)))
+        matrix[row] = vec
+    return {key: matrix[row] for key, (row, _) in first.items()}
 
 
 def _decode_vector_line(line: str):

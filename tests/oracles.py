@@ -247,7 +247,7 @@ def pass_ratio(store, cfg) -> float:
     from exatlas.atlas import isolated_ratio
     from exatlas.composer import gate_rows
 
-    return isolated_ratio(list(gate_rows(store, range(len(store.gram)), cfg)))
+    return isolated_ratio(list(gate_rows(store, store.targets, cfg)))
 
 
 def record_selected_targets(monkeypatch) -> list[list[int]]:
@@ -291,9 +291,9 @@ def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     original = composer_mod._pair_distances
 
-    def recording(rows, targets, cols):
+    def recording(store, targets, cols):
         pairs.extend(zip(targets.tolist(), cols.tolist()))
-        return original(rows, targets, cols)
+        return original(store, targets, cols)
 
     monkeypatch.setattr(composer_mod, "_pair_distances", recording)
     return pairs
@@ -301,7 +301,8 @@ def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
 
 def record_exact_residuals(monkeypatch) -> list[np.ndarray]:
     """Record the exact residuals the composer takes: the list grows by the
-    target's feature vector, the array itself, per residual ``||y - A w||``."""
+    target's feature vector, a view of its row of the store's matrix, per
+    residual ``||y - A w||``."""
     import exatlas.composer as composer_mod
 
     targets: list[np.ndarray] = []
@@ -316,18 +317,22 @@ def record_exact_residuals(monkeypatch) -> list[np.ndarray]:
 
 
 def reference_read_vector_file(path) -> dict[str, np.ndarray]:
-    """``read_vector_file`` with every line decoded by ``json.loads``: the
-    same checks in the same order, worded the same way."""
+    """``read_vector_file`` with every line decoded by ``json.loads`` into a
+    dict of separate arrays: the same checks in the same order, worded the
+    same way."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         return reference_parse_vector_lines(path, fh)
 
 
-def reference_parse_vector_lines(path, lines) -> dict[str, np.ndarray]:
-    """The reference reader on ``lines``, the text of the file ``path``."""
+def reference_parse_vector_lines(path, lines, repeats=False) -> dict[str, np.ndarray]:
+    """The reference reader on ``lines``, the text of the file ``path``; an id
+    on a second line is an error unless ``repeats`` is set, when its last
+    vector is kept."""
     from exatlas.representation import DimensionMismatchError, EmbeddingError
 
     vectors: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     dim = None
     try:
         for line_no, line in enumerate(lines, start=1):
@@ -360,7 +365,12 @@ def reference_parse_vector_lines(path, lines) -> dict[str, np.ndarray]:
                 dim = vec.size
             elif vec.size != dim:
                 raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
-            vectors[str(rec["id"])] = vec
+            key = str(rec["id"])
+            if key in first_line and not repeats:
+                raise EmbeddingError(f"{path}:{line_no}: duplicate id {key!r} "
+                                     f"(first on line {first_line[key]})")
+            first_line.setdefault(key, line_no)
+            vectors[key] = vec
     except UnicodeDecodeError as e:
         raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
     return vectors

@@ -335,6 +335,21 @@ class TestErrorsExitCleanly:
         assert self.one_error_line(capsys.readouterr().err) == \
             f"error: {vec}:5: dimension mismatch: expected 24, got 23"
 
+    def test_repeated_vector_id(self, tmp_path, capsys):
+        """A vector file that repeats an id is rejected, as an archive is,
+        whether it is read by --vectors or by the file: provider."""
+        vec = tmp_path / "v.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_text(encoding="utf-8").splitlines()
+        vec.write_text("\n".join(lines[:2] + lines[:1]) + "\n", encoding="utf-8")
+        first = json.loads(lines[0])["id"]
+        capsys.readouterr()
+        for argv in (["evaluate", "--vectors", str(vec)], ["embed", "--provider", f"file:{vec}",
+                                                          "--out", str(tmp_path / "out.jsonl")]):
+            assert run(*argv, "--archive", TOY) == 2
+            assert self.one_error_line(capsys.readouterr().err) == \
+                f"error: {vec}:3: duplicate id {first!r} (first on line 1)"
+
     @pytest.mark.parametrize("record, message", [
         ({"prompt_hash": "abc"}, "missing field 'response'"),
         (["abc", "reply"], "expected a JSON object"),

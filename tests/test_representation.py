@@ -16,6 +16,7 @@ from exatlas.representation import (
     MissingVectorError,
     RemoteEmbeddingProvider,
     VectorFileProvider,
+    append_vector_file,
     build_feature,
     embed_text,
     feature_matrix,
@@ -221,6 +222,24 @@ class TestRemoteProvider:
         again = RemoteEmbeddingProvider("http://x", **kwargs)  # later runs read it
         assert [v[0] for v in again.embed_many(["a", "b", "c"])] == [97.0, 98.0, 99.0]
         assert len(calls) == 2
+
+    def test_repeated_cache_key_keeps_its_last_vector(self, tmp_path):
+        """Two processes that share a cache directory may each append a
+        text's vector: the cache keeps the last, where a vector file given
+        to --vectors rejects the repeat."""
+        calls: list = []
+        kwargs = dict(model="m", dimension=3, transport=make_fake_transport(3, calls),
+                      cache_dir=tmp_path)
+        first = RemoteEmbeddingProvider("http://x", **kwargs).embed_many(["a", "b"])
+        cache = tmp_path / "m.jsonl"
+        append_vector_file(cache, {text_key("a"): np.array([7.0, 8.0, 9.0])})
+        p = RemoteEmbeddingProvider("http://x", **kwargs)
+        assert [v.tolist() for v in p.embed_many(["a", "b"])] == \
+            [[7.0, 8.0, 9.0], first[1].tolist()]
+        assert len(calls) == 1
+        with pytest.raises(EmbeddingError, match=f"^{cache}:3: duplicate id '{text_key('a')}' "
+                                                 r"\(first on line 1\)$"):
+            read_vector_file(cache)
 
     @pytest.mark.parametrize("body, message", [
         ([{"embedding": [0.0, 1.0]}], "expected an object whose data lists 2 items"),

@@ -24,6 +24,8 @@ from exatlas.atlas import isolated_ratio
 from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DegenerateScaleError,
                               DimensionError, FeatureStore, assess, assess_rows, gate_rows)
 from exatlas.evaluator import loo_run
+from exatlas.representation import (DeterministicStubProvider, feature_matrix, read_vector_file,
+                                    write_vector_file)
 
 
 def record_bytes(comp) -> str:
@@ -155,7 +157,8 @@ def test_extended_store_matches_assess(case):
     grown = store.extended(dict(list(extra.items())[:2])).extended(
         dict(list(extra.items())[2:]))
     assert grown.ids == ids + tuple(extra)
-    matrix = np.stack(grown.rows)
+    assert grown.matrix is store.matrix
+    matrix = np.concatenate((grown.matrix, grown.extra))
     np.testing.assert_allclose(grown.gram, matrix[:len(ids)] @ matrix.T)
     effects = {i: 1.0 for i in ids}
     for tid, got in zip(ids, assess_rows(grown, range(len(ids)), effects, cfg)):
@@ -165,8 +168,9 @@ def test_extended_store_matches_assess(case):
 
 def test_store_holds_gram_rows_of_its_targets(monkeypatch):
     """``assess`` computes its target's Gram row alone, and ``extended`` the
-    targets' products with the new rows alone, without the chunked product
-    that restacks every target row: the rows it appends are never targets."""
+    targets' products with the new rows alone, in one product of the store's
+    own matrix, not a copy, and the new rows: the rows it appends are never
+    targets."""
     from exatlas import composer as composer_mod
 
     features, cfg = CASES["lattice-ties"]
@@ -175,22 +179,24 @@ def test_store_holds_gram_rows_of_its_targets(monkeypatch):
     calls = []
     real = composer_mod._inner_products
 
-    def recording(left, right):
-        calls.append((tuple(left), tuple(right)))
-        return real(left, right)
+    def recording(matrix, targets, right):
+        calls.append((matrix, list(targets), right))
+        return real(matrix, targets, right)
 
     monkeypatch.setattr(composer_mod, "_inner_products", recording)
     target = Experiment(id=ids[0], treatment_text="t", outcome_text="o", effect_size=0.0)
     assess(target, rows[0], {i: features[i] for i in ids[1:]}, None, cfg)
-    ((left, right),) = calls
-    assert len(left) == 1 and left[0] is rows[0] and len(right) == len(ids)
+    ((matrix, targets, right),) = calls
+    assert targets == [0] and matrix[0].tobytes() == rows[0].tobytes() and right is matrix
 
     store = FeatureStore.from_features(features, ids)
     for k in (2, 3):
         calls.clear()
         added = {f"hypothetical:{len(store.ids)}:{j}": rows[j] + 0.5 for j in range(k)}
         grown = store.extended(added)
-        assert calls == []
+        ((matrix, targets, right),) = calls
+        assert matrix is store.matrix and targets == list(range(len(ids)))
+        assert right.shape == (k, len(rows[0]))
         assert grown.gram.shape == (len(ids), len(grown.ids))
         assert grown.gram[:, :len(store.ids)].tobytes() == store.gram.tobytes()
         np.testing.assert_allclose(grown.gram[:, len(store.ids):],
@@ -225,18 +231,63 @@ def test_loo_run_independent_of_input_order():
             for r in results} == base
 
 
+def test_stores_share_the_read_matrix(tmp_path, monkeypatch):
+    """A store over a ``read_vector_file`` mapping in file order holds the
+    file's matrix itself, not a copy: in a whole ``loo_run``, in a
+    one-target one (whose Gram matrix is the target's one row), and before
+    and after ``extended``. Rows in another order are stacked anew. So is a
+    store over ``feature_matrix``'s vectors in archive order."""
+    from exatlas import evaluator as evaluator_mod
+
+    features = gaussian_features(6, 40)
+    ids = tuple(features)
+    path = tmp_path / "vectors.jsonl"
+    write_vector_file(path, features)
+    vectors = read_vector_file(path)
+    archive, cfg = make_archive(ids), ComposerConfig()
+    stores = []
+    real = evaluator_mod.assess_rows
+
+    def recording(store, targets, *args):
+        stores.append(store)
+        return real(store, targets, *args)
+
+    monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
+    full = {r.target_id: json.dumps(r.to_record()) for r in loo_run(archive, vectors, cfg)}
+    (one,) = loo_run(archive, vectors, cfg, [ids[7]])
+    assert json.dumps(one.to_record()) == full[ids[7]]
+    assert [store.gram.shape for store in stores] == [(40, 40), (1, 40)]
+    store = FeatureStore.from_features(vectors, ids)
+    grown = store.extended({"hypothetical:0": features[ids[0]] + 0.5})
+    for held in (*stores, store, grown):
+        assert all(np.shares_memory(held.matrix[k], vectors[i]) for k, i in enumerate(ids))
+    assert grown.matrix is store.matrix
+    assert not np.shares_memory(FeatureStore.from_features(vectors, ids[::-1]).matrix,
+                                vectors[ids[0]])
+    embedded = feature_matrix(archive, DeterministicStubProvider(4)).features
+    assert np.shares_memory(FeatureStore.from_features(embedded, ids).matrix, embedded[ids[-1]])
+
+
 def layout_outputs(features: dict[str, np.ndarray], ids: list[str],
-                   cfg: ComposerConfig) -> dict[str, tuple]:
+                   cfg: ComposerConfig, one_at_a_time: bool = False) -> dict[str, tuple]:
     """By target id: its result record, its composition record with the
     weights in candidate order, and its gate_rows decision, for the archive
-    of ``ids`` in that order (each id keeps one effect)."""
+    of ``ids`` in that order (each id keeps one effect). ``one_at_a_time``
+    takes each target on a store whose Gram matrix is its one row."""
     archive = Archive(tuple(
         Experiment(id=i, treatment_text="t", outcome_text="o",
                    effect_size=float(sum(map(ord, i)) % 5) - 1.75) for i in ids))
-    results = loo_run(archive, {i: features[i] for i in reversed(ids)}, cfg)
-    store = FeatureStore.from_features(features, ids)
-    gates = {store.ids[t]: gate_record(store, gate)
-             for t, gate in enumerate(gate_rows(store, range(len(ids)), cfg))}
+    pool = {i: features[i] for i in reversed(ids)}
+    if one_at_a_time:
+        results = [r for i in ids for r in loo_run(archive, pool, cfg, [i])]
+        stores = [FeatureStore.from_features(features, ids, [t]) for t in range(len(ids))]
+        gates = {ids[t]: gate_record(store, next(gate_rows(store, [t], cfg)))
+                 for t, store in enumerate(stores)}
+    else:
+        results = loo_run(archive, pool, cfg)
+        store = FeatureStore.from_features(features, ids)
+        gates = {store.ids[t]: gate_record(store, gate)
+                 for t, gate in enumerate(gate_rows(store, range(len(ids)), cfg))}
     return {r.target_id: (json.dumps(r.to_record(), sort_keys=True),
                           json.dumps(r.composition.to_record()), gates[r.target_id])
             for r in results}
@@ -244,11 +295,13 @@ def layout_outputs(features: dict[str, np.ndarray], ids: list[str],
 
 @pytest.mark.parametrize("case", ["lattice-tight-cap", "near-ties-even-pool"])
 def test_outputs_independent_of_layout(case, monkeypatch):
-    """However the pass is cut (targets per block, Gram chunk width, exact
-    distances per chunk) and in whatever order the records come, every
-    record and gate decision is the same; distance ties break by id, never
-    by row. Each cut runs on the records in another order than the
-    reference's: default cut, file order."""
+    """However the pass is cut (targets per block, all targets' Gram rows in
+    one product or each target's alone, exact distances per chunk) and in
+    whatever order the records come, every record and gate decision is the
+    same; distance ties break by id, never by row. Each cut runs on the
+    records in another order than the reference's: default cut, file order.
+    A Gram row computed alone sums in another order: on the near ties some
+    of its products differ in their last bits from the whole product's."""
     from exatlas import composer as composer_mod
 
     features, cfg = CASES[case]
@@ -256,12 +309,16 @@ def test_outputs_independent_of_layout(case, monkeypatch):
     want = layout_outputs(features, ids, cfg)
     permuted = [ids[k] for k in np.random.default_rng(11).permutation(len(ids))]
     for block in (1, 7, len(ids)):
-        for chunk in (1 << 10, 1 << 30):
-            for pair in (1, 1000):
-                monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", block)
-                monkeypatch.setattr(composer_mod, "GRAM_CHUNK_VALUES", chunk)
-                monkeypatch.setattr(composer_mod, "PAIR_CHUNK", pair)
-                assert layout_outputs(features, permuted, cfg) == want, (block, chunk, pair)
+        for pair in (1, 1000):
+            monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", block)
+            monkeypatch.setattr(composer_mod, "PAIR_CHUNK", pair)
+            assert layout_outputs(features, permuted, cfg) == want, (block, pair)
+    assert layout_outputs(features, permuted, cfg, one_at_a_time=True) == want
+    if case.startswith("near-ties"):
+        whole = FeatureStore.from_features(features, ids).gram
+        alone = np.concatenate([FeatureStore.from_features(features, ids, [t]).gram
+                                for t in range(len(ids))])
+        assert (alone != whole).any()
 
 
 def test_isolated_ratio_on_an_extended_store():
@@ -285,7 +342,7 @@ def test_isolated_ratio_on_an_extended_store():
         store = store.extended(added)
         trace.append(pass_ratio(store, cfg))
         rebuilt = FeatureStore.from_features({**features, **extra}, ids + tuple(extra),
-                                             len(ids))
+                                             range(len(ids)))
         assert trace[-1] == pass_ratio(rebuilt, cfg)
         assert trace[-1] == reference_isolated_ratio(archive, features, cfg, extra)
         comps = list(assess_rows(store, range(len(ids)), effects, cfg))
@@ -343,8 +400,8 @@ def test_sibling_stores_keep_their_own_memos():
     parent = FeatureStore.from_features(features, ids)
     list(gate_rows(parent, range(len(ids)), cfg))
     siblings = [parent.extended(extra) for extra in extras]
-    fresh = [FeatureStore.from_features({**features, **extra}, ids + tuple(extra), len(ids))
-             for extra in extras]
+    fresh = [FeatureStore.from_features({**features, **extra}, ids + tuple(extra),
+                                        range(len(ids))) for extra in extras]
     want = [[gate_record(f, g) for g in gate_rows(f, range(len(ids)), cfg)] for f in fresh]
     for order in ((0, 1), (1, 0), (0, 1)):
         for k in order:
@@ -525,8 +582,8 @@ def test_missing_features_name_up_to_five_ids():
 # assess_rows' everywhere, and its exact residuals must be the ones named.
 
 def row_of(store, y) -> int:
-    """The row of ``store`` whose feature vector is the array ``y`` itself."""
-    return next(t for t, row in enumerate(store.rows) if row is y)
+    """The row of ``store`` whose feature vector ``y`` is a view of."""
+    return next(t for t, row in enumerate(store.matrix) if np.shares_memory(row, y))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -670,7 +727,8 @@ def test_loo_run_takes_every_residual_exactly(monkeypatch):
     ids = tuple(features)
     taken = record_exact_residuals(monkeypatch)
     loo_run(make_archive(ids), features, ComposerConfig())
-    assert [next(i for i in ids if features[i] is y) for y in taken] == list(ids)
+    assert [next(i for i in ids if features[i].tobytes() == y.tobytes()) for y in taken] \
+        == list(ids)
 
 
 def test_loo_run_assesses_a_repeated_id_once(monkeypatch):

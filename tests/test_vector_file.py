@@ -5,8 +5,11 @@ record whose id is not a string, to ``json.loads``. These tests hold it to
 :func:`oracles.reference_read_vector_file`, which decodes every line with
 ``json.loads``: the same ids in the same order, bit-identical arrays, and the
 same exception type and message. Generated examples are decoded from
-memory, in the text mode ``read_vector_file`` opens a file with; the rest
-are files on disk.
+memory, in the text mode ``read_vector_file`` opens a file with, both as a
+vector file, where an id may not repeat, and as the embedding cache, where
+its last vector wins; the rest are files on disk. The reader puts the
+vectors in one matrix, sized from a count of the file's lines; a file
+whose lines outnumber that count is still read in full.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_parse_vector_lines, reference_read_vector_file
 
+from exatlas import representation as representation_mod
+from exatlas.composer import FeatureStore
 from exatlas.representation import (EmbeddingError, _parse_vector_lines, read_vector_file,
                                     write_vector_file)
 
@@ -62,9 +67,12 @@ def text_stream(data: bytes) -> io.TextIOWrapper:
 
 
 def assert_same_as_reference_in_memory(data: bytes):
+    """As a vector file and as the embedding cache, on a matrix of one row
+    at first, which grows as the lines need."""
     path = Path("generated.jsonl")  # named in the messages only
-    assert outcome(_parse_vector_lines, path, text_stream(data)) == \
-        outcome(reference_parse_vector_lines, path, text_stream(data))
+    for repeats in (False, True):
+        assert outcome(_parse_vector_lines, path, text_stream(data), 1, repeats) == \
+            outcome(reference_parse_vector_lines, path, text_stream(data), repeats)
 
 
 def test_planted_file(tmp_path):
@@ -118,6 +126,58 @@ def test_edge_lines(tmp_path, line):
     assert_same_as_reference(path)
 
 
+A = b'{"id": "a", "values": [1.0, 2.0]}'
+B = b'{"id": "b", "values": [3.0, 4.0]}'
+
+
+@pytest.mark.parametrize("data, ids", [
+    (b"", []),
+    (b"\n \n\t\n", []),
+    (b"\n" + A + b"\n\n\n" + B + b"\n\n", ["a", "b"]),
+    (A + b"\n" + B, ["a", "b"]),
+    (A + b"\r\n" + B + b"\r\n", ["a", "b"]),
+    (A + b"\r" + B + b"\r", ["a", "b"]),  # no newline to count
+    (A + b"\n" + B + b"\n" + b'{"id": "a", "values": [5.0, 6.0]}\n', None),
+])
+def test_whole_files(tmp_path, data, ids):
+    """Blank lines, a missing or other line ending and an empty file leave no
+    stray rows: a store over the vectors in file order is their matrix, with
+    one row a vector. An id on a second line is an error, as in an archive."""
+    path = new_file(tmp_path, data)
+    got = assert_same_as_reference(path)
+    if ids is None:
+        assert got == ("error", EmbeddingError,
+                       f"{path}:3: duplicate id 'a' (first on line 1)")
+        return
+    vectors = read_vector_file(path)
+    assert list(vectors) == ids
+    if ids:
+        store = FeatureStore.from_features(vectors, ids)
+        assert store.matrix.shape == (len(ids), 2)
+        assert all(np.shares_memory(store.matrix[k], vectors[i]) for k, i in enumerate(ids))
+
+
+def test_lines_added_after_the_count_are_read(tmp_path, monkeypatch):
+    """A file that gains lines between the count of its lines and the parse
+    is read in full."""
+    path = tmp_path / "v.jsonl"
+    path.write_bytes(A + b"\n")
+    real = representation_mod._parse_vector_lines
+
+    def grow_then_parse(p, lines, rows):
+        assert rows == 2
+        with p.open("ab") as fh:
+            fh.write(B + b"\n" + b'{"id": "c", "values": [5.0, 6.0]}\n')
+        return real(p, lines, rows)
+
+    monkeypatch.setattr(representation_mod, "_parse_vector_lines", grow_then_parse)
+    vectors = read_vector_file(path)
+    assert {k: v.tolist() for k, v in vectors.items()} == \
+        {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]}
+    monkeypatch.undo()
+    assert_same_as_reference(path)
+
+
 def test_big_integer_id_keeps_its_digits(tmp_path):
     path = tmp_path / "v.jsonl"
     path.write_text('{"id": 12345678901234567890123, "values": [1.0]}\n', encoding="utf-8")
@@ -156,6 +216,7 @@ _ID = st.one_of(
     _TEXT.map(json.dumps),
     _TEXT.map(lambda t: json.dumps(t, ensure_ascii=False)),
     st.just('"\\ud800"'),
+    st.sampled_from(['"a"', '"b"']),  # ids that repeat
     _BIG_INTS,
     _SPECIAL_NUMBERS,
 )
