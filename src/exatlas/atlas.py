@@ -63,11 +63,11 @@ def isolated_ratio(gates: Sequence[Gate]) -> float:
     """Fraction of archive members that neither compose as targets nor
     carry positive weight in any other target's composition.
 
-    ``gates`` is one :func:`~exatlas.composer.gate_rows` pass over the
-    archive: the gate of each of its members, its store's first
-    ``len(gates)`` rows. Any further rows of that store are effect-free
-    candidates (hypothetical bridge nodes), which can change the geometry
-    but are not counted in the ratio.
+    ``gates`` is one :func:`~exatlas.composer.gate_rows` pass on a store
+    whose targets are the archive's members, its first ``len(gates)`` rows
+    in order: the gate of each member. Any further rows of that store are
+    effect-free candidates (hypothetical bridge nodes), which can change the
+    geometry but are not counted in the ratio.
     """
     n_real = len(gates)
     isolated = np.array([not gate.composable for gate in gates], dtype=bool)
@@ -77,7 +77,8 @@ def isolated_ratio(gates: Sequence[Gate]) -> float:
     return np.count_nonzero(isolated) / n_real
 
 
-_DOT_SHAPES = {"link": "ellipse", "conflict": "diamond", "gap": "box"}
+_DOT_ATTRS = {"link": "shape=ellipse", "conflict": "shape=diamond, color=red",
+              "gap": "shape=box, style=dashed"}
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,7 @@ class AtlasGraph:
 
         lines = ["digraph atlas {"]
         for n in self.nodes:
-            attrs = [f"shape={_DOT_SHAPES[n.status]}"]
-            if n.status == "conflict":
-                attrs.append("color=red")
-            elif n.status == "gap":
-                attrs.append("style=dashed")
-            lines.append(f"  {q(n.id)} [{', '.join(attrs)}];")
+            lines.append(f"  {q(n.id)} [{_DOT_ATTRS[n.status]}];")
         for e in self.edges:
             lines.append(f"  {q(e.src)} -> {q(e.dst)} [label=\"{e.weight:.3f}\"];")
         lines.append("}")

@@ -168,11 +168,12 @@ def _embedding_provider(args):
     return parse_embedding_provider(args.provider, seed=args.seed, cache_dir=args.cache_dir)
 
 
-def _features_for(args, archive: Archive) -> dict[str, np.ndarray]:
-    """Feature vectors either from a precomputed --vectors file or a provider."""
+def _features_for(args, archive: Archive, provider=None) -> dict[str, np.ndarray]:
+    """Feature vectors either from a precomputed --vectors file or a provider:
+    ``provider`` if given, else one built from the arguments."""
     if args.vectors:
         return read_vector_file(args.vectors)
-    return feature_matrix(archive, _embedding_provider(args)).features
+    return feature_matrix(archive, provider or _embedding_provider(args)).features
 
 
 def _out_dir(args) -> Path | None:
@@ -315,8 +316,8 @@ def cmd_bridge(args) -> int:
     arc = load_archive(args.archive)
     cfg = _composer_config(args)
     target = arc.get(args.target)
-    features = _features_for(args, arc)
     provider = _embedding_provider(args)
+    features = _features_for(args, arc, provider)
     out = _out_dir(args)
     chat = _chat(args, out)
     result = generators_mod.bridge_loop(target, arc, features, provider, chat, cfg,

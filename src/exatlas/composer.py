@@ -374,13 +374,13 @@ def assess(target: Experiment, target_x: np.ndarray,
     every positive-weight candidate has a known effect, whether or not the
     target passes the gate; callers that admit effect-free hypothetical
     candidates get ``composed_effect=None``. This is :func:`assess_rows` for
-    one target, on a store of the target (row 0, its one Gram row) and the pool.
+    one target, on a store of the target (row 0, its one target) and the pool.
     """
     if target.id in pool_features:
         raise ValueError(f"pool must exclude the target id {target.id!r}")
     store = FeatureStore.from_features({target.id: target_x, **pool_features},
                                        (target.id, *pool_features), [0])
-    return next(assess_rows(store, [0], pool_effects, cfg))
+    return next(assess_rows(store, pool_effects, cfg))
 
 
 def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
@@ -412,11 +412,12 @@ class FeatureStore:
     its rows in order, as :func:`~exatlas.representation.read_vector_file`
     returns them, else a stack of them; the caller must not modify it while
     the store is in use. Rows that :meth:`extended` appends follow, in
-    ``extra``. The ``targets`` are rows of ``matrix``: ``gram[gram_row[t]]``
-    holds target t's inner products with every row, ``sq_norms`` each row's
-    with itself. They bracket every distance from a target, within GRAM_BAND
-    (and SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets
-    alone all it can: at N=360 it takes about one exact norm a target.
+    ``extra``. The ``targets`` are the rows of ``matrix`` that a pass
+    assesses, in its order: ``gram[k]`` holds row ``targets[k]``'s inner
+    products with every row, ``sq_norms`` each row's with itself. They
+    bracket every distance from a target, within GRAM_BAND (and
+    SUBNORMAL_BAND), and :func:`assess_rows` decides from the brackets alone
+    all it can: at N=360 it takes about one exact norm a target.
     ``id_rank`` is each id's position in sorted order, which breaks distance
     ties. Rows are finite and of one length, no squared distance between
     them overflows, and a store is not modified after it is built but for
@@ -429,7 +430,6 @@ class FeatureStore:
         self.matrix = matrix
         self.extra = matrix[:0] if extra is None else extra
         self.targets = np.asarray(targets, dtype=int)
-        self.gram_row = {t: k for k, t in enumerate(self.targets.tolist())}
         self.gram = gram
         self.memo: dict = {}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -446,7 +446,7 @@ class FeatureStore:
     def from_features(cls, features: Mapping[str, np.ndarray], ids: Sequence[str],
                       targets: Sequence[int] | None = None) -> "FeatureStore":
         """The store of ``features[i]`` for each of ``ids``, in that order,
-        whose targets are the rows ``targets`` (by default all)."""
+        whose targets are the rows ``targets``, in order (by default all)."""
         missing = [i for i in ids if i not in features]
         if missing:
             raise ComposerError(f"features missing for ids: {missing[:5]}")
@@ -519,10 +519,10 @@ def _matrix_of(features: Mapping[str, np.ndarray], ids: Sequence[str],
     return matrix
 
 
-def _select_block(store: FeatureStore, targets: np.ndarray,
+def _select_block(store: FeatureStore, block: slice,
                   cfg: ComposerConfig) -> list[tuple[np.ndarray, float]]:
-    """The candidates of :func:`assess` for each row of ``targets`` against
-    every other row: (candidate rows, local scale) per target.
+    """The candidates of :func:`assess` for each of ``store.targets[block]``
+    against every other row: (candidate rows, local scale) per target.
 
     Each distance is bracketed from the Gram matrix, and every bracket holds
     the exact distance. An exact norm is taken only where the brackets cannot
@@ -539,10 +539,10 @@ def _select_block(store: FeatureStore, targets: np.ndarray,
         raise EmptyPoolError("candidate pool is empty")
     # ||x_j||^2 + ||x_t||^2 - 2 x_j.x_t and its band, worked in place so that
     # a block holds few (block, n) arrays.
+    targets = store.targets[block]
     sq = store.sq_norms
     band = sq[targets][:, None] + sq
-    hi = store.gram[[store.gram_row[t] for t in targets.tolist()]]
-    hi *= 2.0
+    hi = store.gram[block] * 2.0
     np.subtract(band, hi, out=hi)  # squared distance
     band *= GRAM_BAND
     band += SUBNORMAL_BAND * (store.matrix.shape[1] + 1)
@@ -635,19 +635,18 @@ ASSESS_BLOCK = 64
 SOLVE_STACK_VALUES = 1 << 22
 
 
-def assess_rows(store: FeatureStore, targets: Sequence[int],
-                pool_effects: Mapping[str, float] | None,
+def assess_rows(store: FeatureStore, pool_effects: Mapping[str, float] | None,
                 cfg: ComposerConfig) -> Iterator[Composition]:
-    """:func:`assess` of each row in ``targets`` against every other row of
-    ``store``; the targets are among the store's ``targets``.
+    """:func:`assess` of each of the store's ``targets`` against every other
+    row of ``store``.
 
     A result does not depend on the order of the rows or on the other
     targets. Every residual is taken exactly, on the pipeline that
     :func:`gate_rows` runs to take only those its gate needs. Results are
-    yielded in the order of ``targets``, ASSESS_BLOCK targets at a time, so a
+    yielded in the store's order, ASSESS_BLOCK targets at a time, so a
     caller that keeps only a summary never holds a whole pass of them.
     """
-    for t, cols, scale, w, status, r in _pipeline(store, targets, cfg, exact=True):
+    for t, cols, scale, w, status, r in _pipeline(store, cfg, exact=True):
         nb = Neighborhood(target_id=store.ids[t],
                           candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
                           local_scale=scale)
@@ -664,10 +663,10 @@ class Gate(NamedTuple):
     composable: bool
 
 
-def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig) -> Iterator[Gate]:
+def gate_rows(store: FeatureStore, cfg: ComposerConfig) -> Iterator[Gate]:
     """The candidates, local scale, weights and gate decision of
-    :func:`assess_rows` for each row in ``targets``, without the residuals;
-    the targets are among the store's ``targets``.
+    :func:`assess_rows` for each of the store's ``targets``, in their order,
+    without the residuals.
 
     Both run one pipeline, which brackets each residual r from the normal
     equations of the solve. Here the exact r is taken only where the bracket
@@ -681,7 +680,7 @@ def gate_rows(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig) 
     and candidates alone, so every decision is that of a fresh store.
     Selection is worked afresh on every pass.
     """
-    for _, cols, scale, w, _, r in _pipeline(store, targets, cfg, exact=False):
+    for _, cols, scale, w, _, r in _pipeline(store, cfg, exact=False):
         yield Gate(cols, scale, w, _normalized(r, scale) <= cfg.lambda_)
 
 
@@ -692,28 +691,27 @@ def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(store.take(cols).T)
 
 
-def _pipeline(store: FeatureStore, targets: Sequence[int], cfg: ComposerConfig,
-              exact: bool) -> Iterator[tuple]:
-    targets = np.asarray(targets, dtype=int).reshape(-1)
-    for start in range(0, targets.size, ASSESS_BLOCK):
-        yield from _block(store, targets[start:start + ASSESS_BLOCK], cfg, exact)
+def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator[tuple]:
+    for start in range(0, len(store.targets), ASSESS_BLOCK):
+        yield from _block(store, slice(start, start + ASSESS_BLOCK), cfg, exact)
 
 
-def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
+def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,
            exact: bool) -> list[tuple]:
     """(row, candidate rows, local scale, weights, solver status, r) for each
-    of ``targets``. r is the exact residual where ``exact`` is set, with no
-    memo; otherwise it is the upper end of a bracket of the residual that
-    settles r / s <= lambda as the exact residual would, on the store's memo
-    (see :func:`gate_rows`). The solves are stacked by candidate count,
-    within SOLVE_STACK_VALUES."""
-    picks = _select_block(store, targets, cfg)
+    of ``store.targets[block]``. r is the exact residual where ``exact`` is
+    set; otherwise it is the upper end of a bracket of the residual that
+    settles r / s <= lambda as the exact residual would. Solves go to the
+    store's memo (see :func:`gate_rows`), or on an exact pass to a dict of
+    the block's own. They are stacked by candidate count, within
+    SOLVE_STACK_VALUES."""
+    targets = store.targets[block]
+    picks = _select_block(store, block, cfg)
     keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
-    memo = None if exact else store.memo
-    found = {} if memo is None else {k: memo[k] for k in keys if k in memo}
+    memo = {} if exact else store.memo
     by_size: dict[int, list[int]] = {}
     for r, key in enumerate(keys):
-        if key not in found:
+        if key not in memo:
             by_size.setdefault(len(key[1]), []).append(r)
     for n, same in by_size.items():
         if n == 0:
@@ -749,16 +747,14 @@ def _block(store: FeatureStore, targets: np.ndarray, cfg: ComposerConfig,
             lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
             hi = np.sqrt(q + band).tolist()
             for i, r in enumerate(rows):
-                found[keys[r]] = (*solved[i], lo[i], hi[i])
+                memo[keys[r]] = (*solved[i], lo[i], hi[i])
     out = []
     for key, (cols, scale) in zip(keys, picks):
-        w, status, lo, hi = found[key]
+        w, status, lo, hi = memo[key]
         # Division is monotone, so r / s <= lambda is settled unless the
         # bracket's ends fall on either side of it.
         if exact or (lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale)):
             lo = hi = _residual(_columns(store, cols), store.matrix[key[0]], w)
-            found[key] = (w, status, lo, hi)
-        if memo is not None:
-            memo[key] = found[key]
+            memo[key] = (w, status, lo, hi)
         out.append((key[0], cols, scale, w, status, hi))
     return out

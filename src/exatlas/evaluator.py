@@ -107,11 +107,10 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
     if not targets:
         return []
     row = {i: k for k, i in enumerate(archive.ids())}
-    rows = [row[i] for i in targets]
-    store = FeatureStore.from_features(features, archive.ids(), rows)
+    store = FeatureStore.from_features(features, archive.ids(), [row[i] for i in targets])
     effects = {exp.id: float(exp.effect_size) for exp in archive}
     results = []
-    for i, comp in zip(targets, assess_rows(store, rows, effects, cfg)):
+    for i, comp in zip(targets, assess_rows(store, effects, cfg)):
         if comp.composed_effect is None:
             raise EvaluatorError(f"no effect prediction for target {i!r}")
         results.append(TargetResult(comp, effects[i]))
@@ -311,10 +310,7 @@ def calibrate_lambda(results: Sequence[TargetResult],
 
     objective_at = [0.0 if s is None else (1.0 - s) * c
                     for s, c in zip(scaled_at, coverage_at)]
-    best = 0
-    for i in range(1, len(grid)):
-        if objective_at[i] > objective_at[best]:
-            best = i
+    best = max(range(len(grid)), key=objective_at.__getitem__)  # the first of ties
     return CalibrationCurve(
         grid=tuple(grid),
         coverage_at=tuple(coverage_at),

@@ -98,7 +98,7 @@ class ScriptedStubChat:
     """Replays a fixed transcript keyed by SHA-256 of the prompt text.
 
     Transcript files are line-delimited ``{"prompt_hash": ..., "response": ...}``
-    records. Unknown prompts raise, which keeps offline tests honest.
+    records, one per prompt hash. Unknown prompts raise, which keeps offline tests honest.
     """
 
     kind = "scripted-stub"
@@ -109,10 +109,11 @@ class ScriptedStubChat:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedStubChat":
-        """Load a transcript file read by :func:`~exatlas.archive.jsonl_records`;
-        every error is a :class:`ChatError` naming the file and, for a bad
-        record, the line."""
+        """Load a transcript file read by :func:`~exatlas.archive.jsonl_records`,
+        one line per prompt hash; every error is a :class:`ChatError` naming
+        the file and, for a bad record, the line."""
         transcript: dict[str, str] = {}
+        first: dict[str, int] = {}
         with Path(path).open("r", encoding="utf-8") as fh:
             for line_no, rec in jsonl_records(path, fh, ChatError):
                 missing = [k for k in ("prompt_hash", "response") if k not in rec]
@@ -122,7 +123,12 @@ class ScriptedStubChat:
                         and isinstance(rec["response"], str)):
                     raise ChatError(
                         f"{path}:{line_no}: prompt_hash and response must be strings")
-                transcript[rec["prompt_hash"]] = rec["response"]
+                key = rec["prompt_hash"]
+                line = first.setdefault(key, line_no)
+                if line != line_no:
+                    raise ChatError(f"{path}:{line_no}: duplicate prompt_hash {key!r} "
+                                    f"(first on line {line})")
+                transcript[key] = rec["response"]
         return cls(transcript)
 
     @classmethod
@@ -216,11 +222,8 @@ def _effect_direction(effect: float) -> str:
 def describe_relation(exp: Experiment, with_effect: bool = False) -> str:
     """One-line statement of an experiment's causal question and its direction."""
     iv, dv, _ = embedding_texts(exp)
-    if with_effect:
-        return (f"How does {iv} impact {dv}? "
-                f"(observed: {_effect_direction(exp.effect_size)}, "
-                f"effect {exp.effect_size:+.4f})")
-    return f"How does {iv} impact {dv}? (observed: {_effect_direction(exp.effect_size)})"
+    effect = f", effect {exp.effect_size:+.4f}" if with_effect else ""
+    return f"How does {iv} impact {dv}? (observed: {_effect_direction(exp.effect_size)}{effect})"
 
 
 def build_reconciliation_prompt(conflict: TargetResult, sources: Sequence[Experiment],
@@ -382,7 +385,7 @@ def bridge_loop(target: Experiment, archive: Archive,
             f"length {3 * embedder.dimension}, but the archive's features have "
             f"length {width}")
     row = archive.ids().index(target.id)
-    gates = list(gate_rows(store, range(len(archive)), cfg))
+    gates = list(gate_rows(store, cfg))
     if gates[row].composable:
         raise ValueError(f"target {target.id!r} is already composable")
 
@@ -406,7 +409,7 @@ def bridge_loop(target: Experiment, archive: Archive,
             added[f"hypothetical:{target.id}:{rnd}:{k}"] = build_feature(t, o)
         store = store.extended(added)
         proposals_all.extend(proposals)
-        gates = list(gate_rows(store, range(len(archive)), cfg))
+        gates = list(gate_rows(store, cfg))
         trace.append(isolated_ratio(gates))
         if gates[row].composable:
             break

@@ -9,7 +9,7 @@ the provider returns them; no extra normalization is applied here.
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import json
 import logging
 import os
@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -128,10 +128,11 @@ class RemoteEmbeddingProvider:
     order. The API key is read from ``EXATLAS_EMBED_KEY`` unless given.
     Responses are cached in memory by (model, text) and, when ``cache_dir``
     is set, appended to ``<cache_dir>/<model-slug>.jsonl`` so reruns make no
-    remote calls. An unterminated last line in that file, left by a write that
-    was cut short, is dropped with a warning and cut off the file before the
-    next append. Two processes that share ``cache_dir`` may each append the
-    same text's vector, so a key may recur in that file: the cache keeps the
+    remote calls. That file is read one line at a time, each ending at a
+    newline byte; an unterminated last line, left by a write that was cut
+    short, is dropped with a warning and cut off the file before the next
+    append. Two processes that share ``cache_dir`` may each append the same
+    text's vector, so a key may recur in that file: the cache keeps the
     vector of its last line. All cache access is lock-synchronized.
     """
 
@@ -174,15 +175,16 @@ class RemoteEmbeddingProvider:
 
     def _load_cache(self) -> None:
         path = self._cache_path
-        data = path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            logger.warning("%s: dropping an unterminated last line of %d bytes",
-                           path, len(data) - end)
-            self._torn_tail = end
-        lines = io.TextIOWrapper(io.BytesIO(data[:end]), encoding="utf-8")
-        self._cache.update(_parse_vector_lines(path, lines, data.count(b"\n", 0, end),
-                                               repeats=True))
+        with path.open("rb") as fh:
+            rows = _newlines(fh)
+            size = fh.tell()
+            fh.seek(0)
+            lines = (line.decode("utf-8") for line in itertools.islice(fh, rows))
+            self._cache.update(_parse_vector_lines(path, lines, rows, repeats=True))
+            if fh.tell() < size:  # the lines read stop at the last newline
+                logger.warning("%s: dropping an unterminated last line of %d bytes",
+                               path, size - fh.tell())
+                self._torn_tail = fh.tell()
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_many([text])[0]
@@ -354,9 +356,14 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     :class:`EmbeddingError` naming the file and, for a bad record, the line."""
     path = Path(path)
     with path.open("rb") as fh:  # at least the lines: one more than the newlines
-        rows = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+        rows = 1 + _newlines(fh)
     with path.open("r", encoding="utf-8") as fh:
         return _parse_vector_lines(path, fh, rows)
+
+
+def _newlines(fh: BinaryIO) -> int:
+    """The number of newlines in the binary file ``fh``, read 1 MB at a time."""
+    return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _parse_vector_lines(path: Path, lines: Iterable[str], rows: int,

@@ -247,7 +247,7 @@ def pass_ratio(store, cfg) -> float:
     from exatlas.atlas import isolated_ratio
     from exatlas.composer import gate_rows
 
-    return isolated_ratio(list(gate_rows(store, store.targets, cfg)))
+    return isolated_ratio(list(gate_rows(store, cfg)))
 
 
 def record_selected_targets(monkeypatch) -> list[list[int]]:
@@ -259,9 +259,9 @@ def record_selected_targets(monkeypatch) -> list[list[int]]:
     calls: list[list[int]] = []
     original = composer_mod._select_block
 
-    def recording(store, targets, cfg):
-        calls.append(targets.tolist())
-        return original(store, targets, cfg)
+    def recording(store, block, cfg):
+        calls.append(store.targets[block].tolist())
+        return original(store, block, cfg)
 
     monkeypatch.setattr(composer_mod, "_select_block", recording)
     return calls

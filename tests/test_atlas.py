@@ -219,7 +219,7 @@ class TestIsolatedRatio:
         vec = np.array([1.0, 2.0])
         features = {"a": vec, "b": vec.copy()}
         store = FeatureStore.from_features(features, arc.ids())
-        assert isolated_ratio(list(gate_rows(store, range(2), default_cfg))) == 0.0
+        assert isolated_ratio(list(gate_rows(store, default_cfg))) == 0.0
 
     def test_counts_real_rows_of_positive_weight(self):
         """Row 0 composes; row 1 takes weight; row 2 gets only a zero weight;

@@ -363,6 +363,18 @@ class TestErrorsExitCleanly:
         assert self.one_error_line(capsys.readouterr().err) == \
             f"error: {transcript}:1: {message}"
 
+    def test_repeated_transcript_hash(self, tmp_path, capsys):
+        archive_path, provider_path, feature_path, transcript = make_bridge_inputs(tmp_path)
+        record = json.loads(transcript.read_text(encoding="utf-8"))
+        transcript.write_text(json.dumps(record) + "\n\n" + json.dumps(record) + "\n",
+                              encoding="utf-8")
+        assert run("bridge", "--archive", str(archive_path), "--vectors", str(feature_path),
+                   "--provider", f"file:{provider_path}", "--target", "gap-t",
+                   "--chat", "stub", "--stub-transcript", str(transcript)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == \
+            f"error: {transcript}:3: duplicate prompt_hash {record['prompt_hash']!r} " \
+            "(first on line 1)"
+
     def test_malformed_embedding_cache(self, tmp_path, capsys, monkeypatch):
         def no_request(*args, **kwargs):
             raise AssertionError("a request was sent")
@@ -694,6 +706,26 @@ class TestBridgeCommand:
         audit = sorted(p.name for p in (out / "audit").iterdir())
         assert audit == ["001_prompt.txt", "001_response.txt"]
 
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_one_embedding_provider(self, tmp_path, capsys, monkeypatch, vectors):
+        """bridge embeds the archive, when it reads no --vectors, and the
+        proposals with one provider."""
+        archive_path, provider_path, feature_path, transcript = make_bridge_inputs(tmp_path)
+        built = []
+        real = cli_mod.parse_embedding_provider
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli_mod, "parse_embedding_provider", counting)
+        extra = ["--vectors", str(feature_path)] if vectors else []
+        assert run("bridge", "--archive", str(archive_path), *extra,
+                   "--provider", f"file:{provider_path}", "--target", "gap-t",
+                   "--chat", "stub", "--stub-transcript", str(transcript)) == 0
+        assert "composable=True" in capsys.readouterr().out
+        assert len(built) == 1
+
     def test_non_gap_target_rejected(self, tmp_path, capsys):
         archive_path, provider_path, feature_path, transcript = \
             make_bridge_inputs(tmp_path)
@@ -789,9 +821,9 @@ class TestReconcileCommand:
         assessed = []
         real = evaluator_mod.assess_rows
 
-        def recording(store, targets, *args):
-            assessed.append(([store.ids[t] for t in targets], store.gram.shape))
-            return real(store, targets, *args)
+        def recording(store, *args):
+            assessed.append(([store.ids[t] for t in store.targets], store.gram.shape))
+            return real(store, *args)
 
         monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
         for conflict in conflicts:

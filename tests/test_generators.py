@@ -152,6 +152,18 @@ class TestScriptedStub:
             ScriptedStubChat.from_file(path)
         assert str(err.value) == f"{path}:3: {message}"
 
+    def test_repeated_prompt_hash_rejected(self, tmp_path):
+        """A transcript holds one reply per prompt, as a vector file holds one
+        vector per id: a second line for a hash is an error, not a new reply."""
+        path = tmp_path / "transcript.jsonl"
+        h = prompt_hash("p")
+        path.write_text("\n".join(json.dumps({"prompt_hash": k, "response": r}) for k, r in
+                                  [(h, "r"), (prompt_hash("q"), "s"), (h, "t")]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ChatError) as err:
+            ScriptedStubChat.from_file(path)
+        assert str(err.value) == f"{path}:3: duplicate prompt_hash {h!r} (first on line 1)"
+
 
 class TestRemoteChat:
     def test_retries_then_succeeds(self):

@@ -241,6 +241,29 @@ class TestRemoteProvider:
                                                  r"\(first on line 1\)$"):
             read_vector_file(cache)
 
+    def test_cache_is_loaded_without_holding_the_file(self, tmp_path):
+        """The cache is read a block at a time: loading a file of several MB
+        allocates less than its size at its peak, its vectors held."""
+        import tracemalloc
+
+        vectors = {text_key(f"t{k}"): v
+                   for k, v in enumerate(np.random.default_rng(0).standard_normal((400, 500)))}
+        cache = tmp_path / "m.jsonl"
+        write_vector_file(cache, vectors)
+        size = cache.stat().st_size
+        assert size > 3 << 20
+        tracemalloc.start()
+        try:
+            p = RemoteEmbeddingProvider("http://x", model="m", dimension=500,
+                                        transport=make_fake_transport(500, []),
+                                        cache_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
+        assert [v.tobytes() for v in p.embed_many([f"t{k}" for k in range(400)])] == \
+            [v.tobytes() for v in vectors.values()]
+
     @pytest.mark.parametrize("body, message", [
         ([{"embedding": [0.0, 1.0]}], "expected an object whose data lists 2 items"),
         ({"data": [{"embedding": [0.0, 1.0]}]}, "expected an object whose data lists 2 items"),

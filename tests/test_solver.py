@@ -157,8 +157,7 @@ def test_mixed_candidate_counts_in_one_block(monkeypatch):
     cfg = ComposerConfig(radius_factor=0.6)
     monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", len(ids))
     solved = count_problems_solved(monkeypatch)
-    got = list(assess_rows(FeatureStore.from_features(features, ids), range(len(ids)),
-                           None, cfg))
+    got = list(assess_rows(FeatureStore.from_features(features, ids), None, cfg))
     assert solved["n"] == len(ids)
     assert len({len(c.weights) for c in got}) >= 5
     for tid, comp in zip(ids, got):
@@ -183,9 +182,9 @@ def test_solve_stacks_split_by_budget(monkeypatch, budget):
         # on reads the solves held in its memo.
         store = FeatureStore.from_features(features, ids)
         return ([json.dumps(c.to_record(), sort_keys=True)
-                 for c in assess_rows(store, range(len(ids)), None, cfg)],
+                 for c in assess_rows(store, None, cfg)],
                 [(g.cols.tobytes(), g.scale, g.weights.tobytes(), g.composable)
-                 for g in gate_rows(store, range(len(ids)), cfg)])
+                 for g in gate_rows(store, cfg)])
 
     want = outputs()
     stacks = []
@@ -213,13 +212,13 @@ from exatlas.composer import ComposerConfig, FeatureStore, assess_rows
 
 rows = np.random.default_rng(0).standard_normal((936, 8))
 features = {f"w{k:04d}": row for k, row in enumerate(np.concatenate([rows[:64], rows]))}
-store = FeatureStore.from_features(features, tuple(features))
+store = FeatureStore.from_features(features, tuple(features), range(64))
 with open("/proc/self/statm") as fh:
     size = int(fh.read().split()[0]) * resource.getpagesize()
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (size + (300 << 20), hard))
 cfg = ComposerConfig(radius_factor=1000.0, max_candidates=100_000, ridge=0.0)
-comps = list(assess_rows(store, range(64), None, cfg))
+comps = list(assess_rows(store, None, cfg))
 print(sum(len(c.weights) == 999 and c.composable for c in comps))
 """
 
@@ -249,8 +248,7 @@ def test_target_without_candidates_fails_as_reference():
         for tid in ids:
             reference_assess(tid, features, ids, None, cfg)
     with pytest.raises(EmptyPoolError) as got:
-        list(assess_rows(FeatureStore.from_features(features, ids), range(len(ids)),
-                         None, cfg))
+        list(assess_rows(FeatureStore.from_features(features, ids), None, cfg))
     assert str(got.value) == str(want.value)
 
 

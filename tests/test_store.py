@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (count_problems_solved, pass_ratio, record_exact_distances,
-                     record_exact_residuals, reference_assess, reference_isolated_ratio,
-                     select_candidates)
+                     record_exact_residuals, record_selected_targets, reference_assess,
+                     reference_isolated_ratio, select_candidates)
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import isolated_ratio
@@ -123,7 +123,7 @@ def test_store_matches_assess_byte_for_byte(case):
     ids = tuple(features)
     effects = {i: float(k % 7) - 3.0 for k, i in enumerate(ids)}
     store = FeatureStore.from_features(features, ids)
-    for tid, got in zip(ids, assess_rows(store, range(len(ids)), effects, cfg)):
+    for tid, got in zip(ids, assess_rows(store, effects, cfg)):
         want = reference_assess(tid, features, ids, effects, cfg)
         assert record_bytes(got) == record_bytes(want), tid
         assert got.neighborhood == want.neighborhood, tid
@@ -161,7 +161,7 @@ def test_extended_store_matches_assess(case):
     matrix = np.concatenate((grown.matrix, grown.extra))
     np.testing.assert_allclose(grown.gram, matrix[:len(ids)] @ matrix.T)
     effects = {i: 1.0 for i in ids}
-    for tid, got in zip(ids, assess_rows(grown, range(len(ids)), effects, cfg)):
+    for tid, got in zip(ids, assess_rows(grown, effects, cfg)):
         want = reference_assess(tid, features, ids, effects, cfg, extra)
         assert record_bytes(got) == record_bytes(want), tid
 
@@ -248,9 +248,9 @@ def test_stores_share_the_read_matrix(tmp_path, monkeypatch):
     stores = []
     real = evaluator_mod.assess_rows
 
-    def recording(store, targets, *args):
+    def recording(store, *args):
         stores.append(store)
-        return real(store, targets, *args)
+        return real(store, *args)
 
     monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
     full = {r.target_id: json.dumps(r.to_record()) for r in loo_run(archive, vectors, cfg)}
@@ -281,13 +281,13 @@ def layout_outputs(features: dict[str, np.ndarray], ids: list[str],
     if one_at_a_time:
         results = [r for i in ids for r in loo_run(archive, pool, cfg, [i])]
         stores = [FeatureStore.from_features(features, ids, [t]) for t in range(len(ids))]
-        gates = {ids[t]: gate_record(store, next(gate_rows(store, [t], cfg)))
+        gates = {ids[t]: gate_record(store, next(gate_rows(store, cfg)))
                  for t, store in enumerate(stores)}
     else:
         results = loo_run(archive, pool, cfg)
         store = FeatureStore.from_features(features, ids)
         gates = {store.ids[t]: gate_record(store, gate)
-                 for t, gate in enumerate(gate_rows(store, range(len(ids)), cfg))}
+                 for t, gate in enumerate(gate_rows(store, cfg))}
     return {r.target_id: (json.dumps(r.to_record(), sort_keys=True),
                           json.dumps(r.composition.to_record()), gates[r.target_id])
             for r in results}
@@ -345,14 +345,14 @@ def test_isolated_ratio_on_an_extended_store():
                                              range(len(ids)))
         assert trace[-1] == pass_ratio(rebuilt, cfg)
         assert trace[-1] == reference_isolated_ratio(archive, features, cfg, extra)
-        comps = list(assess_rows(store, range(len(ids)), effects, cfg))
+        comps = list(assess_rows(store, effects, cfg))
         for comp in comps:
             if any(w > 0.0 for k, w in comp.weights.items() if k in extra):
                 weighted += 1
                 assert comp.composed_effect is None
             else:
                 assert comp.composed_effect is not None
-        assert [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)] \
+        assert [gate_record(store, g) for g in gate_rows(store, cfg)] \
             == [gate_of(c) for c in comps]
     assert weighted > 0
     assert trace[0] == reference_isolated_ratio(archive, features, cfg)
@@ -366,21 +366,49 @@ def test_memo_skips_unchanged_solves(monkeypatch):
     store = FeatureStore.from_features(features, ids)
     cfg = ComposerConfig()
     solved = count_problems_solved(monkeypatch)
-    first = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+    first = [gate_record(store, g) for g in gate_rows(store, cfg)]
     assert solved["n"] == len(ids)  # one solve per target
     held = dict(store.memo)
     assert len(held) == len(ids)
-    assert first == [gate_of(c) for c in assess_rows(store, range(len(ids)), None, cfg)]
+    assert first == [gate_of(c) for c in assess_rows(store, None, cfg)]
     assert solved["n"] == 2 * len(ids)
     assert store.memo == held
     solved["n"] = 0
-    again = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+    again = [gate_record(store, g) for g in gate_rows(store, cfg)]
     assert again == first
     assert solved["n"] == 0  # and none on the second pass
-    singles = [gate_record(store, g) for t in range(len(ids))
-               for g in gate_rows(store, [t], cfg)]
+    singles = []
+    for t in range(len(ids)):
+        single = FeatureStore.from_features(features, ids, [t])
+        single.memo = dict(store.memo)
+        singles += [gate_record(single, g) for g in gate_rows(single, cfg)]
     assert singles == first
     assert solved["n"] == 0
+
+
+@pytest.mark.parametrize("case", ["near-ties-even-pool", "far-centre-runs"])
+@pytest.mark.parametrize("block", [2, 64])
+def test_subset_targets_assess_as_the_full_pass(case, block, monkeypatch):
+    """A pass runs over its store's targets in the order they are stored:
+    on unsorted targets [5, 2, 9], split across blocks or in one, assess_rows
+    and gate_rows give the full pass's records for those rows, byte for byte."""
+    from exatlas import composer as composer_mod
+
+    features, cfg = CASES[case]
+    ids = tuple(features)
+    effects = {i: float(k % 7) - 3.0 for k, i in enumerate(ids)}
+    full = FeatureStore.from_features(features, ids)
+    want_comps = [record_bytes(c) for c in assess_rows(full, effects, cfg)]
+    want_gates = [gate_record(full, g) for g in gate_rows(full, cfg)]
+    monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", block)
+    calls = record_selected_targets(monkeypatch)
+    rows = [5, 2, 9]
+    store = FeatureStore.from_features(features, ids, rows)
+    assert [record_bytes(c) for c in assess_rows(store, effects, cfg)] == \
+        [want_comps[t] for t in rows]
+    assert [gate_record(store, g) for g in gate_rows(store, cfg)] == \
+        [want_gates[t] for t in rows]
+    assert calls == 2 * ([[5, 2], [9]] if block == 2 else [rows])
 
 
 def test_sibling_stores_keep_their_own_memos():
@@ -398,15 +426,15 @@ def test_sibling_stores_keep_their_own_memos():
               {f"hypothetical:{k}": m + 0.01 * rng.standard_normal(m.size)
                for k, m in enumerate(mids)}]
     parent = FeatureStore.from_features(features, ids)
-    list(gate_rows(parent, range(len(ids)), cfg))
+    list(gate_rows(parent, cfg))
     siblings = [parent.extended(extra) for extra in extras]
     fresh = [FeatureStore.from_features({**features, **extra}, ids + tuple(extra),
                                         range(len(ids))) for extra in extras]
-    want = [[gate_record(f, g) for g in gate_rows(f, range(len(ids)), cfg)] for f in fresh]
+    want = [[gate_record(f, g) for g in gate_rows(f, cfg)] for f in fresh]
     for order in ((0, 1), (1, 0), (0, 1)):
         for k in order:
             got = [gate_record(siblings[k], g)
-                   for g in gate_rows(siblings[k], range(len(ids)), cfg)]
+                   for g in gate_rows(siblings[k], cfg)]
             assert got == want[k], (order, k)
     # The test bites: some target keeps candidate rows of one number in both,
     # with other weights.
@@ -471,10 +499,10 @@ def test_memo_pass_takes_the_exact_distances_of_a_fresh_pass(case, monkeypatch):
         extra.update(added)
         store = store.extended(added)
         pairs.clear()
-        got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+        got = [gate_record(store, g) for g in gate_rows(store, cfg)]
         taken = sorted(pairs)
         pairs.clear()
-        comps = list(assess_rows(store, range(len(ids)), effects, cfg))
+        comps = list(assess_rows(store, effects, cfg))
         assert taken == sorted(pairs)
         assert got == [gate_of(c) for c in comps]
         assert got == [gate_of(reference_assess(t, features, ids, effects, cfg, extra))
@@ -516,7 +544,7 @@ def test_tie_free_pass_takes_only_the_median_norms(seed, n, dim, cap):
     store = FeatureStore.from_features(features, ids)
     with pytest.MonkeyPatch.context() as mp:
         pairs = record_exact_distances(mp)
-        got = list(assess_rows(store, range(n), None, cfg))
+        got = list(assess_rows(store, None, cfg))
     rows = np.stack(list(features.values()))
     k1, k2 = (n - 2) // 2, (n - 1) // 2
     want = []
@@ -540,9 +568,9 @@ def test_run_reaches_past_a_held_distance(monkeypatch):
     features.update((i, np.array([1e3 + d])) for i, d in distances.items())
     ids = tuple(features)
     cfg = ComposerConfig(radius_factor=3.0)
-    store = FeatureStore.from_features(features, ids)
+    store = FeatureStore.from_features(features, ids, [0])
     pairs = record_exact_distances(monkeypatch)
-    (got,) = gate_rows(store, [0], cfg)
+    (got,) = gate_rows(store, cfg)
     assert [ids[j] for _, j in pairs] == ["a3", "m", "p", "w", "q"]
     kept = tuple(ids[j] for j in got.cols.tolist())
     pool = {i: features[i] for i in ids[1:]}
@@ -591,8 +619,8 @@ def test_gate_matches_assess(case):
     features, cfg = CASES[case]
     ids = tuple(features)
     store = FeatureStore.from_features(features, ids)
-    want = [gate_of(c) for c in assess_rows(store, range(len(ids)), None, cfg)]
-    assert [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)] == want
+    want = [gate_of(c) for c in assess_rows(store, None, cfg)]
+    assert [gate_record(store, g) for g in gate_rows(store, cfg)] == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -605,11 +633,11 @@ def test_tie_free_gate_pass_takes_no_residual(seed, n, dim, cap, lambda_):
     features = gaussian_features(seed, n, dim)
     ids = tuple(features)
     store = FeatureStore.from_features(features, ids)
-    want = list(assess_rows(store, range(n), None, cfg))
+    want = list(assess_rows(store, None, cfg))
     assume(all(abs(c.normalized_residual - lambda_) > 1e-6 * lambda_ for c in want))
     with pytest.MonkeyPatch.context() as mp:
         taken = record_exact_residuals(mp)
-        gates = list(gate_rows(store, range(n), cfg))
+        gates = list(gate_rows(store, cfg))
     assert taken == []
     assert [gate_record(store, g) for g in gates] == [gate_of(c) for c in want]
     archive = make_archive(ids)
@@ -630,7 +658,7 @@ def test_lambda_at_a_targets_rho_takes_that_residual(pick, monkeypatch):
     assert want[ids.index(tid)][3] is True
     store = FeatureStore.from_features(features, ids)
     taken = record_exact_residuals(monkeypatch)
-    got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+    got = [gate_record(store, g) for g in gate_rows(store, cfg)]
     assert [row_of(store, y) for y in taken] == [ids.index(tid)]
     assert got == want
 
@@ -654,7 +682,6 @@ def test_zero_scale_pool_gates_as_assess(magnitude, copies, seed, raises):
     features = zero_scale_features(magnitude, copies, seed)
     ids = tuple(features)
     cfg = ComposerConfig()
-    store = FeatureStore.from_features(features, ids)
 
     def outcome(decide):
         try:
@@ -664,7 +691,8 @@ def test_zero_scale_pool_gates_as_assess(magnitude, copies, seed, raises):
 
     for t, tid in enumerate(ids):
         want = outcome(lambda: gate_of(reference_assess(tid, features, ids, None, cfg)))
-        got = outcome(lambda: gate_record(store, next(gate_rows(store, [t], cfg))))
+        store = FeatureStore.from_features(features, ids, [t])
+        got = outcome(lambda: gate_record(store, next(gate_rows(store, cfg))))
         assert got == want, tid
         if tid == "t":
             assert isinstance(want, str) is raises
@@ -712,7 +740,7 @@ def test_held_bracket_is_decided_again_under_a_new_scale(monkeypatch):
     for added, expected in zip([{}] + rounds, want):
         store = store.extended(added)
         start = len(taken)
-        got = [gate_record(store, g) for g in gate_rows(store, range(len(ids)), cfg)]
+        got = [gate_record(store, g) for g in gate_rows(store, cfg)]
         assert got == expected
         per_round.append([row_of(store, y) for y in taken[start:]])
         (entry,) = [v for k, v in store.memo.items() if k[0] == t]
@@ -743,9 +771,9 @@ def test_loo_run_assesses_a_repeated_id_once(monkeypatch):
     shapes = []
     real = evaluator_mod.assess_rows
 
-    def recording(store, targets, *args):
+    def recording(store, *args):
         shapes.append(store.gram.shape)
-        return real(store, targets, *args)
+        return real(store, *args)
 
     monkeypatch.setattr(evaluator_mod, "assess_rows", recording)
     got = loo_run(archive, features, cfg, [ids[5], ids[2], ids[5]])
