@@ -20,7 +20,7 @@ class ArchiveError(Exception):
 
 
 class ArchiveParseError(ArchiveError):
-    """The archive file is not UTF-8 or a line is not a JSON object."""
+    """A line of the archive file is not UTF-8 text or not a JSON object."""
 
 
 class MissingFieldError(ArchiveError):
@@ -170,33 +170,33 @@ class Archive:
         return self.experiments[idx]
 
 
-def jsonl_records(path: str | Path, lines: Iterable[str],
+def jsonl_records(path: str | Path, lines: Iterable[bytes],
                   error: Callable[[str], Exception],
                   decode: Callable[[str], Any] = json.loads,
                   ) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of ``lines``,
-    the UTF-8 text of the file ``path``.
+    the binary lines of the file ``path``, each ending at ``b"\\n"``.
 
-    A line that ``decode`` rejects (it raises :class:`json.JSONDecodeError`) or
-    that holds no JSON object, or a byte that is not UTF-8, raises
-    ``error(message)``; the message reads ``PATH:LINE: reason``, or ``PATH:
-    reason`` for a bad byte.
+    A line that is not UTF-8, that ``decode`` rejects (it raises
+    :class:`json.JSONDecodeError`) or that holds no JSON object raises
+    ``error("PATH:LINE: reason")``.
     """
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = decode(line)
-            except json.JSONDecodeError as e:
-                raise error(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-            except RecursionError:
-                raise error(f"{path}:{line_no}: invalid JSON: nested too deeply") from None
-            if not isinstance(rec, dict):
-                raise error(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, rec
-    except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text: {e.reason}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise error(f"{path}:{line_no}: not UTF-8 text: {e.reason}") from None
+        if not line.strip():
+            continue
+        try:
+            rec = decode(line)
+        except json.JSONDecodeError as e:
+            raise error(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+        except RecursionError:
+            raise error(f"{path}:{line_no}: invalid JSON: nested too deeply") from None
+        if not isinstance(rec, dict):
+            raise error(f"{path}:{line_no}: expected a JSON object")
+        yield line_no, rec
 
 
 def load_archive(path: str | Path) -> Archive:
@@ -209,7 +209,7 @@ def load_archive(path: str | Path) -> Archive:
     path = Path(path)
     experiments: list[Experiment] = []
     first_line: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for line_no, rec in jsonl_records(path, fh, ArchiveParseError):
             exp = Experiment.from_record(rec, line_no)
             if exp.id in first_line:

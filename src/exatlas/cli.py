@@ -136,7 +136,7 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
         except UnicodeDecodeError as e:
             raise CliError(f"config file {path}: not UTF-8 text: {e.reason}") from None
     if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
+        raise CliError(f"config file {path}: expected a JSON object")
     unknown = sorted(set(doc) - CONFIG_KEYS)
     if unknown:
         raise CliError(f"unknown key in config file {path}: "

@@ -114,7 +114,7 @@ class ScriptedStubChat:
         the file and, for a bad record, the line."""
         transcript: dict[str, str] = {}
         first: dict[str, int] = {}
-        with Path(path).open("r", encoding="utf-8") as fh:
+        with Path(path).open("rb") as fh:
             for line_no, rec in jsonl_records(path, fh, ChatError):
                 missing = [k for k in ("prompt_hash", "response") if k not in rec]
                 if missing:

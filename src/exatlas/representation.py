@@ -27,6 +27,7 @@ from .remote import post_json, requests_transport
 ENV_EMBED_KEY = "EXATLAS_EMBED_KEY"
 DEFAULT_REMOTE_MODEL = "sentence-transformers/all-mpnet-base-v2"
 DEFAULT_REMOTE_DIMENSION = 768
+_BLOCK = 1 << 20  # vector files are read 1 MB at a time: their lines outgrow 8 KB buffers
 
 logger = logging.getLogger(__name__)
 
@@ -175,12 +176,12 @@ class RemoteEmbeddingProvider:
 
     def _load_cache(self) -> None:
         path = self._cache_path
-        with path.open("rb") as fh:
+        with path.open("rb", buffering=_BLOCK) as fh:
             rows = _newlines(fh)
             size = fh.tell()
             fh.seek(0)
-            lines = (line.decode("utf-8") for line in itertools.islice(fh, rows))
-            self._cache.update(_parse_vector_lines(path, lines, rows, repeats=True))
+            self._cache.update(
+                _parse_vector_lines(path, itertools.islice(fh, rows), rows, repeats=True))
             if fh.tell() < size:  # the lines read stop at the last newline
                 logger.warning("%s: dropping an unterminated last line of %d bytes",
                                path, size - fh.tell())
@@ -349,26 +350,25 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     """Read a ``{id, values}``-per-line vector file, enforcing one dimension
-    and one line per id. The vectors are views of the rows of one matrix,
-    allocated from a count of the file's lines.
-
-    Lines are read by :func:`~exatlas.archive.jsonl_records`; every error is an
-    :class:`EmbeddingError` naming the file and, for a bad record, the line."""
+    and one line per id. The file is opened once: a count of its newlines
+    sizes one matrix, whose rows the vectors are views of, then its lines
+    are read by :func:`~exatlas.archive.jsonl_records`. Every error is an
+    :class:`EmbeddingError` naming the file and the line."""
     path = Path(path)
-    with path.open("rb") as fh:  # at least the lines: one more than the newlines
-        rows = 1 + _newlines(fh)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb", buffering=_BLOCK) as fh:
+        rows = 1 + _newlines(fh)  # at least the lines: one more than the newlines
+        fh.seek(0)
         return _parse_vector_lines(path, fh, rows)
 
 
 def _newlines(fh: BinaryIO) -> int:
-    """The number of newlines in the binary file ``fh``, read 1 MB at a time."""
-    return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+    """The number of newlines in the binary file ``fh``."""
+    return sum(block.count(b"\n") for block in iter(lambda: fh.read(_BLOCK), b""))
 
 
-def _parse_vector_lines(path: Path, lines: Iterable[str], rows: int,
+def _parse_vector_lines(path: Path, lines: Iterable[bytes], rows: int,
                         repeats: bool = False) -> dict[str, np.ndarray]:
-    """The vectors of ``lines``, the text of ``path``, as row views of one
+    """The vectors of ``lines``, binary lines of ``path``, as row views of one
     matrix of ``rows`` rows, doubled whenever the lines hold more. A repeated
     id is an error, or with ``repeats`` set replaces the earlier vector."""
     matrix: np.ndarray | None = None

@@ -321,58 +321,60 @@ def reference_read_vector_file(path) -> dict[str, np.ndarray]:
     dict of separate arrays: the same checks in the same order, worded the
     same way."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         return reference_parse_vector_lines(path, fh)
 
 
 def reference_parse_vector_lines(path, lines, repeats=False) -> dict[str, np.ndarray]:
-    """The reference reader on ``lines``, the text of the file ``path``; an id
-    on a second line is an error unless ``repeats`` is set, when its last
+    """The reference reader on ``lines``, the binary lines of the file
+    ``path``, each ending at ``b"\\n"`` and decoded from UTF-8 on its own; an
+    id on a second line is an error unless ``repeats`` is set, when its last
     vector is kept."""
     from exatlas.representation import DimensionMismatchError, EmbeddingError
 
     vectors: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
     dim = None
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
-            except RecursionError:
-                raise EmbeddingError(
-                    f"{path}:{line_no}: invalid JSON: nested too deeply") from None
-            if not isinstance(rec, dict):
-                raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
-            for key in ("id", "values"):
-                if key not in rec:
-                    raise EmbeddingError(f"{path}:{line_no}: missing field {key!r}")
-            try:
-                vec = np.asarray(rec["values"], dtype=float)
-                if vec.ndim != 1:
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise EmbeddingError(
-                    f"{path}:{line_no}: values must be a list of numbers") from None
-            except OverflowError:
-                raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{path}:{line_no}: non-finite value")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
-            key = str(rec["id"])
-            if key in first_line and not repeats:
-                raise EmbeddingError(f"{path}:{line_no}: duplicate id {key!r} "
-                                     f"(first on line {first_line[key]})")
-            first_line.setdefault(key, line_no)
-            vectors[key] = vec
-    except UnicodeDecodeError as e:
-        raise EmbeddingError(f"{path}: not UTF-8 text: {e.reason}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise EmbeddingError(f"{path}:{line_no}: not UTF-8 text: {e.reason}") from None
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise EmbeddingError(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
+        except RecursionError:
+            raise EmbeddingError(
+                f"{path}:{line_no}: invalid JSON: nested too deeply") from None
+        if not isinstance(rec, dict):
+            raise EmbeddingError(f"{path}:{line_no}: expected a JSON object")
+        for key in ("id", "values"):
+            if key not in rec:
+                raise EmbeddingError(f"{path}:{line_no}: missing field {key!r}")
+        try:
+            vec = np.asarray(rec["values"], dtype=float)
+            if vec.ndim != 1:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise EmbeddingError(
+                f"{path}:{line_no}: values must be a list of numbers") from None
+        except OverflowError:
+            raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+        key = str(rec["id"])
+        if key in first_line and not repeats:
+            raise EmbeddingError(f"{path}:{line_no}: duplicate id {key!r} "
+                                 f"(first on line {first_line[key]})")
+        first_line.setdefault(key, line_no)
+        vectors[key] = vec
     return vectors
 
 

@@ -298,12 +298,33 @@ def _embedding_cache(path):
     (ScriptedStubChat.from_file, ChatError, b"[1]\n", ":1: expected a JSON object"),
     (_embedding_cache, EmbeddingError, b"{\n",
      "/m.jsonl:1: invalid JSON: Expecting property name enclosed in double quotes"),
-    (_embedding_cache, EmbeddingError, b"\xff\n", "/m.jsonl: not UTF-8 text: invalid start byte"),
+    (_embedding_cache, EmbeddingError, b"\xff\n",
+     "/m.jsonl:1: not UTF-8 text: invalid start byte"),
+    (_config, CliError, b"[1]", ": expected a JSON object"),
 ])
 def test_found_inputs_raise_the_loaders_error(tmp_path, loader, error, data, message):
     with pytest.raises(error) as err:
         loader(new_file(tmp_path, data))
     assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize("loader, error", [
+    (load_archive, ArchiveError), (read_vector_file, EmbeddingError),
+    (ScriptedStubChat.from_file, ChatError), (_embedding_cache, EmbeddingError),
+])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blank=st.integers(0, 20_000), bad=st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+@example(blank=0, bad=b"\xff")
+@example(blank=9000, bad=b"\xff")
+def test_the_first_bad_line_wins(tmp_path, loader, error, blank, bad):
+    """A bad JSON line, a blank line of any length, then a byte that is not
+    UTF-8: the JSON line is reported, wherever a read of the file ends."""
+    with pytest.raises(error) as err:
+        loader(new_file(tmp_path, b"{\n" + b" " * blank + b"\n" + bad + b"\n"))
+    assert str(err.value).startswith(str(tmp_path))
+    assert str(err.value).endswith(
+        ".jsonl:1: invalid JSON: Expecting property name enclosed in double quotes")
 
 
 def test_config_number_types_accepted(tmp_path):

@@ -4,10 +4,10 @@ The reader decodes with orjson and hands every line orjson rejects, and every
 record whose id is not a string, to ``json.loads``. These tests hold it to
 :func:`oracles.reference_read_vector_file`, which decodes every line with
 ``json.loads``: the same ids in the same order, bit-identical arrays, and the
-same exception type and message. Generated examples are decoded from
-memory, in the text mode ``read_vector_file`` opens a file with, both as a
-vector file, where an id may not repeat, and as the embedding cache, where
-its last vector wins; the rest are files on disk. The reader puts the
+same exception type and message. Generated examples are read from memory,
+as binary lines like those ``read_vector_file`` reads, both as a vector
+file, where an id may not repeat, and as the embedding cache, where its
+last vector wins; the rest are files on disk. The reader puts the
 vectors in one matrix, sized from a count of the file's lines; a file
 whose lines outnumber that count is still read in full.
 """
@@ -60,19 +60,13 @@ def assert_same_as_reference(path):
     return got
 
 
-def text_stream(data: bytes) -> io.TextIOWrapper:
-    """``data`` as ``read_vector_file`` reads a file's bytes: UTF-8 text with
-    universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-
-
 def assert_same_as_reference_in_memory(data: bytes):
     """As a vector file and as the embedding cache, on a matrix of one row
     at first, which grows as the lines need."""
     path = Path("generated.jsonl")  # named in the messages only
     for repeats in (False, True):
-        assert outcome(_parse_vector_lines, path, text_stream(data), 1, repeats) == \
-            outcome(reference_parse_vector_lines, path, text_stream(data), repeats)
+        assert outcome(_parse_vector_lines, path, io.BytesIO(data), 1, repeats) == \
+            outcome(reference_parse_vector_lines, path, io.BytesIO(data), repeats)
 
 
 def test_planted_file(tmp_path):
@@ -136,18 +130,20 @@ B = b'{"id": "b", "values": [3.0, 4.0]}'
     (b"\n" + A + b"\n\n\n" + B + b"\n\n", ["a", "b"]),
     (A + b"\n" + B, ["a", "b"]),
     (A + b"\r\n" + B + b"\r\n", ["a", "b"]),
-    (A + b"\r" + B + b"\r", ["a", "b"]),  # no newline to count
-    (A + b"\n" + B + b"\n" + b'{"id": "a", "values": [5.0, 6.0]}\n', None),
+    (A + b"\r" + B + b"\r", (1, "invalid JSON: Extra data")),  # a lone \r ends no line
+    (A + b"\n" + B + b"\n" + b'{"id": "a", "values": [5.0, 6.0]}\n',
+     (3, "duplicate id 'a' (first on line 1)")),
 ])
 def test_whole_files(tmp_path, data, ids):
-    """Blank lines, a missing or other line ending and an empty file leave no
-    stray rows: a store over the vectors in file order is their matrix, with
-    one row a vector. An id on a second line is an error, as in an archive."""
+    """Blank lines, a missing or ``\\r\\n`` line ending and an empty file leave
+    no stray rows: a store over the vectors in file order is their matrix,
+    with one row a vector. Lines end at ``\\n`` only. An id on a second line
+    is an error, as in an archive; ``ids`` is then the error's line and
+    reason."""
     path = new_file(tmp_path, data)
     got = assert_same_as_reference(path)
-    if ids is None:
-        assert got == ("error", EmbeddingError,
-                       f"{path}:3: duplicate id 'a' (first on line 1)")
+    if isinstance(ids, tuple):
+        assert got == ("error", EmbeddingError, f"{path}:{ids[0]}: {ids[1]}")
         return
     vectors = read_vector_file(path)
     assert list(vectors) == ids
