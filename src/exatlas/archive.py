@@ -16,54 +16,7 @@ _REQUIRED_KEYS = ("id", "treatment", "outcome", "context", "effect_size")
 
 
 class ArchiveError(Exception):
-    """Base class for archive loading and validation failures."""
-
-
-class ArchiveParseError(ArchiveError):
-    """A line of the archive file is not UTF-8 text or not a JSON object."""
-
-
-class MissingFieldError(ArchiveError):
-    """A required record key is absent."""
-
-    def __init__(self, field_name: str, line_no: int | None = None):
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"missing required field {field_name!r}{where}")
-        self.field_name = field_name
-        self.line_no = line_no
-
-
-class DuplicateIdError(ArchiveError):
-    """Two records share the same id."""
-
-    def __init__(self, experiment_id: str, lines: tuple[int, int] | None = None):
-        where = f" on lines {lines[0]} and {lines[1]}" if lines else ""
-        super().__init__(f"duplicate experiment id {experiment_id!r}{where}")
-        self.experiment_id = experiment_id
-        self.lines = lines
-
-
-class RecordValidationError(ArchiveError):
-    """A record violates an invariant (empty text, non-finite effect, ...)."""
-
-    def __init__(self, experiment_id: str, field_name: str, reason: str,
-                 line_no: int | None = None):
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(
-            f"invalid record {experiment_id!r}: field {field_name!r} {reason}{where}"
-        )
-        self.experiment_id = experiment_id
-        self.field_name = field_name
-        self.reason = reason
-        self.line_no = line_no
-
-
-class UnknownIdError(ArchiveError):
-    """Requested experiment id is not in the archive."""
-
-    def __init__(self, experiment_id: str):
-        super().__init__(f"unknown experiment id {experiment_id!r}")
-        self.experiment_id = experiment_id
+    """An archive file that cannot be read, or a record that fails validation."""
 
 
 @dataclass(frozen=True)
@@ -86,24 +39,29 @@ class Experiment:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
     def validate(self, line_no: int | None = None) -> None:
+        def invalid(field_name: str, reason: str) -> ArchiveError:
+            where = f" (line {line_no})" if line_no is not None else ""
+            return ArchiveError(f"invalid record {self.id or '<unset>'!r}: "
+                                f"field {field_name!r} {reason}{where}")
+
         if not self.id:
-            raise RecordValidationError("<unset>", "id", "must be non-empty", line_no)
+            raise invalid("id", "must be non-empty")
         if not self.treatment_text:
-            raise RecordValidationError(self.id, "treatment", "must be non-empty", line_no)
+            raise invalid("treatment", "must be non-empty")
         if not self.outcome_text:
-            raise RecordValidationError(self.id, "outcome", "must be non-empty", line_no)
+            raise invalid("outcome", "must be non-empty")
         for name, text in (("enriched_treatment", self.enriched_treatment),
                            ("enriched_outcome", self.enriched_outcome)):
             if text is not None and not isinstance(text, str):
-                raise RecordValidationError(self.id, name, "must be a string", line_no)
+                raise invalid(name, "must be a string")
         if isinstance(self.effect_size, bool) or not isinstance(self.effect_size, (int, float)):
-            raise RecordValidationError(self.id, "effect_size", "must be a real number", line_no)
+            raise invalid("effect_size", "must be a real number")
         try:
             finite = math.isfinite(self.effect_size)
         except OverflowError:  # an integer beyond the float range
             finite = False
         if not finite:
-            raise RecordValidationError(self.id, "effect_size", "must be finite", line_no)
+            raise invalid("effect_size", "must be finite")
 
     def to_record(self) -> dict[str, Any]:
         """The record that :meth:`from_record` reads back, in _RECORD_KEYS
@@ -119,7 +77,8 @@ class Experiment:
     def from_record(cls, rec: Mapping[str, Any], line_no: int | None = None) -> "Experiment":
         for key in _REQUIRED_KEYS:
             if key not in rec:
-                raise MissingFieldError(key, line_no)
+                where = f" (line {line_no})" if line_no is not None else ""
+                raise ArchiveError(f"missing required field {key!r}{where}")
         extra = {k: v for k, v in rec.items() if k not in _RECORD_KEYS}
         exp = cls(
             id=str(rec["id"]),
@@ -147,7 +106,7 @@ class Archive:
         for i, exp in enumerate(self.experiments):
             exp.validate()
             if exp.id in seen:
-                raise DuplicateIdError(exp.id)
+                raise ArchiveError(f"duplicate experiment id {exp.id!r}")
             seen[exp.id] = i
         object.__setattr__(self, "_index", seen)
 
@@ -166,7 +125,7 @@ class Archive:
     def get(self, experiment_id: str) -> Experiment:
         idx = self._index.get(experiment_id)  # type: ignore[attr-defined]
         if idx is None:
-            raise UnknownIdError(experiment_id)
+            raise ArchiveError(f"unknown experiment id {experiment_id!r}")
         return self.experiments[idx]
 
 
@@ -202,18 +161,19 @@ def jsonl_records(path: str | Path, lines: Iterable[bytes],
 def load_archive(path: str | Path) -> Archive:
     """Load a line-delimited archive file, validating every record.
 
-    Lines are read by :func:`jsonl_records`, whose errors are
-    :class:`ArchiveParseError`. A record raises :class:`MissingFieldError`,
-    :class:`RecordValidationError` or :class:`DuplicateIdError` with its line.
+    Every error is an :class:`ArchiveError` naming the line: a line that
+    :func:`jsonl_records` rejects, a missing field, an invalid record or a
+    repeated id.
     """
     path = Path(path)
     experiments: list[Experiment] = []
     first_line: dict[str, int] = {}
     with path.open("rb") as fh:
-        for line_no, rec in jsonl_records(path, fh, ArchiveParseError):
+        for line_no, rec in jsonl_records(path, fh, ArchiveError):
             exp = Experiment.from_record(rec, line_no)
             if exp.id in first_line:
-                raise DuplicateIdError(exp.id, (first_line[exp.id], line_no))
+                raise ArchiveError(f"duplicate experiment id {exp.id!r} "
+                                   f"on lines {first_line[exp.id]} and {line_no}")
             first_line[exp.id] = line_no
             experiments.append(exp)
     return Archive(tuple(experiments))

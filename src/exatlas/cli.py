@@ -19,7 +19,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -58,22 +58,31 @@ def toy_archive_path() -> Path:
     return Path(str(resources.files("exatlas") / _TOY_ARCHIVE))
 
 
-def _parse_kv(spec: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for part in spec.split(","):
+def _spec_args(spec: str, rest: str, **keys: tuple[str, type]) -> dict[str, Any]:
+    """Constructor arguments from ``rest``, the ``key=value,...`` list of the
+    provider spec ``spec``: ``keys`` maps each key its kind takes to an
+    argument name and type. A key left out keeps the constructor's default;
+    an unknown or repeated key, or a value of the wrong type, is an error."""
+    args: dict[str, Any] = {}
+    for part in rest.split(","):
         if not part:
             continue
         if "=" not in part:
             raise CliError(f"expected key=value in provider spec, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
-def _spec_args(kv: Mapping[str, str], **keys: tuple[str, type]) -> dict[str, Any]:
-    """Constructor arguments for the spec keys given; a key left out keeps the
-    constructor's default."""
-    return {arg: kind(kv[key]) for key, (arg, kind) in keys.items() if key in kv}
+        key, value = (s.strip() for s in part.split("=", 1))
+        if key not in keys:
+            raise CliError(f"unknown key {key!r} in provider spec {spec!r}")
+        arg, kind = keys[key]
+        if arg in args:
+            raise CliError(f"repeated key {key!r} in provider spec {spec!r}")
+        try:
+            args[arg] = kind(value)
+            if kind is float and not math.isfinite(args[arg]):
+                raise ValueError
+        except ValueError:
+            raise CliError(
+                f"provider spec {spec!r}: {key} must be {_TYPE_NAMES[kind]}") from None
+    return args
 
 
 def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None):
@@ -84,23 +93,19 @@ def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None)
     """
     kind, _, rest = spec.partition(":")
     if kind == "stub":
-        kv = _parse_kv(rest)
-        return DeterministicStubProvider(
-            dimension=int(kv.get("d", 32)),
-            seed=int(kv.get("seed", seed)),
-        )
+        args = {"dimension": 32, "seed": seed}
+        args.update(_spec_args(spec, rest, d=("dimension", int), seed=("seed", int)))
+        return DeterministicStubProvider(**args)
     if kind == "file":
         if not rest:
             raise CliError("file provider needs a path: file:PATH")
         return VectorFileProvider(rest)
     if kind == "remote":
-        kv = _parse_kv(rest)
-        if "endpoint" not in kv:
+        args = _spec_args(spec, rest, endpoint=("endpoint", str), model=("model", str),
+                          d=("dimension", int), batch=("batch_size", int))
+        if "endpoint" not in args:
             raise CliError("remote provider needs endpoint=URL")
-        return RemoteEmbeddingProvider(
-            endpoint=kv["endpoint"], cache_dir=cache_dir,
-            **_spec_args(kv, model=("model", str), d=("dimension", int),
-                         batch=("batch_size", int)))
+        return RemoteEmbeddingProvider(cache_dir=cache_dir, **args)
     raise CliError(f"unknown embedding provider kind {kind!r}")
 
 
@@ -109,17 +114,16 @@ def parse_chat_provider(spec: str, transcript: str | None):
     ``remote:endpoint=URL,model=NAME,temperature=0,retries=3``."""
     kind, _, rest = spec.partition(":")
     if kind == "stub":
+        _spec_args(spec, rest)  # the stub takes no keys
         if not transcript:
             raise CliError("stub chat provider needs --stub-transcript PATH")
         return generators_mod.ScriptedStubChat.from_file(transcript)
     if kind == "remote":
-        kv = _parse_kv(rest)
-        if "endpoint" not in kv or "model" not in kv:
+        args = _spec_args(spec, rest, endpoint=("endpoint", str), model=("model", str),
+                          temperature=("temperature", float), retries=("max_retries", int))
+        if "endpoint" not in args or "model" not in args:
             raise CliError("remote chat provider needs endpoint=URL,model=NAME")
-        return generators_mod.RemoteChatProvider(
-            endpoint=kv["endpoint"], model=kv["model"],
-            **_spec_args(kv, temperature=("temperature", float),
-                         retries=("max_retries", int)))
+        return generators_mod.RemoteChatProvider(**args)
     raise CliError(f"unknown chat provider kind {kind!r}")
 
 
@@ -223,9 +227,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_embed(args) -> int:
     arc = load_archive(args.archive)
-    fm = feature_matrix(arc, _embedding_provider(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    fm = feature_matrix(arc, _embedding_provider(args))
     write_vector_file(out, fm.features)
     print(f"wrote {len(fm.features)} feature vectors of length {fm.feature_dim} to {out}")
     for exp_id in arc.ids():
@@ -359,15 +363,16 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        out.parent.mkdir(parents=True, exist_ok=True)
     rows = theory_lab.bound_sweep(base_seed=args.seed)
     violations = [r for r in rows if not r.report.holds]
     residual_bad = [r for r in rows if not r.residual_ok]
     print(f"checked {len(rows)} triples: "
           f"{len(violations)} bound violations, "
           f"{len(residual_bad)} residual-floor violations")
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_csv(out, theory_lab.CSV_HEADER, (row.to_csv_row() for row in rows))
         print(f"sweep written to {out}")
     return 0 if not violations and not residual_bad else 1

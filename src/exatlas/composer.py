@@ -33,31 +33,7 @@ SUBNORMAL_BAND = 8 * float(np.finfo(float).smallest_subnormal)
 
 
 class ComposerError(Exception):
-    """Base class for composition failures."""
-
-
-class EmptyPoolError(ComposerError):
-    pass
-
-
-class DimensionError(ComposerError):
-    def __init__(self, target_len: int, candidate_len: int):
-        super().__init__(
-            f"dimension mismatch: target has length {target_len}, "
-            f"candidate has length {candidate_len}"
-        )
-        self.target_len = target_len
-        self.candidate_len = candidate_len
-
-
-class DegenerateScaleError(ComposerError):
-    """Local scale is zero but the reconstruction residual is not."""
-
-
-class MissingEffectError(ComposerError):
-    def __init__(self, experiment_id: str):
-        super().__init__(f"no observed effect for experiment {experiment_id!r}")
-        self.experiment_id = experiment_id
+    """A composition that cannot be worked out: an empty pool, a length mismatch, ..."""
 
 
 @dataclass(frozen=True)
@@ -162,11 +138,12 @@ def solve_weights(target_x: np.ndarray, candidates: Sequence[np.ndarray],
     to uniform weights over the candidates with status "fallback-uniform".
     """
     if not candidates:
-        raise EmptyPoolError("need at least one candidate")
+        raise ComposerError("need at least one candidate")
     target_x = np.asarray(target_x, dtype=float)
     A = np.column_stack([np.asarray(c, dtype=float) for c in candidates])
     if A.shape[0] != target_x.shape[0]:
-        raise DimensionError(target_x.shape[0], A.shape[0])
+        raise ComposerError(f"dimension mismatch: target has length {target_x.shape[0]}, "
+                            f"candidate has length {A.shape[0]}")
     n = A.shape[1]
     G, b = np.empty((1, n, n)), np.empty((1, n))
     _normal_equations(A, target_x, ridge, G[0], b[0])
@@ -348,9 +325,7 @@ def _normalized(r: float, local_scale: float) -> float:
         return r / local_scale
     if r <= _ZERO_RESIDUAL_TOL:
         return 0.0
-    raise DegenerateScaleError(
-        f"local scale is 0 but the residual is {r:.3g}"
-    )
+    raise ComposerError(f"local scale is 0 but the residual is {r:.3g}")
 
 
 def compose_effect(weights: Mapping[str, float],
@@ -358,7 +333,7 @@ def compose_effect(weights: Mapping[str, float],
     """Weighted sum of observed effects under the composition weights."""
     for k in weights:
         if k not in effects:
-            raise MissingEffectError(k)
+            raise ComposerError(f"no observed effect for experiment {k!r}")
     return math.fsum(weights[k] * effects[k] for k in weights)
 
 
@@ -501,11 +476,12 @@ def _matrix_of(features: Mapping[str, np.ndarray], ids: Sequence[str],
     matrix: the one whose first rows they are, in order, if any, else a stack."""
     rows = [np.asarray(features[i], dtype=float) for i in ids]
     if not rows:
-        raise EmptyPoolError("feature store needs at least one row")
+        raise ComposerError("feature store needs at least one row")
     width = rows[0].size if width is None else width
     for row in rows:
         if row.shape != (width,):
-            raise DimensionError(width, row.size)
+            raise ComposerError(f"dimension mismatch: target has length {width}, "
+                                f"candidate has length {row.size}")
     base = rows[0].base  # the array that owns the memory of a view
     own = (isinstance(base, np.ndarray) and base.dtype == float and base.flags.c_contiguous
            and base.shape[1:] == (width,) and len(base) >= len(rows)
@@ -536,7 +512,7 @@ def _select_block(store: FeatureStore, block: slice,
     """
     n = len(store.ids)
     if n < 2:
-        raise EmptyPoolError("candidate pool is empty")
+        raise ComposerError("candidate pool is empty")
     # ||x_j||^2 + ||x_t||^2 - 2 x_j.x_t and its band, worked in place so that
     # a block holds few (block, n) arrays.
     targets = store.targets[block]
@@ -715,7 +691,7 @@ def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,
             by_size.setdefault(len(key[1]), []).append(r)
     for n, same in by_size.items():
         if n == 0:
-            raise EmptyPoolError("need at least one candidate")
+            raise ComposerError("need at least one candidate")
         # A problem's result does not depend on the stack it is solved in.
         per_stack = max(1, SOLVE_STACK_VALUES // (n * n))
         for first in range(0, len(same), per_stack):

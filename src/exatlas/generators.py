@@ -63,16 +63,6 @@ class ChatTransportError(ChatError):
     """Remote chat request failed after retries."""
 
 
-class MalformedResponseError(ChatError):
-    """Model reply is missing a required field or is empty."""
-
-
-class MissingTranscriptError(ChatError):
-    def __init__(self, prompt_hash: str):
-        super().__init__(f"scripted stub has no response for prompt hash {prompt_hash}")
-        self.prompt_hash = prompt_hash
-
-
 def load_template(name: str) -> str:
     """Load a prompt template asset by name (without the .txt extension)."""
     return (resources.files("exatlas") / "prompts" / f"{name}.txt").read_text("utf-8")
@@ -140,7 +130,7 @@ class ScriptedStubChat:
         self.calls += 1
         h = prompt_hash(request.prompt)
         if h not in self.transcript:
-            raise MissingTranscriptError(h)
+            raise ChatError(f"scripted stub has no response for prompt hash {h}")
         return self.transcript[h]
 
 
@@ -187,9 +177,9 @@ class RemoteChatProvider:
         try:
             content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
-            raise MalformedResponseError(f"unexpected chat response shape: {e}") from e
+            raise ChatError(f"unexpected chat response shape: {e}") from e
         if not isinstance(content, str) or not content.strip():
-            raise MalformedResponseError("chat response is empty")
+            raise ChatError("chat response is empty")
         return content
 
 
@@ -270,7 +260,7 @@ def parse_reconciliation_response(text: str) -> tuple[bool, str]:
     """
     m = _YES_NO_RE.search(text)
     if m is None:
-        raise MalformedResponseError("reconciliation reply has no Yes/No verdict")
+        raise ChatError("reconciliation reply has no Yes/No verdict")
     return m.group(1).lower() == "yes", text
 
 
@@ -319,7 +309,7 @@ def parse_bridge_response(text: str, round: int = 1) -> list[BridgeProposal]:
     fragments = [frag.strip() for frag in text.split(";")]
     fragments = [f for f in fragments if f]
     if not fragments:
-        raise MalformedResponseError("bridge reply contains no proposals")
+        raise ChatError("bridge reply contains no proposals")
     proposals = []
     for frag in fragments:
         m = _RELATION_RE.match(frag)

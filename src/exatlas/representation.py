@@ -45,22 +45,6 @@ class EmbeddingTransportError(EmbeddingError):
     """Remote request failed after retries; retryable at the call site."""
 
 
-class MissingVectorError(EmbeddingError):
-    """A vector-file provider has no entry for the requested text."""
-
-    def __init__(self, vector_id: str):
-        super().__init__(f"no stored vector for id {vector_id!r}")
-        self.vector_id = vector_id
-
-
-class DimensionMismatchError(EmbeddingError):
-    def __init__(self, expected: int, got: int, where: str = ""):
-        prefix = f"{where}: " if where else ""
-        super().__init__(f"{prefix}dimension mismatch: expected {expected}, got {got}")
-        self.expected = expected
-        self.got = got
-
-
 class EmbeddingProvider(Protocol):
     kind: str
     dimension: int
@@ -117,7 +101,7 @@ class VectorFileProvider:
         if vec is None:
             vec = self.vectors.get(text_key(text))
         if vec is None:
-            raise MissingVectorError(text_key(text))
+            raise EmbeddingError(f"no stored vector for id {text_key(text)!r}")
         return vec
 
 
@@ -238,7 +222,8 @@ class RemoteEmbeddingProvider:
                 raise EmbeddingError(
                     f"{where}: item {i}: embedding must be a list of numbers") from None
             if vec.shape != (self.dimension,):
-                raise DimensionMismatchError(self.dimension, vec.size, f"{where}: item {i}")
+                raise EmbeddingError(f"{where}: item {i}: dimension mismatch: "
+                                     f"expected {self.dimension}, got {vec.size}")
             if not np.all(np.isfinite(vec)):
                 raise EmbeddingError(f"{where}: item {i}: non-finite value")
             out.append(vec)
@@ -259,7 +244,8 @@ def _check_text(text: str) -> None:
 def _checked_vector(provider: EmbeddingProvider, vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.shape[0] != provider.dimension:
-        raise DimensionMismatchError(provider.dimension, vec.size)
+        raise EmbeddingError(f"dimension mismatch: expected {provider.dimension}, "
+                             f"got {vec.size}")
     if not np.all(np.isfinite(vec)):
         raise EmbeddingError("provider returned non-finite embedding values")
     return vec
@@ -270,7 +256,7 @@ def build_feature(t: np.ndarray, o: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     o = np.asarray(o, dtype=float)
     if t.ndim != 1 or o.ndim != 1 or t.shape[0] != o.shape[0]:
-        raise DimensionMismatchError(t.size, o.size)
+        raise EmbeddingError(f"dimension mismatch: expected {t.size}, got {o.size}")
     return np.concatenate([t, o, t * o])
 
 
@@ -378,7 +364,8 @@ def _parse_vector_lines(path: Path, lines: Iterable[bytes], rows: int,
         if matrix is None:
             matrix = np.empty((max(rows, 1), vec.size))
         elif vec.size != matrix.shape[1]:
-            raise DimensionMismatchError(matrix.shape[1], vec.size, f"{path}:{line_no}")
+            raise EmbeddingError(f"{path}:{line_no}: dimension mismatch: "
+                                 f"expected {matrix.shape[1]}, got {vec.size}")
         key = str(rec["id"])
         row, line = first.setdefault(key, (len(first), line_no))
         if line != line_no and not repeats:

@@ -23,10 +23,6 @@ class TheoryLabError(Exception):
     pass
 
 
-class OffSimplexError(TheoryLabError):
-    """Weight vector is not on the probability simplex within tolerance."""
-
-
 @dataclass(frozen=True)
 class SyntheticWorld:
     """Latent points with a known quadratic effect surface and bounded noise.
@@ -136,14 +132,14 @@ def _validate_weights(world: SyntheticWorld, target_index: int,
                       weights: Mapping[int, float]) -> dict[int, float]:
     w = {int(k): float(v) for k, v in weights.items()}
     if target_index in w:
-        raise OffSimplexError("weights must not include the target index")
+        raise TheoryLabError("weights must not include the target index")
     if any(k < 0 or k >= world.n_points for k in w):
-        raise OffSimplexError("weight index out of range")
+        raise TheoryLabError("weight index out of range")
     if any(v < -SIMPLEX_TOL for v in w.values()):
-        raise OffSimplexError("negative weight beyond tolerance")
+        raise TheoryLabError("negative weight beyond tolerance")
     total = math.fsum(w.values())
     if abs(total - 1.0) > SIMPLEX_TOL:
-        raise OffSimplexError(f"weights sum to {total}, not 1")
+        raise TheoryLabError(f"weights sum to {total}, not 1")
     return w
 
 

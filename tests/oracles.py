@@ -101,15 +101,15 @@ def reference_solve_weights(target_x, candidates, ridge, limits=None):
     """``solve_weights`` one problem at a time: the per-target active-set loop
     that the lockstep solver replaces, with the same tolerances, limits and
     fallbacks."""
-    from exatlas.composer import (FALLBACK_UNIFORM, OPTIMAL, WEIGHT_SUM_TOL, DimensionError,
-                                  EmptyPoolError)
+    from exatlas.composer import FALLBACK_UNIFORM, OPTIMAL, WEIGHT_SUM_TOL, ComposerError
 
     if not candidates:
-        raise EmptyPoolError("need at least one candidate")
+        raise ComposerError("need at least one candidate")
     target_x = np.asarray(target_x, dtype=float)
     A = np.column_stack([np.asarray(c, dtype=float) for c in candidates])
     if A.shape[0] != target_x.shape[0]:
-        raise DimensionError(target_x.shape[0], A.shape[0])
+        raise ComposerError(f"dimension mismatch: target has length {target_x.shape[0]}, "
+                            f"candidate has length {A.shape[0]}")
     n = A.shape[1]
     if n == 1:
         return np.ones(1), OPTIMAL
@@ -330,7 +330,7 @@ def reference_parse_vector_lines(path, lines, repeats=False) -> dict[str, np.nda
     ``path``, each ending at ``b"\\n"`` and decoded from UTF-8 on its own; an
     id on a second line is an error unless ``repeats`` is set, when its last
     vector is kept."""
-    from exatlas.representation import DimensionMismatchError, EmbeddingError
+    from exatlas.representation import EmbeddingError
 
     vectors: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
@@ -368,7 +368,8 @@ def reference_parse_vector_lines(path, lines, repeats=False) -> dict[str, np.nda
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise DimensionMismatchError(dim, vec.size, f"{path}:{line_no}")
+            raise EmbeddingError(
+                f"{path}:{line_no}: dimension mismatch: expected {dim}, got {vec.size}")
         key = str(rec["id"])
         if key in first_line and not repeats:
             raise EmbeddingError(f"{path}:{line_no}: duplicate id {key!r} "

@@ -18,7 +18,7 @@ from exatlas.archive import load_archive
 from exatlas.cli import MAX_GRID_POINTS, CliError, _parse_grid, main, toy_archive_path
 from exatlas.composer import ComposerConfig, assess
 from exatlas.generators import build_bridge_prompt, prompt_hash
-from exatlas.representation import build_feature, read_vector_file, write_vector_file
+from exatlas.representation import build_feature, read_vector_file, text_key, write_vector_file
 
 TOY = str(toy_archive_path())
 
@@ -83,17 +83,17 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert run("evaluate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
                    "--out", str(out)) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["n_total"] == 12
         assert report["lambda_used"] == pytest.approx(0.462)
-        lines = (out / "results.jsonl").read_text().splitlines()
+        lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 12
 
     def test_lambda_override_respected(self, tmp_path):
         out = tmp_path / "eval"
         run("evaluate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
             "--lambda", "0.9", "--out", str(out))
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["lambda_used"] == pytest.approx(0.9)
         assert report["n_composable"] >= 4
 
@@ -191,7 +191,7 @@ class TestConfig:
         out = tmp_path / "eval"
         assert run("--config", str(config), "evaluate", "--archive", TOY,
                    "--provider", "stub:d=8,seed=1", "--out", str(out)) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["lambda_used"] == pytest.approx(0.9)
 
 
@@ -216,6 +216,79 @@ class TestHelp:
                 assert stated is None, option
             else:
                 assert (action.type or str)(stated.group(1)) == action.default, option
+
+
+# The cases of test_error_line_of_each_raise_site: each writes one bad input
+# and returns (argv, the message of its error line).
+
+def _record(exp_id, **fields):
+    return {"id": exp_id, "treatment": "t", "outcome": "o", "context": "",
+            "effect_size": 0.1, **fields}
+
+
+def _ingest(tmp_path, *records):
+    path = tmp_path / "a.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return ["ingest", "--archive", str(path)]
+
+
+def _bridge(tmp_path, target="gap-t", **reply):
+    """bridge on the gap fixture, its one transcript record updated by ``reply``."""
+    archive_path, provider_path, feature_path, transcript = make_bridge_inputs(tmp_path)
+    record = json.loads(transcript.read_text(encoding="utf-8"))
+    transcript.write_text(json.dumps({**record, **reply}) + "\n", encoding="utf-8")
+    return ["bridge", "--archive", str(archive_path), "--vectors", str(feature_path),
+            "--provider", f"file:{provider_path}", "--target", target,
+            "--chat", "stub", "--stub-transcript", str(transcript)], record["prompt_hash"]
+
+
+def _missing_field(tmp_path):
+    bad = _record("b")
+    del bad["effect_size"]
+    return _ingest(tmp_path, _record("a"), bad), "missing required field 'effect_size' (line 2)"
+
+
+def _empty_id(tmp_path):
+    return (_ingest(tmp_path, _record("")),
+            "invalid record '<unset>': field 'id' must be non-empty (line 1)")
+
+
+def _duplicate_id(tmp_path):
+    return (_ingest(tmp_path, _record("x"), _record("y"), _record("x")),
+            "duplicate experiment id 'x' on lines 1 and 3")
+
+
+def _unknown_target(tmp_path):
+    return _bridge(tmp_path, target="nope")[0], "unknown experiment id 'nope'"
+
+
+def _embed_through(tmp_path, text_vectors: str):
+    """embed on the gap fixture's archive through a file: provider that holds
+    ``text_vectors``."""
+    archive_path, provider_path, _, _ = make_bridge_inputs(tmp_path)
+    provider_path.write_text(text_vectors, encoding="utf-8")
+    return ["embed", "--archive", str(archive_path), "--provider", f"file:{provider_path}",
+            "--out", str(tmp_path / "v.jsonl")], provider_path
+
+
+def _text_vector_dimension(tmp_path):
+    argv, path = _embed_through(tmp_path, '{"id": "treat A", "values": [1.0, 0.0]}\n'
+                                          '{"id": "common outcome", "values": [1.0]}\n')
+    return argv, f"{path}:2: dimension mismatch: expected 2, got 1"
+
+
+def _missing_text_vector(tmp_path):
+    argv, _ = _embed_through(tmp_path, '{"id": "treat A", "values": [1.0, 0.0]}\n')
+    return argv, f"experiment 'src-a': no stored vector for id {text_key('common outcome')!r}"
+
+
+def _missing_transcript_hash(tmp_path):
+    argv, wanted = _bridge(tmp_path, prompt_hash="0" * 64)
+    return argv, f"scripted stub has no response for prompt hash {wanted}"
+
+
+def _reply_without_proposals(tmp_path):
+    return _bridge(tmp_path, response=" ; ; ")[0], "bridge reply contains no proposals"
 
 
 class TestErrorsExitCleanly:
@@ -474,15 +547,98 @@ class TestErrorsExitCleanly:
 
     def test_composer_error(self, monkeypatch, capsys):
         from exatlas import evaluator as evaluator_mod
-        from exatlas.composer import EmptyPoolError
+        from exatlas.composer import ComposerError
 
         def fail(*args, **kwargs):
-            raise EmptyPoolError("candidate pool is empty")
+            raise ComposerError("candidate pool is empty")
 
         monkeypatch.setattr(evaluator_mod, "loo_run", fail)
         assert run("evaluate", "--archive", TOY, "--provider", "stub:d=8") == 2
         assert self.one_error_line(capsys.readouterr().err) == \
             "error: candidate pool is empty"
+
+    @pytest.mark.parametrize("case", [
+        _missing_field, _empty_id, _duplicate_id, _unknown_target, _text_vector_dimension,
+        _missing_text_vector, _missing_transcript_hash, _reply_without_proposals])
+    def test_error_line_of_each_raise_site(self, case, tmp_path, capsys):
+        """The whole error line of one input per message that a module raises."""
+        argv, message = case(tmp_path)
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == f"error: {message}"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("stub:dim=16", "unknown key 'dim' in provider spec 'stub:dim=16'"),
+        ("stub:d=16,d=8", "repeated key 'd' in provider spec 'stub:d=16,d=8'"),
+        ("stub:d=x", "provider spec 'stub:d=x': d must be an integer"),
+        ("stub:seed=1.5", "provider spec 'stub:seed=1.5': seed must be an integer"),
+        ("stub:d", "expected key=value in provider spec, got 'd'"),
+        ("remote:endpoint=http://x,modle=m",
+         "unknown key 'modle' in provider spec 'remote:endpoint=http://x,modle=m'"),
+        ("remote:endpoint=http://x,endpoint=http://y",
+         "repeated key 'endpoint' in provider spec 'remote:endpoint=http://x,endpoint=http://y'"),
+        ("remote:endpoint=http://x,batch=",
+         "provider spec 'remote:endpoint=http://x,batch=': batch must be an integer"),
+    ])
+    def test_bad_embedding_provider_spec(self, spec, message, tmp_path, capsys):
+        with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
+            cli_mod.parse_embedding_provider(spec, 0)
+        out = tmp_path / "v.jsonl"
+        assert run("embed", "--archive", TOY, "--provider", spec, "--out", str(out)) == 2
+        assert self.one_error_line(capsys.readouterr().err) == f"error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("remote:endpoint=http://x,model=m,temprature=0",
+         "unknown key 'temprature' in provider spec 'remote:endpoint=http://x,model=m,temprature=0'"),
+        ("remote:endpoint=http://x,model=m,retries=1,retries=2",
+         "repeated key 'retries' in provider spec "
+         "'remote:endpoint=http://x,model=m,retries=1,retries=2'"),
+        ("remote:endpoint=http://x,model=m,temperature=warm",
+         "provider spec 'remote:endpoint=http://x,model=m,temperature=warm': "
+         "temperature must be a finite number"),
+        ("remote:endpoint=http://x,model=m,temperature=nan",
+         "provider spec 'remote:endpoint=http://x,model=m,temperature=nan': "
+         "temperature must be a finite number"),
+        ("remote:endpoint=http://x,model=m,retries=x",
+         "provider spec 'remote:endpoint=http://x,model=m,retries=x': retries must be an integer"),
+        ("stub:seed=1", "unknown key 'seed' in provider spec 'stub:seed=1'"),
+    ])
+    def test_bad_chat_provider_spec(self, spec, message, tmp_path, capsys):
+        with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
+            cli_mod.parse_chat_provider(spec, None)
+        argv, _ = _bridge(tmp_path)
+        assert run(*argv, "--chat", spec) == 2
+        assert self.one_error_line(capsys.readouterr().err) == f"error: {message}"
+
+    def test_embed_fails_on_unusable_out_before_embedding(self, tmp_path, capsys,
+                                                          monkeypatch):
+        calls = []
+        real = representation_mod.DeterministicStubProvider.embed
+
+        def counting(self, text):
+            calls.append(text)
+            return real(self, text)
+
+        monkeypatch.setattr(representation_mod.DeterministicStubProvider, "embed", counting)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert run("embed", "--archive", TOY, "--provider", "stub:d=8",
+                   "--out", str(blocker / "v.jsonl")) == 2
+        assert str(blocker) in self.one_error_line(capsys.readouterr().err)
+        assert calls == []
+
+    def test_theory_check_fails_on_unusable_out_before_the_sweep(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def bound_sweep(*args, **kwargs):
+            raise AssertionError("bound_sweep called")
+
+        monkeypatch.setattr(cli_mod.theory_lab, "bound_sweep", bound_sweep)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert run("theory-check", "--out", str(blocker / "sweep.csv")) == 2
+        assert str(blocker) in self.one_error_line(capsys.readouterr().err)
 
 
 class TestCalibrate:
@@ -491,7 +647,7 @@ class TestCalibrate:
         assert run("calibrate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
                    "--grid", "0.1:1.0:0.1", "--out", str(out)) == 0
         assert "chosen lambda" in capsys.readouterr().out
-        rows = (out / "curve.csv").read_text().splitlines()
+        rows = (out / "curve.csv").read_text(encoding="utf-8").splitlines()
         assert rows[0] == "lambda,coverage,mse,scaled_mse,objective"
         assert len(rows) == 11
         coverages = [float(r.split(",")[1]) for r in rows[1:]]
@@ -501,7 +657,7 @@ class TestCalibrate:
         out = tmp_path / "cal"
         run("calibrate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
             "--grid", "0.1:1.0:0.1", "--out", str(out))
-        doc = json.loads((out / "calibration.json").read_text())
+        doc = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
         assert doc["chosen_lambda"] in doc["grid"]
 
     @pytest.mark.parametrize("spec, message", [
@@ -565,10 +721,10 @@ class TestAtlas:
                    "--out", str(out)) == 0
         printed = capsys.readouterr().out
         assert "links:" in printed and "gaps:" in printed
-        doc = json.loads((out / "atlas.json").read_text())
+        doc = json.loads((out / "atlas.json").read_text(encoding="utf-8"))
         assert {n["id"] for n in doc["nodes"]} == set(load_archive(TOY).ids())
-        assert (out / "atlas.dot").read_text().startswith("digraph atlas {")
-        comp_lines = (out / "compositions.jsonl").read_text().splitlines()
+        assert (out / "atlas.dot").read_text(encoding="utf-8").startswith("digraph atlas {")
+        comp_lines = (out / "compositions.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(comp_lines) == 12
         first = json.loads(comp_lines[0])
         assert set(first) == {"target_id", "weights", "r", "rho",
@@ -579,7 +735,7 @@ class TestAtlas:
         assert run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
                    "--relax", "1", "--out", str(out)) == 0
         expected, signs = {}, {}
-        for line in (out / "results.jsonl").read_text().splitlines():
+        for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines():
             r = json.loads(line)
             signs[r["target_id"]] = int(np.sign(r["observed_effect"]))
             if not r["composable"]:
@@ -588,13 +744,13 @@ class TestAtlas:
                 expected[r["target_id"]] = "link"
             else:
                 expected[r["target_id"]] = "conflict"
-        doc = json.loads((out / "atlas.json").read_text())
+        doc = json.loads((out / "atlas.json").read_text(encoding="utf-8"))
         assert {n["id"]: n["status"] for n in doc["nodes"]} == expected
         assert {n["id"]: n["sign"] for n in doc["nodes"]} == signs
         conflicts = sorted(i for i, s in expected.items() if s == "conflict")
         assert doc["conflicts"] == conflicts
         mined = [json.loads(l)["target_id"]
-                 for l in (out / "conflicts.jsonl").read_text().splitlines()]
+                 for l in (out / "conflicts.jsonl").read_text(encoding="utf-8").splitlines()]
         assert mined == conflicts
         counts = [sum(s == k for s in expected.values())
                   for k in ("link", "conflict", "gap")]
@@ -609,7 +765,7 @@ class TestAtlas:
             out = tmp_path / f"atlas{relax}"
             run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
                 "--relax", relax, "--out", str(out))
-            lines = (out / "conflicts.jsonl").read_text().splitlines()
+            lines = (out / "conflicts.jsonl").read_text(encoding="utf-8").splitlines()
             outs[relax] = [json.loads(l) for l in lines]
         strict_ids = {c["target_id"] for c in outs["1.0"]}
         relaxed_ids = {c["target_id"] for c in outs["1.5"]}
@@ -622,7 +778,7 @@ class TestAtlas:
                    "--relax", "1.5", "--out", str(out)) == 0
 
         def jsonl(name):
-            return [json.loads(l) for l in (out / name).read_text().splitlines()]
+            return [json.loads(l) for l in (out / name).read_text(encoding="utf-8").splitlines()]
 
         weights = {c["target_id"]: c["weights"] for c in jsonl("compositions.jsonl")}
         relaxed_lambda = 1.5 * ComposerConfig().lambda_
@@ -698,7 +854,7 @@ class TestBridgeCommand:
                    "--out", str(out))
         assert code == 0
         assert "composable=True" in capsys.readouterr().out
-        doc = json.loads((out / "bridge.json").read_text())
+        doc = json.loads((out / "bridge.json").read_text(encoding="utf-8"))
         assert doc["final_composable"] is True
         assert doc["rounds_run"] <= 2
         trace = doc["isolated_ratio_trace"]
@@ -768,7 +924,7 @@ class TestReconcileCommand:
         run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",
             "--out", str(tmp_path / "a"))
         conflicts = [json.loads(l) for l in
-                     (tmp_path / "a" / "conflicts.jsonl").read_text().splitlines()]
+                     (tmp_path / "a" / "conflicts.jsonl").read_text(encoding="utf-8").splitlines()]
         assert conflicts, "toy archive should produce at least one conflict"
         return conflicts[0]["target_id"]
 
@@ -802,7 +958,7 @@ class TestReconcileCommand:
                    "--stub-transcript", str(transcript), "--out", str(out))
         assert code == 0
         assert "reconciliation needed: False" in capsys.readouterr().out
-        doc = json.loads((out / "reconciliation.json").read_text())
+        doc = json.loads((out / "reconciliation.json").read_text(encoding="utf-8"))
         assert doc["needed"] is False
         assert "Q1" in sent["prompt"]
 
@@ -874,7 +1030,7 @@ class TestTheoryCheckCommand:
         assert run("theory-check", "--seed", "1", "--out", str(out)) == 0
         printed = capsys.readouterr().out
         assert "0 bound violations" in printed
-        header = out.read_text().splitlines()[0]
+        header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header == "seed,H,delta,d,realized_error,bound,slack,holds,residual_ok"
 
     def test_seed_reproduces_rows(self, tmp_path):
@@ -937,7 +1093,8 @@ class TestEndToEnd:
             proc = subprocess.run([sys.executable, "-m", "exatlas.cli", "atlas",
                                    "--archive", str(archive), "--vectors", str(vectors),
                                    "--out", str(out)],
-                                  capture_output=True, text=True, env=env, check=True)
+                                  capture_output=True, text=True, encoding="utf-8", env=env,
+                                  check=True)
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             seen.append((proc.stdout, files))
         assert re.match(r"links: [1-9]\d*  conflicts: [1-9]", seen[0][0]), seen[0][0]
@@ -960,5 +1117,5 @@ def test_evaluate_does_not_import_numpy_ma():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          encoding="utf-8", env=env, check=True)
     assert proc.stdout.strip() == "True"

@@ -11,10 +11,6 @@ from exatlas.composer import (
     OPTIMAL,
     ComposerConfig,
     ComposerError,
-    DegenerateScaleError,
-    DimensionError,
-    EmptyPoolError,
-    MissingEffectError,
     _normalized,
     _residual,
     assess,
@@ -94,7 +90,7 @@ class TestSelectCandidates:
         assert nb.candidate_ids == ("c", "a", "b")
 
     def test_empty_pool_rejected(self, default_cfg):
-        with pytest.raises(EmptyPoolError, match="^candidate pool is empty$"):
+        with pytest.raises(ComposerError, match="^candidate pool is empty$"):
             assess(exp("t"), np.zeros(2), {}, None, default_cfg)
 
     def test_pool_containing_target_rejected(self, default_cfg):
@@ -115,11 +111,9 @@ class TestAssessInputs:
 
     def test_dimension_mismatch_gives_the_target_length_first(self, default_cfg):
         pool = {"a": np.zeros(2), "b": np.zeros(2)}
-        with pytest.raises(DimensionError) as err:
+        with pytest.raises(ComposerError, match="^dimension mismatch: target has length 3, "
+                                                "candidate has length 2$"):
             assess(exp("t"), np.zeros(3), pool, None, default_cfg)
-        assert (err.value.target_len, err.value.candidate_len) == (3, 2)
-        assert str(err.value) == ("dimension mismatch: target has length 3, "
-                                  "candidate has length 2")
 
     @pytest.mark.parametrize("bad", ["t", "b"])
     def test_non_finite_row_rejected(self, bad, default_cfg):
@@ -187,7 +181,8 @@ class TestSolveWeights:
             solve_weights(np.zeros(2), [np.ones(2), -np.ones(2)], 1e-2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ComposerError, match="^dimension mismatch: target has length 3, "
+                                                "candidate has length 2$"):
             solve_weights(np.zeros(3), [np.zeros(2)], 1e-2)
 
     def test_zero_ridge_still_solves(self):
@@ -227,7 +222,7 @@ class TestResiduals:
         coincident = np.column_stack([np.array([1.0])])
         r = _residual(coincident, np.array([1.0]), np.array([1.0]))
         assert (r, _normalized(r, 0.0)) == (0.0, 0.0)
-        with pytest.raises(DegenerateScaleError):
+        with pytest.raises(ComposerError, match="^local scale is 0 but the residual is 1$"):
             _normalized(_residual(coincident, np.array([2.0]), np.array([1.0])), 0.0)
 
 
@@ -245,9 +240,8 @@ class TestComposeEffect:
         assert got == pytest.approx(2.3)
 
     def test_missing_effect_names_id(self):
-        with pytest.raises(MissingEffectError) as err:
+        with pytest.raises(ComposerError, match="^no observed effect for experiment 'a'$"):
             compose_effect({"a": 1.0}, {"b": 1.0})
-        assert err.value.experiment_id == "a"
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                     min_size=1, max_size=6),

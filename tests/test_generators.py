@@ -16,8 +16,6 @@ from exatlas.generators import (
     ChatError,
     ChatRequest,
     ChatTransportError,
-    MalformedResponseError,
-    MissingTranscriptError,
     RemoteChatProvider,
     ScriptedStubChat,
     TEMPLATE_SLOTS,
@@ -127,7 +125,8 @@ class TestScriptedStub:
 
     def test_unknown_prompt_raises(self):
         stub = ScriptedStubChat.from_pairs({"hello": "world"})
-        with pytest.raises(MissingTranscriptError):
+        with pytest.raises(ChatError, match="^scripted stub has no response for prompt hash "
+                                            f"{prompt_hash('other')}$"):
             stub.complete(ChatRequest("other"))
 
     def test_file_round_trip(self, tmp_path):
@@ -194,7 +193,7 @@ class TestRemoteChat:
             return {"choices": [{"message": {"content": "  "}}]}
 
         chat = RemoteChatProvider("http://x", "model", transport=empty)
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(ChatError, match="^chat response is empty$"):
             chat.complete(ChatRequest("p"))
 
     @pytest.mark.parametrize("spec,sent", [
@@ -254,7 +253,7 @@ class TestReconciliationPrompt:
         assert "moderator" in text
 
     def test_verdict_required(self):
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(ChatError, match="^reconciliation reply has no Yes/No verdict$"):
             parse_reconciliation_response("unclear rambling")
 
 
@@ -317,7 +316,7 @@ class TestParseBridgeResponse:
         assert got[0].parsed_treatment == got[0].parsed_outcome == got[0].text
 
     def test_all_empty_rejected(self):
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(ChatError, match="^bridge reply contains no proposals$"):
             parse_bridge_response(" ; ; ")
 
     def test_round_recorded(self):
@@ -548,4 +547,4 @@ class TestAuditLog:
         files = sorted(f.name for f in (tmp_path / "audit").iterdir())
         assert files == ["001_prompt.txt", "001_response.txt",
                          "002_prompt.txt", "002_response.txt"]
-        assert (tmp_path / "audit" / "002_response.txt").read_text() == "r2"
+        assert (tmp_path / "audit" / "002_response.txt").read_text(encoding="utf-8") == "r2"

@@ -22,7 +22,8 @@ def test_library_use_block_runs():
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", readme_block("Library use", "python")],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=ROOT, env=env, capture_output=True, text=True, encoding="utf-8",
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert "Sign match" in proc.stdout

@@ -19,7 +19,7 @@ import pytest
 from oracles import count_problems_solved, reference_assess, reference_solve_weights
 
 import exatlas.composer as composer_mod
-from exatlas.composer import (FALLBACK_UNIFORM, OPTIMAL, ComposerConfig, EmptyPoolError,
+from exatlas.composer import (FALLBACK_UNIFORM, OPTIMAL, ComposerConfig, ComposerError,
                               FeatureStore, _normal_equations, _solve_stack, assess_rows,
                               gate_rows, solve_weights)
 
@@ -213,7 +213,7 @@ from exatlas.composer import ComposerConfig, FeatureStore, assess_rows
 rows = np.random.default_rng(0).standard_normal((936, 8))
 features = {f"w{k:04d}": row for k, row in enumerate(np.concatenate([rows[:64], rows]))}
 store = FeatureStore.from_features(features, tuple(features), range(64))
-with open("/proc/self/statm") as fh:
+with open("/proc/self/statm", encoding="ascii") as fh:
     size = int(fh.read().split()[0]) * resource.getpagesize()
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (size + (300 << 20), hard))
@@ -232,7 +232,7 @@ def test_wide_pool_solves_within_an_address_space_limit():
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", _WIDE_POOL], capture_output=True,
-                          text=True, env=env)
+                          text=True, encoding="utf-8", env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "64"
 
@@ -244,10 +244,10 @@ def test_target_without_candidates_fails_as_reference():
                 "c": np.array([0.0, 5.0]), "d": np.array([9.0, 9.0])}
     ids = tuple(features)
     cfg = ComposerConfig(radius_factor=0.3)
-    with pytest.raises(EmptyPoolError) as want:
+    with pytest.raises(ComposerError, match="^need at least one candidate$") as want:
         for tid in ids:
             reference_assess(tid, features, ids, None, cfg)
-    with pytest.raises(EmptyPoolError) as got:
+    with pytest.raises(ComposerError, match="^need at least one candidate$") as got:
         list(assess_rows(FeatureStore.from_features(features, ids), None, cfg))
     assert str(got.value) == str(want.value)
 

@@ -21,8 +21,8 @@ from oracles import (count_problems_solved, pass_ratio, record_exact_distances,
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import isolated_ratio
-from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, DegenerateScaleError,
-                              DimensionError, FeatureStore, assess, assess_rows, gate_rows)
+from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, FeatureStore, assess,
+                              assess_rows, gate_rows)
 from exatlas.evaluator import loo_run
 from exatlas.representation import (DeterministicStubProvider, feature_matrix, read_vector_file,
                                     write_vector_file)
@@ -584,10 +584,12 @@ def test_store_rejects_bad_rows():
     with pytest.raises(ComposerError, match="non-finite"):
         FeatureStore.from_features({"a": np.zeros(3), "b": np.array([0.0, np.nan, 1.0])},
                                    ["a", "b"])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ComposerError, match="^dimension mismatch: target has length 3, "
+                                            "candidate has length 4$"):
         FeatureStore.from_features({"a": np.zeros(3), "b": np.zeros(4)}, ["a", "b"])
     store = FeatureStore.from_features({"a": np.zeros(3), "b": np.ones(3)}, ["a", "b"])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ComposerError, match="^dimension mismatch: target has length 3, "
+                                            "candidate has length 2$"):
         store.extended({"c": np.zeros(2)})
     with pytest.raises(ValueError, match="already"):
         store.extended({"a": np.zeros(3)})
@@ -686,7 +688,8 @@ def test_zero_scale_pool_gates_as_assess(magnitude, copies, seed, raises):
     def outcome(decide):
         try:
             return decide()
-        except DegenerateScaleError as e:
+        except ComposerError as e:
+            assert str(e).startswith("local scale is 0 but the residual is "), e
             return str(e)
 
     for t, tid in enumerate(ids):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from exatlas.theory_lab import (
-    OffSimplexError,
     SyntheticWorld,
+    TheoryLabError,
     bound_sweep,
     check_bound,
     sample_world,
@@ -105,11 +105,11 @@ class TestCheckBound:
 
     def test_off_simplex_weights_rejected(self):
         world = sample_world(seed=8, n=4, d=2, curvature_bound=0.0, noise_bound=0.0)
-        with pytest.raises(OffSimplexError):
+        with pytest.raises(TheoryLabError, match=r"^weights sum to 1\.2, not 1$"):
             check_bound(world, 0, {1: 0.6, 2: 0.6})
-        with pytest.raises(OffSimplexError):
-            check_bound(world, 0, {0: 1.0})  # includes the target
-        with pytest.raises(OffSimplexError):
+        with pytest.raises(TheoryLabError, match="^weights must not include the target index$"):
+            check_bound(world, 0, {0: 1.0})
+        with pytest.raises(TheoryLabError, match="^negative weight beyond tolerance$"):
             check_bound(world, 0, {1: 1.5, 2: -0.5})
 
     def test_curvature_term_linear_in_H(self):
