@@ -9,7 +9,7 @@ from .representation import (
     RemoteEmbeddingProvider,
     VectorFileProvider,
     build_feature,
-    embed_text,
+    embed_texts,
     feature_matrix,
 )
 
@@ -35,7 +35,7 @@ __all__ = [
     "DeterministicStubProvider",
     "VectorFileProvider",
     "RemoteEmbeddingProvider",
-    "embed_text",
+    "embed_texts",
     "build_feature",
     "feature_matrix",
     "__version__",

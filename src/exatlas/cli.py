@@ -85,6 +85,14 @@ def _spec_args(spec: str, rest: str, **keys: tuple[str, type]) -> dict[str, Any]
     return args
 
 
+def _construct(spec: str, cls, **args):
+    """``cls(**args)``; a setting out of range is an error naming ``spec``."""
+    try:
+        return cls(**args)
+    except ValueError as e:
+        raise CliError(f"provider spec {spec!r}: {e}") from None
+
+
 def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None):
     """Build a provider from a spec string.
 
@@ -93,9 +101,9 @@ def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None)
     """
     kind, _, rest = spec.partition(":")
     if kind == "stub":
-        args = {"dimension": 32, "seed": seed}
+        args = {"seed": seed}
         args.update(_spec_args(spec, rest, d=("dimension", int), seed=("seed", int)))
-        return DeterministicStubProvider(**args)
+        return _construct(spec, DeterministicStubProvider, **args)
     if kind == "file":
         if not rest:
             raise CliError("file provider needs a path: file:PATH")
@@ -105,7 +113,7 @@ def parse_embedding_provider(spec: str, seed: int, cache_dir: str | None = None)
                           d=("dimension", int), batch=("batch_size", int))
         if "endpoint" not in args:
             raise CliError("remote provider needs endpoint=URL")
-        return RemoteEmbeddingProvider(cache_dir=cache_dir, **args)
+        return _construct(spec, RemoteEmbeddingProvider, cache_dir=cache_dir, **args)
     raise CliError(f"unknown embedding provider kind {kind!r}")
 
 
@@ -123,7 +131,7 @@ def parse_chat_provider(spec: str, transcript: str | None):
                           temperature=("temperature", float), retries=("max_retries", int))
         if "endpoint" not in args or "model" not in args:
             raise CliError("remote chat provider needs endpoint=URL,model=NAME")
-        return generators_mod.RemoteChatProvider(**args)
+        return _construct(spec, generators_mod.RemoteChatProvider, **args)
     raise CliError(f"unknown chat provider kind {kind!r}")
 
 

@@ -29,7 +29,7 @@ from .representation import (
     EmbeddingError,
     EmbeddingProvider,
     build_feature,
-    embed_text,
+    embed_texts,
     embedding_texts,
 )
 # A transcript keys each prompt by the SHA-256 hex digest of its UTF-8 text.
@@ -91,11 +91,8 @@ class ScriptedStubChat:
     records, one per prompt hash. Unknown prompts raise, which keeps offline tests honest.
     """
 
-    kind = "scripted-stub"
-
     def __init__(self, transcript: Mapping[str, str]):
         self.transcript = dict(transcript)
-        self.calls = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedStubChat":
@@ -127,7 +124,6 @@ class ScriptedStubChat:
         return cls({prompt_hash(p): r for p, r in pairs.items()})
 
     def complete(self, request: ChatRequest) -> str:
-        self.calls += 1
         h = prompt_hash(request.prompt)
         if h not in self.transcript:
             raise ChatError(f"scripted stub has no response for prompt hash {h}")
@@ -142,8 +138,6 @@ class RemoteChatProvider:
     read from ``EXATLAS_CHAT_KEY`` unless given.
     """
 
-    kind = "remote-service"
-
     def __init__(
         self,
         endpoint: str,
@@ -151,16 +145,16 @@ class RemoteChatProvider:
         api_key: str | None = None,
         temperature: float = 0.0,
         max_retries: int = 3,
-        backoff: float = 0.5,
         transport: Callable[[str, dict, dict], dict] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if max_retries < 0:
+            raise ValueError("max_retries must not be negative")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_CHAT_KEY)
         self.temperature = temperature
-        self.max_retries = max(0, int(max_retries))
-        self.backoff = backoff
+        self.max_retries = int(max_retries)
         self._transport = transport or requests_transport(
             ChatTransportError, "chat", timeout=120)
         self._sleep = sleep
@@ -173,7 +167,7 @@ class RemoteChatProvider:
         }
         doc = post_json(self._transport, self.endpoint, payload, self.api_key,
                         error=ChatTransportError, retries=self.max_retries,
-                        backoff=self.backoff, sleep=self._sleep)
+                        sleep=self._sleep)
         try:
             content = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as e:
@@ -354,8 +348,10 @@ def bridge_loop(target: Experiment, archive: Archive,
     """Propose, embed, and insert hypothetical experiments until the target composes.
 
     Each round builds a prompt from the target's nearest real neighbors and
-    every earlier proposal, parses the reply into proposals, embeds them from
-    their parsed texts, and gates the archive again over the augmented pool.
+    every earlier proposal, parses the reply into proposals, embeds each
+    proposal's parsed treatment and outcome in one :func:`embed_texts` call
+    (a proposal whose embedding fails is dropped with a warning), and gates
+    the archive again over the augmented pool.
     Round 0 and each round run one :func:`~exatlas.composer.gate_rows` pass
     over every archive member: the target's gate (its decision, and its
     candidates for the literature) and the round's entry of the trace, the
@@ -390,8 +386,7 @@ def bridge_loop(target: Experiment, archive: Archive,
         added: dict[str, np.ndarray] = {}
         for k, prop in enumerate(proposals):
             try:
-                t = embed_text(embedder, prop.parsed_treatment)
-                o = embed_text(embedder, prop.parsed_outcome)
+                t, o = embed_texts(embedder, [prop.parsed_treatment, prop.parsed_outcome])
             except EmbeddingError as e:
                 logger.warning("dropping proposal %r (round %d): %s",
                                prop.text[:60], rnd, e)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 Transport = Callable[[str, dict, dict], Any]
+BACKOFF = 0.5  # seconds before the first retry; each later wait doubles
 
 
 def requests_transport(error: type[Exception], what: str, timeout: float) -> Transport:
@@ -36,10 +37,10 @@ def requests_transport(error: type[Exception], what: str, timeout: float) -> Tra
 
 
 def post_json(transport: Transport, endpoint: str, payload: dict, api_key: str | None, *,
-              error: type[Exception], retries: int, backoff: float,
+              error: type[Exception], retries: int,
               sleep: Callable[[float], None]) -> Any:
     """Send ``payload`` through ``transport``, with a bearer ``api_key`` when
-    one is set. Each ``error`` is retried after ``backoff * 2**attempt``
+    one is set. Each ``error`` is retried after ``BACKOFF * 2**attempt``
     seconds, ``retries`` (at least 0) times at most; the last one propagates."""
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -50,4 +51,4 @@ def post_json(transport: Transport, endpoint: str, payload: dict, api_key: str |
         except error:
             if attempt == retries:
                 raise
-            sleep(backoff * (2 ** attempt))
+            sleep(BACKOFF * (2 ** attempt))

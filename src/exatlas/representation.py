@@ -33,12 +33,12 @@ logger = logging.getLogger(__name__)
 
 
 class EmbeddingError(Exception):
-    """Base class for embedding failures.
+    """Base class for embedding failures. ``text`` is the text a failure is
+    about, where known; for a failed remote request, its batch's first."""
 
-    ``text`` is the first text of the request that failed, where known.
-    """
-
-    text: str | None = None
+    def __init__(self, message: str, text: str | None = None):
+        super().__init__(message)
+        self.text = text
 
 
 class EmbeddingTransportError(EmbeddingError):
@@ -46,10 +46,9 @@ class EmbeddingTransportError(EmbeddingError):
 
 
 class EmbeddingProvider(Protocol):
-    kind: str
     dimension: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]: ...
 
 
 def text_key(text: str) -> str:
@@ -65,9 +64,7 @@ class DeterministicStubProvider:
     same (seed, dimension, text) always yields the same vector.
     """
 
-    kind = "deterministic-stub"
-
-    def __init__(self, dimension: int, seed: int = 0):
+    def __init__(self, dimension: int = 32, seed: int = 0):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = int(dimension)
@@ -79,6 +76,9 @@ class DeterministicStubProvider:
         v = rng.standard_normal(self.dimension)
         return v / np.linalg.norm(v)
 
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        return [self.embed(text) for text in texts]
+
 
 class VectorFileProvider:
     """Serves embeddings stored in a vector file, looked up by text.
@@ -87,8 +87,6 @@ class VectorFileProvider:
     files may key vectors either way. Vectors are returned verbatim.
     """
 
-    kind = "vector-file"
-
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.vectors = read_vector_file(self.path)
@@ -96,13 +94,14 @@ class VectorFileProvider:
             raise EmbeddingError(f"vector file {self.path} is empty")
         self.dimension = len(next(iter(self.vectors.values())))
 
-    def embed(self, text: str) -> np.ndarray:
-        vec = self.vectors.get(text)
-        if vec is None:
-            vec = self.vectors.get(text_key(text))
-        if vec is None:
-            raise EmbeddingError(f"no stored vector for id {text_key(text)!r}")
-        return vec
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        out = []
+        for text in texts:
+            vec = self.vectors.get(text)
+            if vec is None and (vec := self.vectors.get(text_key(text))) is None:
+                raise EmbeddingError(f"no stored vector for id {text_key(text)!r}", text)
+            out.append(vec)
+        return out
 
 
 class RemoteEmbeddingProvider:
@@ -121,8 +120,6 @@ class RemoteEmbeddingProvider:
     vector of its last line. All cache access is lock-synchronized.
     """
 
-    kind = "remote-service"
-
     def __init__(
         self,
         endpoint: str,
@@ -131,20 +128,22 @@ class RemoteEmbeddingProvider:
         api_key: str | None = None,
         batch_size: int = 32,
         max_retries: int = 3,
-        backoff: float = 0.5,
         cache_dir: str | Path | None = None,
         transport: Callable[[str, dict, dict], dict] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if dimension < 1:
             raise ValueError("dimension must be positive")
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if max_retries < 0:
+            raise ValueError("max_retries must not be negative")
         self.endpoint = endpoint
         self.model = model
         self.dimension = int(dimension)
         self.api_key = api_key if api_key is not None else os.environ.get(ENV_EMBED_KEY)
-        self.batch_size = max(1, int(batch_size))
-        self.max_retries = max(0, int(max_retries))
-        self.backoff = backoff
+        self.batch_size = int(batch_size)
+        self.max_retries = int(max_retries)
         self._transport = transport or requests_transport(
             EmbeddingTransportError, "embedding", timeout=60)
         self._sleep = sleep
@@ -170,9 +169,6 @@ class RemoteEmbeddingProvider:
                 logger.warning("%s: dropping an unterminated last line of %d bytes",
                                path, size - fh.tell())
                 self._torn_tail = fh.tell()
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         keys = [text_key(t) for t in texts]
@@ -203,7 +199,7 @@ class RemoteEmbeddingProvider:
         doc = post_json(self._transport, self.endpoint,
                         {"model": self.model, "input": list(batch)},
                         self.api_key, error=EmbeddingTransportError,
-                        retries=self.max_retries, backoff=self.backoff, sleep=self._sleep)
+                        retries=self.max_retries, sleep=self._sleep)
         where = (f"malformed embedding response for the batch of {len(batch)} "
                  f"starting with {batch[0][:40]!r}")
         data = doc.get("data") if isinstance(doc, dict) else None
@@ -230,25 +226,26 @@ class RemoteEmbeddingProvider:
         return out
 
 
-def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
-    """Embed one text, enforcing the provider's declared dimension."""
-    _check_text(text)
-    return _checked_vector(provider, provider.embed(text))
-
-
-def _check_text(text: str) -> None:
-    if not text or not text.strip():
-        raise EmbeddingError("cannot embed empty text")
-
-
-def _checked_vector(provider: EmbeddingProvider, vec) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != provider.dimension:
-        raise EmbeddingError(f"dimension mismatch: expected {provider.dimension}, "
-                             f"got {vec.size}")
-    if not np.all(np.isfinite(vec)):
-        raise EmbeddingError("provider returned non-finite embedding values")
-    return vec
+def embed_texts(provider: EmbeddingProvider, texts: Sequence[str]) -> list[np.ndarray]:
+    """Embed ``texts`` in one ``embed_many`` call, checking that no text is
+    empty and that one finite vector of the provider's dimension comes back
+    per text. An error's ``text`` is the text it is about, where known."""
+    for text in texts:
+        if not text or not text.strip():
+            raise EmbeddingError("cannot embed empty text", text)
+    raw = provider.embed_many(texts)
+    if len(raw) != len(texts):
+        raise EmbeddingError(f"expected {len(texts)} vectors, got {len(raw)}")
+    vectors = []
+    for text, vec in zip(texts, raw):
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim != 1 or vec.shape[0] != provider.dimension:
+            raise EmbeddingError(f"dimension mismatch: expected {provider.dimension}, "
+                                 f"got {vec.size}", text)
+        if not np.all(np.isfinite(vec)):
+            raise EmbeddingError("provider returned non-finite embedding values", text)
+        vectors.append(vec)
+    return vectors
 
 
 def build_feature(t: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -290,11 +287,10 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
     """Build one feature vector per experiment; results are keyed by id, each
     a view of its row of one matrix in archive order.
 
-    Each distinct text is embedded once, in archive order: in one
-    ``embed_many`` call when the provider has one, so that a remote provider
-    batches its requests, else by :func:`embed_text` per text. Every vector
-    passes :func:`embed_text`'s checks, and an error names the first
-    experiment with the text that failed.
+    The distinct texts are embedded once each, in archive order, by one
+    :func:`embed_texts` call, so a remote provider batches its requests. An
+    error names the first experiment with the text it is about, else the
+    first experiment.
     """
     picked = [(exp.id, *embedding_texts(exp)) for exp in archive]
     owner: dict[str, str] = {}
@@ -302,28 +298,11 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
         owner.setdefault(t_text, exp_id)
         owner.setdefault(o_text, exp_id)
     texts = list(owner)
-
-    def failed(text: str, e: EmbeddingError) -> EmbeddingError:
-        return EmbeddingError(f"experiment {owner[text]!r}: {e}")
-
-    def for_text(text: str, step: Callable, *args):
-        try:
-            return step(*args)
-        except EmbeddingError as e:
-            raise failed(text, e) from e
-
-    embed_many = getattr(provider, "embed_many", None)
-    if embed_many is None:
-        vectors = [for_text(text, embed_text, provider, text) for text in texts]
-    else:
-        for text in texts:
-            for_text(text, _check_text, text)
-        try:
-            raw = embed_many(texts)
-        except EmbeddingError as e:
-            raise failed(e.text if e.text in owner else texts[0], e) from e
-        vectors = [for_text(text, _checked_vector, provider, vec)
-                   for text, vec in zip(texts, raw)]
+    try:
+        vectors = embed_texts(provider, texts)
+    except EmbeddingError as e:
+        exp_id = owner[e.text if e.text in owner else texts[0]]
+        raise EmbeddingError(f"experiment {exp_id!r}: {e}", e.text) from e
     by_text = dict(zip(texts, vectors))
     matrix = np.empty((len(picked), 3 * provider.dimension))
     for row, (_, t, o, _) in zip(matrix, picked):

@@ -144,8 +144,8 @@ def test_criterion_5_bridge_loop(tmp_path, default_cfg):
     assert result.rounds_run <= 2
 
     # Hypothetical nodes carry no effect and appear in no effect prediction.
-    hypo_feature = build_feature(provider.embed("planted bridge treatment"),
-                                 provider.embed("common outcome"))
+    hypo_feature = build_feature(*provider.embed_many(["planted bridge treatment",
+                                                       "common outcome"]))
     augmented = dict(pool)
     augmented["hypothetical:gap-t:1:0"] = hypo_feature
     comp = assess(target, features["gap-t"], augmented,

@@ -148,6 +148,12 @@ class TestConfig:
         assert capsys.readouterr().err == \
             "error: target 'toy-001' is not a conflict at relax=3\n"
 
+    def test_stub_provider_spec_keeps_the_constructor_default(self):
+        from exatlas.representation import DeterministicStubProvider
+
+        assert vars(cli_mod.parse_embedding_provider("stub", 0)) == \
+            vars(DeterministicStubProvider()) == {"dimension": 32, "seed": 0}
+
     def test_remote_provider_specs_keep_the_constructor_defaults(self):
         from exatlas.generators import RemoteChatProvider
         from exatlas.representation import RemoteEmbeddingProvider
@@ -580,6 +586,11 @@ class TestErrorsExitCleanly:
          "repeated key 'endpoint' in provider spec 'remote:endpoint=http://x,endpoint=http://y'"),
         ("remote:endpoint=http://x,batch=",
          "provider spec 'remote:endpoint=http://x,batch=': batch must be an integer"),
+        ("stub:d=0", "provider spec 'stub:d=0': dimension must be positive"),
+        ("remote:endpoint=http://x,d=0",
+         "provider spec 'remote:endpoint=http://x,d=0': dimension must be positive"),
+        ("remote:endpoint=http://x,batch=0",
+         "provider spec 'remote:endpoint=http://x,batch=0': batch_size must be positive"),
     ])
     def test_bad_embedding_provider_spec(self, spec, message, tmp_path, capsys):
         with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
@@ -604,6 +615,9 @@ class TestErrorsExitCleanly:
         ("remote:endpoint=http://x,model=m,retries=x",
          "provider spec 'remote:endpoint=http://x,model=m,retries=x': retries must be an integer"),
         ("stub:seed=1", "unknown key 'seed' in provider spec 'stub:seed=1'"),
+        ("remote:endpoint=http://x,model=m,retries=-2",
+         "provider spec 'remote:endpoint=http://x,model=m,retries=-2': "
+         "max_retries must not be negative"),
     ])
     def test_bad_chat_provider_spec(self, spec, message, tmp_path, capsys):
         with pytest.raises(CliError, match=f"^{re.escape(message)}$"):

@@ -28,7 +28,12 @@ from exatlas.generators import (
     prompt_hash,
     render_template,
 )
-from exatlas.representation import VectorFileProvider, build_feature, write_vector_file
+from exatlas.representation import (
+    RemoteEmbeddingProvider,
+    VectorFileProvider,
+    build_feature,
+    write_vector_file,
+)
 
 # Frozen reference copies of the two prompt templates. The byte-comparison
 # below pins the shipped assets: everything outside the declared slots is
@@ -415,13 +420,41 @@ class TestBridgeLoop:
                 "planted bridge treatment increases common outcome",
         })
         result = bridge_loop(target, archive, features, provider, stub, default_cfg)
-        o = provider.embed("common outcome")
+        (o,) = provider.embed_many(["common outcome"])
         extra: dict = {}
         want = [reference_isolated_ratio(archive, features, default_cfg)]
         for rnd, treatment in ((1, "useless treatment"), (2, "planted bridge treatment")):
-            extra[f"hypothetical:gap-t:{rnd}:0"] = build_feature(provider.embed(treatment), o)
+            extra[f"hypothetical:gap-t:{rnd}:0"] = build_feature(*provider.embed_many([treatment]), o)
             want.append(reference_isolated_ratio(archive, features, default_cfg, extra))
         assert list(result.isolated_ratio_trace) == want
+
+    def test_a_proposal_costs_one_remote_request(self, tmp_path, default_cfg):
+        """A proposal's treatment and outcome go to the provider in one call:
+        a remote provider sends one request for the texts it has not cached."""
+        archive, features, provider = make_gap_fixture(tmp_path)
+        target = archive.get("gap-t")
+        pool = {i: features[i] for i in archive.ids() if i != "gap-t"}
+        comp0 = assess(target, features["gap-t"], pool, None, default_cfg)
+        literature = [archive.get(c) for c in comp0.neighborhood.candidate_ids[:5]]
+        response1 = "useless treatment increases common outcome"
+        stub = ScriptedStubChat.from_pairs({
+            build_bridge_prompt(target, literature, known=[]).prompt: response1,
+            build_bridge_prompt(target, literature, known=[response1]).prompt:
+                "planted bridge treatment increases common outcome",
+        })
+        sent: list = []
+
+        def transport(endpoint, payload, headers):
+            sent.append(payload["input"])
+            return {"data": [{"embedding": v.tolist()}
+                             for v in provider.embed_many(payload["input"])]}
+
+        remote = RemoteEmbeddingProvider("in-process", dimension=provider.dimension,
+                                         transport=transport, sleep=None)
+        result = bridge_loop(target, archive, features, remote, stub, default_cfg)
+        assert (result.rounds_run, result.final_composable) == (2, True)
+        assert sent == [["useless treatment", "common outcome"],
+                        ["planted bridge treatment"]]
 
     def test_round_limit_respected_when_proposals_useless(self, tmp_path,
                                                           default_cfg):
@@ -504,8 +537,7 @@ class TestBridgeLoop:
         # Reassess with the hypothetical planted: weights include it, but no
         # effect prediction may be formed from it.
         hypo_feature = build_feature(
-            provider.embed("planted bridge treatment"),
-            provider.embed("common outcome"))
+            *provider.embed_many(["planted bridge treatment", "common outcome"]))
         augmented = dict(pool)
         augmented["hypothetical:gap-t:1:0"] = hypo_feature
         comp = assess(target, features["gap-t"], augmented,

@@ -83,7 +83,7 @@ def test_post_json_sends_the_key_only_when_set():
 
     for key in ("k", None, ""):
         assert post_json(transport, "http://x", {}, key, error=Failed, retries=0,
-                         backoff=0.0, sleep=None) == {"ok": 1}
+                         sleep=None) == {"ok": 1}
     plain = {"Content-Type": "application/json"}
     assert seen == [{**plain, "Authorization": "Bearer k"}, plain, plain]
 
@@ -92,7 +92,7 @@ def test_default_transports_keep_their_timeouts_and_errors(post):
     post.replies += [FakeResponse(500, "e"), FakeResponse(500, "c")]
     embed = RemoteEmbeddingProvider("http://e", dimension=2, max_retries=0)
     with pytest.raises(EmbeddingTransportError, match="^embedding endpoint returned 500"):
-        embed.embed("t")
+        embed.embed_many(["t"])
     chat = RemoteChatProvider("http://c", "m", max_retries=0)
     with pytest.raises(ChatTransportError, match="^chat endpoint returned 500"):
         chat.complete(ChatRequest("p"))

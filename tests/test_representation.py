@@ -17,7 +17,8 @@ from exatlas.representation import (
     VectorFileProvider,
     append_vector_file,
     build_feature,
-    embed_text,
+    embed_texts,
+    embedding_texts,
     feature_matrix,
     read_vector_file,
     text_key,
@@ -28,8 +29,8 @@ from exatlas.representation import (
 class TestStubProvider:
     def test_deterministic_across_calls(self):
         p = DeterministicStubProvider(dimension=4, seed=1)
-        v1 = embed_text(p, "alpha")
-        v2 = embed_text(p, "alpha")
+        (v1,) = embed_texts(p, ["alpha"])
+        (v2,) = embed_texts(p, ["alpha"])
         assert v1.shape == (4,)
         np.testing.assert_array_equal(v1, v2)
 
@@ -54,8 +55,9 @@ class TestStubProvider:
 
     def test_empty_text_rejected(self):
         p = DeterministicStubProvider(dimension=4, seed=0)
-        with pytest.raises(EmbeddingError):
-            embed_text(p, "  ")
+        with pytest.raises(EmbeddingError, match="^cannot embed empty text$") as err:
+            embed_texts(p, ["alpha", "  "])
+        assert err.value.text == "  "
 
 
 class TestVectorFileProvider:
@@ -66,16 +68,17 @@ class TestVectorFileProvider:
             text_key("hashed text"): np.array([3.0, 4.0]),
         })
         p = VectorFileProvider(path)
-        np.testing.assert_array_equal(embed_text(p, "some text"), [1.0, 2.0])
-        np.testing.assert_array_equal(embed_text(p, "hashed text"), [3.0, 4.0])
+        np.testing.assert_array_equal(embed_texts(p, ["some text", "hashed text"]),
+                                      [[1.0, 2.0], [3.0, 4.0]])
 
     def test_missing_text_names_id(self, tmp_path):
         path = tmp_path / "v.jsonl"
         write_vector_file(path, {"known": np.array([1.0])})
         p = VectorFileProvider(path)
         with pytest.raises(EmbeddingError,
-                           match=f"^no stored vector for id '{text_key('unknown')}'$"):
-            p.embed("unknown")
+                           match=f"^no stored vector for id '{text_key('unknown')}'$") as err:
+            p.embed_many(["known", "unknown"])
+        assert err.value.text == "unknown"
 
     @pytest.mark.parametrize("vec", [
         np.array([0.1, 1 / 3, -2.5e-30, 7.0], dtype=np.float32),
@@ -138,8 +141,8 @@ class TestRemoteProvider:
         calls: list = []
         p = RemoteEmbeddingProvider("http://x", model="m", dimension=4,
                                     transport=make_fake_transport(4, calls))
-        v1 = p.embed("hello")
-        v2 = p.embed("hello")
+        v1 = p.embed_many(["hello"])[0]
+        v2 = p.embed_many(["hello"])[0]
         np.testing.assert_array_equal(v1, v2)
         assert len(calls) == 1
 
@@ -164,7 +167,7 @@ class TestRemoteProvider:
         p = RemoteEmbeddingProvider("http://x", model="m", dimension=2,
                                     max_retries=3, transport=flaky,
                                     sleep=naps.append)
-        p.embed("t")
+        p.embed_many(["t"])
         assert attempts["n"] == 3
         assert naps == [0.5, 1.0]  # exponential backoff
 
@@ -176,7 +179,7 @@ class TestRemoteProvider:
                                     max_retries=1, transport=always_fail,
                                     sleep=lambda s: None)
         with pytest.raises(EmbeddingTransportError):
-            p.embed("t")
+            p.embed_many(["t"])
 
     def test_disk_cache_round_trip(self, tmp_path):
         calls: list = []
@@ -184,9 +187,9 @@ class TestRemoteProvider:
                       transport=make_fake_transport(3, calls),
                       cache_dir=tmp_path)
         p1 = RemoteEmbeddingProvider("http://x", **kwargs)
-        v1 = p1.embed("text")
+        v1 = p1.embed_many(["text"])[0]
         p2 = RemoteEmbeddingProvider("http://x", **kwargs)
-        v2 = p2.embed("text")
+        v2 = p2.embed_many(["text"])[0]
         np.testing.assert_array_equal(v1, v2)
         assert len(calls) == 1
 
@@ -209,10 +212,10 @@ class TestRemoteProvider:
             p = RemoteEmbeddingProvider("http://x", **kwargs)
         assert f"{cache}: dropping an unterminated last line of {len(torn)} bytes" \
             in caplog.text
-        assert [p.embed(t)[0] for t in "ab"] == [97.0, 98.0]
+        assert [v[0] for v in p.embed_many(["a", "b"])] == [97.0, 98.0]
         assert len(calls) == 1
         assert cache.read_bytes() == whole + torn  # cut only before an append
-        assert p.embed("c")[0] == 99.0
+        assert p.embed_many(["c"])[0][0] == 99.0
         assert len(calls) == 2
         assert cache.read_bytes().startswith(whole)
         assert cache.read_bytes().count(b"\n") == 3
@@ -365,6 +368,73 @@ class TestFeatureMatrix:
         assert "only" in str(err.value)
 
 
+class TestOneEmbeddingCall:
+    """Every provider is asked once, through ``embed_many``, for the distinct
+    texts in archive order, and gives the stub's features byte for byte."""
+
+    def providers(self, tmp_path, stub, texts):
+        path = tmp_path / "v.jsonl"
+        write_vector_file(path, dict(zip(texts, stub.embed_many(texts))))
+
+        def transport(endpoint, payload, headers):
+            return {"data": [{"embedding": v.tolist()}
+                             for v in stub.embed_many(payload["input"])]}
+
+        return {"stub": DeterministicStubProvider(stub.dimension, stub.seed),
+                "file": VectorFileProvider(path),
+                "remote": RemoteEmbeddingProvider("http://x", dimension=stub.dimension,
+                                                  transport=transport)}
+
+    @pytest.mark.parametrize("kind", ["stub", "file", "remote"])
+    def test_feature_matrix_makes_one_embed_many_call(self, tmp_path, toy_archive,
+                                                      stub_provider, toy_features, kind):
+        texts = list(dict.fromkeys(t for e in toy_archive for t in embedding_texts(e)[:2]))
+        provider = self.providers(tmp_path, stub_provider, texts)[kind]
+        calls = []
+        real = provider.embed_many
+        provider.embed_many = lambda batch: calls.append(list(batch)) or real(batch)
+        fm = feature_matrix(toy_archive, provider)
+        assert calls == [texts]
+        assert {k: v.tobytes() for k, v in fm.features.items()} == \
+            {k: v.tobytes() for k, v in toy_features.items()}
+
+    def test_too_few_vectors_is_one_error(self):
+        class Short(DeterministicStubProvider):
+            def embed_many(self, texts):
+                return super().embed_many(texts)[:-1]
+
+        arc = Archive((Experiment(id="a", treatment_text="t", outcome_text="o",
+                                  effect_size=0.1),))
+        with pytest.raises(EmbeddingError, match="^experiment 'a': expected 2 vectors, got 1$"):
+            feature_matrix(arc, Short(4))
+
+    @pytest.mark.parametrize("vec, message", [
+        ([1.0, 2.0, 3.0], "dimension mismatch: expected 2, got 3"),
+        ([1.0, float("inf")], "provider returned non-finite embedding values"),
+    ])
+    def test_bad_vector_names_the_experiment_of_its_text(self, vec, message):
+        class Bad(DeterministicStubProvider):
+            def embed_many(self, texts):
+                return [vec if t == "o2" else self.embed(t) for t in texts]
+
+        arc = Archive(tuple(Experiment(id=f"e{k}", treatment_text="t", outcome_text=f"o{k}",
+                                       effect_size=0.1) for k in (1, 2, 3)))
+        with pytest.raises(EmbeddingError, match=f"^experiment 'e2': {re.escape(message)}$"):
+            feature_matrix(arc, Bad(2))
+
+    def test_empty_text_is_reported_before_a_missing_vector(self, tmp_path):
+        """Every text is checked before the provider is asked: an empty text
+        is reported even after a text the vector file lacks."""
+        path = tmp_path / "v.jsonl"
+        write_vector_file(path, {"t": np.array([1.0, 2.0])})
+        arc = Archive((Experiment(id="a", treatment_text="t", outcome_text="missing",
+                                  effect_size=0.1),
+                       Experiment(id="b", treatment_text="t", outcome_text=" ",
+                                  effect_size=0.1)))
+        with pytest.raises(EmbeddingError, match="^experiment 'b': cannot embed empty text$"):
+            feature_matrix(arc, VectorFileProvider(path))
+
+
 def planted_size_archive() -> Archive:
     """360 experiments over 228 treatments and 228 outcomes: 456 distinct
     texts of 720, as in the benchmark's N=360 archive."""
@@ -396,8 +466,8 @@ class TestBatchedFeatureMatrix:
         assert [t for batch in sent for t in batch] == order
         one_by_one = self.remote([])
         for exp in arc:
-            want = build_feature(embed_text(one_by_one, exp.treatment_text),
-                                 embed_text(one_by_one, exp.outcome_text))
+            want = build_feature(*embed_texts(one_by_one,
+                                              [exp.treatment_text, exp.outcome_text]))
             assert fm.features[exp.id].tobytes() == want.tobytes()
 
     def test_failed_batch_names_an_experiment_of_its_texts(self):
