@@ -6,7 +6,8 @@ and default. A ``--config`` JSON file may set any option but ``--archive``,
 ``--out`` and ``--target``, keyed by its dest (``lambda_``, ``cache_dir``, ...)
 and typed as its flag, as that option's default: a flag wins over the file
 and the file over the parser. The environment supplies only the API keys
-(EXATLAS_EMBED_KEY, EXATLAS_CHAT_KEY). Every command writes machine-readable
+(EXATLAS_EMBED_KEY, EXATLAS_CHAT_KEY), and the BLAS thread count, which is
+one unless set (see below). Every command writes machine-readable
 output next to its human-readable one, byte-identical for identical inputs.
 """
 
@@ -16,10 +17,19 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
+
+# One BLAS thread unless the user sets another count, set before numpy loads
+# OpenBLAS (or MKL), which reads these once: a second BLAS thread made no
+# pass faster, and a process with one thread may split a pass across
+# processes (composer._pipeline). The package's lazy exports keep numpy
+# unloaded until here.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

@@ -9,8 +9,11 @@ same weights then average the sources' observed effects into a prediction.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -619,8 +622,11 @@ def assess_rows(store: FeatureStore, pool_effects: Mapping[str, float] | None,
     A result does not depend on the order of the rows or on the other
     targets. Every residual is taken exactly, on the pipeline that
     :func:`gate_rows` runs to take only those its gate needs. Results are
-    yielded in the store's order, ASSESS_BLOCK targets at a time, so a
-    caller that keeps only a summary never holds a whole pass of them.
+    yielded in the store's order, ASSESS_BLOCK targets at a time. Where the
+    pass is split across processes (see :func:`_pipeline`), the parent holds
+    a child's range of rows from when it reads them until it has yielded
+    them; otherwise a caller that keeps only a summary never holds more than
+    a block of them.
     """
     for t, cols, scale, w, status, r in _pipeline(store, cfg, exact=True):
         nb = Neighborhood(target_id=store.ids[t],
@@ -668,8 +674,132 @@ def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
 
 
 def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator[tuple]:
-    for start in range(0, len(store.targets), ASSESS_BLOCK):
-        yield from _block(store, slice(start, start + ASSESS_BLOCK), cfg, exact)
+    """The rows of :func:`_block` for every block of the store's targets, in
+    order, with the blocks split into contiguous ranges, one per process
+    (:func:`_processes`). The parent runs the first range itself while forked
+    children run the others; each child sends its rows, the memo entries it
+    wrote and the error that stopped it, if any, pickled through a pipe. The
+    parent yields every range's rows in order, merges a child's memo entries
+    before its rows and raises its error after them, so rows, errors and the
+    final ``store.memo`` are those of a serial pass: a block's rows depend on
+    its targets alone, and no two blocks of a pass share a memo key. A range
+    whose fork fails, or whose child ends without sending all of it, is run
+    in the parent. Every child is killed and reaped before the pass ends,
+    however it ends."""
+    blocks = [slice(start, start + ASSESS_BLOCK)
+              for start in range(0, len(store.targets), ASSESS_BLOCK)]
+    parts = _processes(len(blocks))
+    bounds = [len(blocks) * k // parts for k in range(parts + 1)]
+    ranges = [blocks[a:b] for a, b in zip(bounds, bounds[1:])]
+    children: list[tuple[int, int] | None] = []  # (pid, read end) per range after the first
+    try:
+        for part in ranges[1:]:
+            children.append(_fork(store, part, cfg, exact))
+        for block in ranges[0]:
+            yield from _block(store, block, cfg, exact)
+        for k, part in enumerate(ranges[1:]):
+            child, children[k] = children[k], None
+            sent = None if child is None else _collect(*child)
+            if sent is None:  # no fork, or the child did not send it all
+                for block in part:
+                    yield from _block(store, block, cfg, exact)
+            else:
+                rows, memo, error = sent
+                store.memo.update(memo)
+                yield from rows
+                if error is not None:
+                    raise error
+    finally:
+        for child in children:
+            if child is not None:
+                os.close(child[1])
+                _kill(child[0])
+
+
+def _processes(blocks: int) -> int:
+    """How many processes a pass of ``blocks`` blocks runs in: one per CPU
+    this process may run on, at most one per block. One where ``os.fork`` or
+    the CPU affinity is missing, and where the process has another OS thread
+    (or its threads cannot be counted): a child forked from a process with
+    threads inherits locks those threads may hold, and BLAS threads would
+    compete with the children for the CPUs."""
+    if blocks < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _fork(store: FeatureStore, blocks: list[slice], cfg: ComposerConfig,
+          exact: bool) -> tuple[int, int] | None:
+    """(pid, read end of its pipe) of a child that runs ``blocks``, or None
+    where the pipe or the fork fails. The child shares the store with the
+    parent through fork, without a copy."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        os.close(r)
+        _child(store, blocks, cfg, exact, w)
+    os.close(w)
+    return pid, r
+
+
+def _child(store: FeatureStore, blocks: list[slice], cfg: ComposerConfig, exact: bool,
+           fd: int) -> NoReturn:
+    """Run ``blocks`` and write (rows, memo entries written, error or None),
+    pickled, to ``fd``. The child ends only through ``os._exit``: nothing of
+    the parent's (buffers, ``atexit`` hooks, ``finally`` blocks up its stack)
+    runs in it. It exits 0 only once all of it is written."""
+    code = 1
+    try:
+        held = dict(store.memo)
+        rows: list[tuple] = []
+        error = None
+        try:
+            for block in blocks:
+                rows += _block(store, block, cfg, exact)
+        except Exception as e:  # sent to the parent, which raises it in order
+            error = e
+        memo = {k: v for k, v in store.memo.items() if held.get(k) is not v}
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump((rows, memo, error), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, fd: int) -> tuple | None:
+    """What child ``pid`` sent through ``fd``, once it has exited 0, else
+    None. The child is reaped, and ``fd`` closed, however this ends. Only
+    bytes a child of this pass wrote are unpickled."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            data = fh.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        _kill(pid)
+        raise
+    if os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0:
+        return pickle.loads(data)
+    return None
+
+
+def _kill(pid: int) -> None:
+    """Kill and reap child ``pid``, which is not yet reaped (so ``pid`` is
+    still its own, if only as a zombie)."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,

@@ -387,6 +387,8 @@ def _record_values(path: Path, line_no: int, rec: dict) -> np.ndarray:
         raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
     if not np.all(np.isfinite(vec)):
         raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+    if vec.size == 0:  # a feature of length 0 would compose anything
+        raise EmbeddingError(f"{path}:{line_no}: values must not be empty")
     return vec
 
 

@@ -250,6 +250,14 @@ def pass_ratio(store, cfg) -> float:
     return isolated_ratio(list(gate_rows(store, cfg)))
 
 
+def _serial(monkeypatch) -> None:
+    """Run every pass in this process: the recorders below see only the calls
+    made here, and a pass split across processes makes some in its children."""
+    import exatlas.composer as composer_mod
+
+    monkeypatch.setattr(composer_mod, "_processes", lambda blocks: 1)
+
+
 def record_selected_targets(monkeypatch) -> list[list[int]]:
     """Record the targets the composer selects candidates for: the list grows
     by one list of target rows per call of ``_select_block``, so a pass over
@@ -263,6 +271,7 @@ def record_selected_targets(monkeypatch) -> list[list[int]]:
         calls.append(store.targets[block].tolist())
         return original(store, block, cfg)
 
+    _serial(monkeypatch)
     monkeypatch.setattr(composer_mod, "_select_block", recording)
     return calls
 
@@ -279,6 +288,7 @@ def count_problems_solved(monkeypatch) -> dict:
         counts["n"] += len(b)
         return original(G, b)
 
+    _serial(monkeypatch)
     monkeypatch.setattr(composer_mod, "_solve_stack", counting)
     return counts
 
@@ -295,6 +305,7 @@ def record_exact_distances(monkeypatch) -> list[tuple[int, int]]:
         pairs.extend(zip(targets.tolist(), cols.tolist()))
         return original(store, targets, cols)
 
+    _serial(monkeypatch)
     monkeypatch.setattr(composer_mod, "_pair_distances", recording)
     return pairs
 
@@ -312,6 +323,7 @@ def record_exact_residuals(monkeypatch) -> list[np.ndarray]:
         targets.append(y)
         return original(A, y, w)
 
+    _serial(monkeypatch)
     monkeypatch.setattr(composer_mod, "_residual", recording)
     return targets
 
@@ -365,6 +377,8 @@ def reference_parse_vector_lines(path, lines, repeats=False) -> dict[str, np.nda
             raise EmbeddingError(f"{path}:{line_no}: non-finite value") from None
         if not np.all(np.isfinite(vec)):
             raise EmbeddingError(f"{path}:{line_no}: non-finite value")
+        if vec.size == 0:
+            raise EmbeddingError(f"{path}:{line_no}: values must not be empty")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

@@ -469,6 +469,34 @@ class TestErrorsExitCleanly:
             f"error: {cache}:1: invalid JSON: Expecting property name enclosed in double quotes"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("path", ["vectors", "file", "cache"])
+    def test_empty_vector_values(self, path, tmp_path, capsys, monkeypatch):
+        """A vector of length 0 is rejected with its line, whichever path reads
+        it: at the parent all three read it, and evaluate reported 100%
+        coverage over features of length 0."""
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(representation_mod, "post_json", no_request)
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text("".join(json.dumps(
+            {"id": i, "treatment": f"t {i}", "outcome": f"o {i}", "context": "",
+             "effect_size": 1.0}) + "\n" for i in ("a", "b")), encoding="utf-8")
+        vectors = tmp_path / "m.jsonl"
+        vectors.write_text("".join(json.dumps({"id": k, "values": []}) + "\n"
+                                   for k in (("a", "b") if path == "vectors" else
+                                             (text_key("t a"), text_key("o a")))),
+                           encoding="utf-8")
+        source = {"vectors": ["--vectors", str(vectors)],
+                  "file": ["--provider", f"file:{vectors}"],
+                  "cache": ["--provider", "remote:endpoint=http://127.0.0.1:9,model=m",
+                            "--cache-dir", str(tmp_path)]}[path]
+        assert run("evaluate", "--archive", str(archive), *source) == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == \
+            f"error: {vectors}:1: values must not be empty"
+        assert captured.out == ""
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"lamda": 0.1, "ridge": 0.5, "jbos": 2}),
@@ -1081,10 +1109,11 @@ class TestEndToEnd:
             assert digests[0][key] == digests[1][key], key
 
 
-    def test_atlas_bytes_independent_of_blas_threads(self, tmp_path):
-        """``atlas --out`` at one and two BLAS threads, in fresh interpreters,
-        on an archive large enough (200 rows of length 384) that OpenBLAS
-        splits its Gram product across threads."""
+    @staticmethod
+    def atlas_inputs(tmp_path) -> tuple[Path, Path]:
+        """An archive of 200 rows of length 384, large enough that OpenBLAS
+        splits its Gram product across threads and that a pass has four
+        blocks, with its vector file."""
         rng = np.random.default_rng(5)
         n, length = 200, 384
         rows = rng.standard_normal((n, 6)) @ rng.standard_normal((6, length))
@@ -1097,13 +1126,22 @@ class TestEndToEnd:
             + "\n" for i in ids), encoding="utf-8")
         vectors = tmp_path / "vectors.jsonl"
         write_vector_file(vectors, dict(zip(ids, rows)))
+        return archive, vectors
+
+    @staticmethod
+    def src_env(**env: str) -> dict[str, str]:
         src = str(Path(exatlas.__file__).parents[1])
+        return {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def test_atlas_bytes_independent_of_blas_threads(self, tmp_path):
+        """``atlas --out`` at one and two BLAS threads, in fresh interpreters."""
+        archive, vectors = self.atlas_inputs(tmp_path)
         seen = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            env = self.src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                               MKL_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-m", "exatlas.cli", "atlas",
                                    "--archive", str(archive), "--vectors", str(vectors),
                                    "--out", str(out)],
@@ -1113,6 +1151,73 @@ class TestEndToEnd:
             seen.append((proc.stdout, files))
         assert re.match(r"links: [1-9]\d*  conflicts: [1-9]", seen[0][0]), seen[0][0]
         assert seen[0] == seen[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+    def test_atlas_bytes_independent_of_processes(self, tmp_path):
+        """``atlas --out`` in a fresh interpreter with the BLAS variables
+        unset, once on one CPU, where every pass runs in one process, and once
+        on all CPUs, where the CLI's one BLAS thread lets each pass fork."""
+        archive, vectors = self.atlas_inputs(tmp_path)
+        code = ("import os, sys\n"
+                "if sys.argv[1] == 'one':\n"
+                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "from exatlas.cli import main\n"
+                "code = main(sys.argv[2:])\n"
+                "print('forks', len(forks), file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        env = {k: v for k, v in self.src_env().items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        seen = []
+        for cpus in ("one", "all"):
+            out = tmp_path / cpus
+            proc = subprocess.run([sys.executable, "-c", code, cpus, "atlas",
+                                   "--archive", str(archive), "--vectors", str(vectors),
+                                   "--out", str(out)],
+                                  capture_output=True, text=True, encoding="utf-8", env=env,
+                                  check=True)
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            seen.append((proc.stdout, files, proc.stderr))
+        assert seen[0][2] == "forks 0\n"
+        # atlas runs one pass of four blocks: a child per usable CPU but the first.
+        assert seen[1][2] == f"forks {min(len(os.sched_getaffinity(0)), 4) - 1}\n"
+        assert seen[0][:2] == seen[1][:2]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads on Linux")
+@pytest.mark.parametrize("user", [None, "2"])
+def test_cli_pins_blas_to_one_thread(user):
+    """Importing exatlas.cli with the BLAS variables unset leaves a process
+    of one thread, numpy loaded; a value the user sets is kept."""
+    code = ("import os, sys\n"
+            "import exatlas.cli\n"
+            "print(len(os.listdir('/proc/self/task')), 'numpy' in sys.modules,\n"
+            "      *(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS',\n"
+            "                                'MKL_NUM_THREADS')))\n")
+    src = str(Path(exatlas.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if user is not None:
+        env["OPENBLAS_NUM_THREADS"] = user
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          encoding="utf-8", env=env, check=True)
+    if user is None:
+        assert proc.stdout == "1 True 1 1 1\n"
+    else:
+        assert proc.stdout.split()[1:] == ["True", user, "1", "1"]
+
+
+def test_package_exports_load_on_first_use():
+    """Every name in ``exatlas.__all__`` resolves, and is listed by ``dir``;
+    another name raises AttributeError."""
+    for name in exatlas.__all__:
+        assert getattr(exatlas, name) is not None
+        assert name in dir(exatlas)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        exatlas.nope
 
 
 def test_evaluate_does_not_import_numpy_ma():

@@ -117,6 +117,7 @@ class TestVectorFileProvider:
         ('{"id": "b", "values": {"x": 1}}', "values must be a list of numbers"),
         ('{"id": "b", "values": [[1.0], [2.0]]}', "values must be a list of numbers"),
         ('{"id": "b", "values": 3.0}', "values must be a list of numbers"),
+        ('{"id": "b", "values": []}', "values must not be empty"),
     ])
     def test_malformed_record_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "v.jsonl"

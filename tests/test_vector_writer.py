@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_write_vector_lines
 from test_vector_file import new_file
@@ -144,6 +144,7 @@ def test_lone_surrogate_id_raises_like_reference(tmp_path, mode, bad_id):
 def test_finite_values_round_trip_bit_for_bit(tmp_path, bits):
     values = from_bits(bits)
     values = values[np.isfinite(values)]
+    assume(values.size)  # the reader rejects a vector of length 0
     path = new_file(tmp_path, b"")
     write_vector_file(path, {"a": values})
     assert read_vector_file(path)["a"].tobytes() == values.tobytes()
