@@ -131,16 +131,21 @@ class Archive:
 
 def jsonl_records(path: str | Path, lines: Iterable[bytes],
                   error: Callable[[str], Exception],
-                  decode: Callable[[str], Any] = json.loads,
+                  parse: Callable[[bytes], dict | None] | None = None,
                   ) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of ``lines``,
     the binary lines of the file ``path``, each ending at ``b"\\n"``.
 
-    A line that is not UTF-8, that ``decode`` rejects (it raises
-    :class:`json.JSONDecodeError`) or that holds no JSON object raises
-    ``error("PATH:LINE: reason")``.
+    ``parse``, where given, reads each line's bytes first: the record it
+    returns is the line's. Every other line is decoded from UTF-8 and read by
+    ``json.loads``, and one that is not UTF-8, that is not JSON or that holds
+    no JSON object raises ``error("PATH:LINE: reason")``.
     """
     for line_no, raw in enumerate(lines, start=1):
+        rec = None if parse is None else parse(raw)
+        if rec is not None:
+            yield line_no, rec
+            continue
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -148,7 +153,7 @@ def jsonl_records(path: str | Path, lines: Iterable[bytes],
         if not line.strip():
             continue
         try:
-            rec = decode(line)
+            rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise error(f"{path}:{line_no}: invalid JSON: {e.msg}") from e
         except RecursionError:

@@ -253,9 +253,9 @@ def pass_ratio(store, cfg) -> float:
 def _serial(monkeypatch) -> None:
     """Run every pass in this process: the recorders below see only the calls
     made here, and a pass split across processes makes some in its children."""
-    import exatlas.composer as composer_mod
+    import exatlas.forks as forks_mod
 
-    monkeypatch.setattr(composer_mod, "_processes", lambda blocks: 1)
+    monkeypatch.setattr(forks_mod, "processes", lambda parts: 1)
 
 
 def record_selected_targets(monkeypatch) -> list[list[int]]:

@@ -3,7 +3,7 @@ and memo, and leaves no child behind.
 
 ``composer._pipeline`` runs the first range of a pass's blocks in this
 process and the others in forked children. Each test pins the process count
-through ``composer._processes`` (but the one that checks it), on a store of
+through ``forks.processes`` (but the one that checks it), on a store of
 four blocks of 8 targets.
 """
 
@@ -21,6 +21,7 @@ import pytest
 
 import exatlas
 import exatlas.composer as composer_mod
+import exatlas.forks as forks_mod
 from exatlas.composer import ComposerConfig, ComposerError, FeatureStore, assess_rows, gate_rows
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -68,7 +69,7 @@ def processes(monkeypatch, count: int) -> list[int]:
         forks.append(1)
         return fork()
 
-    monkeypatch.setattr(composer_mod, "_processes", lambda blocks: min(count, blocks))
+    monkeypatch.setattr(forks_mod, "processes", lambda parts: min(count, parts))
     monkeypatch.setattr(os, "fork", counting)
     return forks
 
@@ -100,7 +101,7 @@ def gate_passes(store: FeatureStore) -> tuple[list, dict]:
 def serial(monkeypatch, run):
     """What ``run`` returns with every pass in this process."""
     with monkeypatch.context() as m:
-        m.setattr(composer_mod, "_processes", lambda blocks: 1)
+        m.setattr(forks_mod, "processes", lambda parts: 1)
         return run()
 
 
@@ -204,7 +205,7 @@ def test_failed_fork_runs_serially(monkeypatch):
         calls.append(1)
         raise OSError("Resource temporarily unavailable")
 
-    monkeypatch.setattr(composer_mod, "_processes", lambda blocks: min(3, blocks))
+    monkeypatch.setattr(forks_mod, "processes", lambda parts: min(3, parts))
     monkeypatch.setattr(os, "fork", no_fork)
     assert run() == want
     assert len(calls) == 2
