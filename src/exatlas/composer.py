@@ -676,15 +676,14 @@ def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator
     """The rows of :func:`_block` for every block of the store's targets, in
     order, with the blocks split into contiguous ranges, one per process
     (:mod:`exatlas.forks`). The parent runs the first range itself while
-    forked children run the others; each child sends its rows, the memo
-    entries it wrote and the error that stopped it, if any. The parent
-    yields every range's rows in order, merges a child's memo entries before
-    its rows and raises its error after them, so rows, errors and the final
+    forked children run the others, each sending its rows and the memo
+    entries it wrote. The parent yields every range's rows in order and
+    merges a child's memo entries before its rows, so rows and the final
     ``store.memo`` are those of a serial pass: a block's rows depend on its
     targets alone, and no two blocks of a pass share a memo key. A range
-    whose fork fails, or whose child ends without sending all of it, is run
-    in the parent. Every child is killed and reaped before the pass ends,
-    however it ends."""
+    that does not arrive whole (a failed fork, a child that raised or was
+    killed) is run in the parent, which raises any error where a serial
+    pass would. Every child is killed and reaped however the pass ends."""
     blocks = [slice(start, start + ASSESS_BLOCK)
               for start in range(0, len(store.targets), ASSESS_BLOCK)]
     ranges = forks.split(blocks, forks.processes(len(blocks)))
@@ -695,31 +694,22 @@ def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator
             yield from _block(store, block, cfg, exact)
         for k, part in enumerate(ranges[1:]):
             sent = children.collect(k)
-            if sent is None:  # no fork, or the child did not send it all
+            if sent is None:
                 for block in part:
                     yield from _block(store, block, cfg, exact)
             else:
-                rows, memo, error = sent
+                rows, memo = sent
                 store.memo.update(memo)
                 yield from rows
-                if error is not None:
-                    raise error
 
 
 def _child_blocks(store: FeatureStore, blocks: list[slice], cfg: ComposerConfig,
                   exact: bool) -> tuple[tuple, tuple]:
-    """What a child of :func:`_pipeline` sends: (rows, memo entries written,
-    error or None) of ``blocks``, and no payload."""
+    """What a child of :func:`_pipeline` sends: (rows, memo entries written)
+    of ``blocks``, and no payload."""
     held = dict(store.memo)
-    rows: list[tuple] = []
-    error = None
-    try:
-        for block in blocks:
-            rows += _block(store, block, cfg, exact)
-    except Exception as e:  # sent to the parent, which raises it in order
-        error = e
-    memo = {k: v for k, v in store.memo.items() if held.get(k) is not v}
-    return (rows, memo, error), ()
+    rows = [row for block in blocks for row in _block(store, block, cfg, exact)]
+    return (rows, {k: v for k, v in store.memo.items() if held.get(k) is not v}), ()
 
 
 def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,

@@ -3,11 +3,13 @@
 A caller splits its work into ranges (:func:`split`), forks a child for each
 range but the first (:meth:`Children.fork`), runs the first itself and then
 takes each child's range back in order (:meth:`Children.collect`). A child
-sends a value, pickled, followed by raw bytes. A range whose fork fails, or
-whose child does not exit 0 after sending all of it, is the caller's to run
-itself. Every child is killed and reaped when the ``with`` block of its
-:class:`Children` ends, however it ends. A leave-one-out pass, and the reading
-and writing of a vector file, all split this way.
+sends a value, pickled, followed by raw bytes. The one failure signal is
+``collect`` returning None: the fork failed, or the child raised, was killed
+or was cut off. A pass or a write then runs that range in the parent, which
+raises any error where one process would; a read reads the whole file again
+in one process. Every child is killed and reaped when the ``with`` block of
+its :class:`Children` ends, however it ends. A leave-one-out pass, and the
+reading and writing of a vector file, all split this way.
 """
 
 from __future__ import annotations
@@ -76,8 +78,9 @@ class Children:
     def collect(self, k: int, receive: Callable[[Any, BinaryIO], T] = lambda value, _: value,
                 ) -> T | None:
         """``receive(value, pipe)`` for child ``k``, with ``pipe`` at the
-        start of the payload, once the child has exited 0; else (or where
-        it was never forked) None. ``receive`` returns anything but None,
+        start of the payload, once the child has exited 0; else None, the
+        one sign of a failed range (no fork, or a child that raised, was
+        killed or was cut off). ``receive`` returns anything but None,
         and must take a payload cut short without raising: what the parent
         leaves unread is read to the end of the pipe, and only the exit
         status tells a child that sent everything from one that died. The

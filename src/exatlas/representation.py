@@ -328,12 +328,16 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     and one line per id. A count of the file's newlines sizes one matrix,
     whose rows the vectors are views of, then its lines are read by
     :func:`~exatlas.archive.jsonl_records`, in one contiguous range of lines
-    per process where the file is large enough (:func:`_read_ranges`).
-    Every error is an :class:`EmbeddingError` naming the file and the line."""
+    per process where the file is large enough (:func:`_read_ranges`), and
+    again in one process where a range does not arrive whole or ranges
+    disagree. A pipe is read once, into a matrix doubled as it fills. Every
+    error is an :class:`EmbeddingError` naming the file and the line."""
     path = Path(path)
     with path.open("rb", buffering=_BLOCK) as fh:
+        if not fh.seekable():
+            return _parse_vector_lines(path, fh, 1)
         rows = 1 + _newlines(fh)  # at least the lines: one more than the newlines
-        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe, which is never split
+        size = os.fstat(fh.fileno()).st_size
         parts = forks.processes(min(rows, size // SPLIT_BYTES))
         if parts > 1:
             vectors = _read_ranges(path, fh, rows, _line_starts(fh, size, parts))
@@ -381,38 +385,12 @@ def _read_ranges(path: Path, fh: BinaryIO, rows: int,
     to the next, the last to the end of the file. This process reads the
     first range into the matrix while a forked child reads each other range
     and sends its ids and raw rows, which are read straight into the
-    matrix's next rows. None where a range fails, or ranges disagree (an id
-    in two ranges, two widths, more than ``rows`` vectors): the file is then
-    read again in one process, which gives every error message and line
-    number. A range whose child does not send it all is read here."""
+    matrix's next rows. None where a range does not arrive whole (a line in
+    it fails, its fork fails, or its child is killed or cut off) or ranges
+    disagree (an id in two ranges, two widths, more than ``rows`` vectors):
+    the caller then reads the file again in one process, which gives every
+    error message and line number."""
     ranges = list(zip(starts, [*starts[1:], None]))
-    matrix: np.ndarray | None = None
-    row_of: dict[str, int] = {}
-
-    def place(head: tuple | None) -> np.ndarray | None:
-        """The matrix rows for a later range's vectors, as :func:`_range_rows`
-        describes them; None where it failed or disagrees with those before."""
-        nonlocal matrix
-        if head is None:
-            return None
-        keys, width = head
-        if not keys:
-            return np.empty((0, 0))
-        if matrix is None:
-            matrix = np.empty((rows, width))
-        first = len(row_of)
-        if (width != matrix.shape[1] or first + len(keys) > rows
-                or not row_of.keys().isdisjoint(keys)):
-            return None
-        return matrix[first:first + len(keys)]
-
-    def receive(head: tuple | None, pipe: BinaryIO) -> tuple | bool:
-        out = place(head)
-        if out is None:
-            return False
-        pipe.readinto(out)  # short only if the child died
-        return head
-
     with forks.Children() as children:
         for start, end in ranges[1:]:
             children.fork(functools.partial(_range_rows, path, start, end, rows))
@@ -421,35 +399,38 @@ def _read_ranges(path: Path, fh: BinaryIO, rows: int,
         except EmbeddingError:
             return None
         row_of = {key: row for key, (row, _) in first.items()}
-        for k, (start, end) in enumerate(ranges[1:]):
-            head = children.collect(k, receive)
-            if head is None:  # no fork, or the child did not send it all
-                head, (block,) = _range_rows(path, start, end, rows)
-                out = place(head)
-                if out is None:
-                    return None
-                out[...] = block
-            elif head is False:
-                return None
-            keys = head[0]
-            row_of.update(zip(keys, range(len(row_of), len(row_of) + len(keys))))
+
+        def receive(head: tuple, pipe: BinaryIO) -> bool:
+            """Read a later range's vectors into place; False where they disagree."""
+            nonlocal matrix
+            keys, width = head
+            if not keys:
+                return True
+            if matrix is None:
+                matrix = np.empty((rows, width))
+            at = len(row_of)
+            if (width != matrix.shape[1] or at + len(keys) > rows
+                    or not row_of.keys().isdisjoint(keys)):
+                return False
+            pipe.readinto(matrix[at:at + len(keys)])  # short only if the child died
+            row_of.update(zip(keys, range(at, at + len(keys))))
+            return True
+
+        if not all(children.collect(k, receive) for k in range(len(ranges) - 1)):
+            return None
     return {key: matrix[row] for key, row in row_of.items()}
 
 
 def _range_rows(path: Path, start: int, end: int | None,
-                rows: int) -> tuple[tuple | None, tuple[np.ndarray]]:
+                rows: int) -> tuple[tuple, tuple[np.ndarray, ...]]:
     """((ids, width), (their rows,)) of the vectors of ``path``'s lines from
-    offset ``start`` to ``end``, which are at most ``rows``; (None, (an empty
-    array,)) where a line fails. The file is opened anew, so that no other
-    process moves its offset."""
-    try:
-        with path.open("rb", buffering=_BLOCK) as fh:
-            matrix, first = _parse_rows(path, _lines(fh, start, end), rows)
-    except EmbeddingError:
-        return None, (np.empty((0, 0)),)
-    if matrix is None:
-        return ([], None), (np.empty((0, 0)),)
-    return (list(first), matrix.shape[1]), (matrix[:len(first)],)
+    offset ``start`` to ``end``, which are at most ``rows``; a line that
+    fails raises. The file is opened anew, so that no other process moves
+    its offset."""
+    with path.open("rb", buffering=_BLOCK) as fh:
+        matrix, first = _parse_rows(path, _lines(fh, start, end), rows)
+    width = 0 if matrix is None else matrix.shape[1]
+    return (list(first), width), (matrix[:len(first)],) if first else ()
 
 
 def _parse_vector_lines(path: Path, lines: Iterable[bytes], rows: int,
@@ -525,8 +506,8 @@ def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> No
     one contiguous range of them per process where they are many enough:
     each forked child formats its range and sends the text, which this
     process copies to the file after its own range, in order and in
-    bounded chunks. A range whose child does not send it all is formatted
-    here, so an error is raised where one process would raise it, after the
+    bounded chunks. A range that does not arrive whole is formatted here,
+    so an error is raised where one process would raise it, after the
     lines before it are written."""
     path = Path(path)
     items = list(vectors.items())

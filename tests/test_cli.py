@@ -89,6 +89,28 @@ class TestEvaluate:
         lines = (out / "results.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 12
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    def test_vectors_through_a_pipe(self, tmp_path):
+        """A --vectors FIFO, which cannot seek, writes the bytes the file
+        writes."""
+        vec, fifo = tmp_path / "v.jsonl", tmp_path / "v.fifo"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        os.mkfifo(fifo)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(vec), str(fifo)])
+        try:
+            code = run("evaluate", "--archive", TOY, "--vectors", str(fifo),
+                       "--out", str(tmp_path / "piped"))
+        finally:
+            writer.kill()
+            writer.wait()
+        assert code == 0
+        assert run("evaluate", "--archive", TOY, "--vectors", str(vec),
+                   "--out", str(tmp_path / "file")) == 0
+        for name in ("report.json", "results.jsonl"):
+            assert (tmp_path / "piped" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes()
+
     def test_lambda_override_respected(self, tmp_path):
         out = tmp_path / "eval"
         run("evaluate", "--archive", TOY, "--provider", "stub:d=8,seed=1",

@@ -139,18 +139,35 @@ def rows_until_error(rows) -> tuple[list, type, str]:
     return got, err.type, str(err.value)
 
 
+def blocks_run_here(monkeypatch) -> list[int]:
+    """The list that grows by the first target row of each block that this
+    process, and none of its children, runs."""
+    parent, block_rows, starts = os.getpid(), composer_mod._block, []
+
+    def recording(store, block, cfg, exact):
+        if os.getpid() == parent:
+            starts.append(block.start)
+        return block_rows(store, block, cfg, exact)
+
+    monkeypatch.setattr(composer_mod, "_block", recording)
+    return starts
+
+
 @pytest.mark.parametrize("row", [20, 25])  # in the child's first block, in its last
 def test_child_error_after_the_parents_rows(monkeypatch, row):
+    """The child's block raises, so the child exits non-zero and its range
+    runs again in this process, which raises where a serial pass raises."""
     def run():
         failing_block(monkeypatch, row, ComposerError("need at least one candidate"))
         got, kind, message = rows_until_error(assess_rows(new_store(), EFFECTS, CFG))
         return [comp_bytes(c) for c in got], kind, message
 
     want = serial(monkeypatch, run)
-    forks = processes(monkeypatch, 2)
+    forks, here = processes(monkeypatch, 2), blocks_run_here(monkeypatch)
     assert run() == want
     assert want[1:] == (ComposerError, "need at least one candidate")
     assert len(want[0]) == row // BLOCK * BLOCK and len(forks) == 1
+    assert here == list(range(0, row // BLOCK * BLOCK + 1, BLOCK))
 
 
 def test_parent_error_kills_the_child(monkeypatch):
