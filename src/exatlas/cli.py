@@ -31,14 +31,12 @@ from typing import Any, Sequence
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np
-
 from . import atlas as atlas_mod
 from . import evaluator as evaluator_mod
 from . import generators as generators_mod
 from . import theory_lab
 from .archive import Archive, ArchiveError, load_archive, save_archive
-from .composer import ComposerConfig, ComposerError
+from .composer import ComposerConfig, ComposerError, Features
 from .representation import (
     DeterministicStubProvider,
     EmbeddingError,
@@ -190,9 +188,9 @@ def _embedding_provider(args):
     return parse_embedding_provider(args.provider, seed=args.seed, cache_dir=args.cache_dir)
 
 
-def _features_for(args, archive: Archive, provider=None) -> dict[str, np.ndarray]:
-    """Feature vectors either from a precomputed --vectors file or a provider:
-    ``provider`` if given, else one built from the arguments."""
+def _features_for(args, archive: Archive, provider=None) -> Features:
+    """Feature vectors from a precomputed --vectors file, in its order, or from
+    ``provider`` (else one built from the arguments), in archive order."""
     if args.vectors:
         return read_vector_file(args.vectors)
     return feature_matrix(archive, provider or _embedding_provider(args)).features
@@ -249,7 +247,8 @@ def cmd_embed(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     fm = feature_matrix(arc, _embedding_provider(args))
     write_vector_file(out, fm.features)
-    print(f"wrote {len(fm.features)} feature vectors of length {fm.feature_dim} to {out}")
+    print(f"wrote {len(fm.features)} feature vectors of length "
+          f"{fm.features.matrix.shape[1]} to {out}")
     for exp_id in arc.ids():
         if not fm.used_enrichment[exp_id]:
             print(f"raw-fallback: {exp_id}")

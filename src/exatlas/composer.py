@@ -381,13 +381,35 @@ def _composition(nb: Neighborhood, w: np.ndarray, status: str, r: float,
     )
 
 
+class Features(Mapping[str, np.ndarray]):
+    """Feature vectors as the rows of one C-contiguous float64 ``matrix``, row
+    k that of ``ids[k]``: a read-only mapping of each id to a view of its row,
+    iterated in row order, whose index of rows by id is built on first use."""
+
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+        self.ids, self.matrix = tuple(ids), np.ascontiguousarray(matrix, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self.rows[key]]
+
+    @functools.cached_property
+    def rows(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+
 class FeatureStore:
     """Feature vectors by row number, with the Gram rows of the targets.
 
     Row i of the C-contiguous float64 ``matrix`` is the feature vector of
     ``ids[i]``. It is the caller's matrix itself when the vectors given are
-    its rows in order, as :func:`~exatlas.representation.read_vector_file`
-    returns them, else a stack of them; the caller must not modify it while
+    :class:`Features` whose ids begin with ``ids``, in order, else a stack of
+    them (always for a plain mapping); the caller must not modify it while
     the store is in use. Rows that :meth:`extended` appends follow, in
     ``extra``. The ``targets`` are the rows of ``matrix`` that a pass
     assesses, in its order: ``gram[k]`` holds row ``targets[k]``'s inner
@@ -475,21 +497,17 @@ def _inner_products(matrix: np.ndarray, rows: np.ndarray, right: np.ndarray) -> 
 def _matrix_of(features: Mapping[str, np.ndarray], ids: Sequence[str],
                width: int | None) -> np.ndarray:
     """The feature vectors of ``ids`` as the rows of one C-contiguous float64
-    matrix: the one whose first rows they are, in order, if any, else a stack."""
-    rows = [np.asarray(features[i], dtype=float) for i in ids]
-    if not rows:
+    matrix: a :class:`Features`' own whose first rows they are, else a stack."""
+    if not ids:
         raise ComposerError("feature store needs at least one row")
+    own = isinstance(features, Features) and features.ids[:len(ids)] == tuple(ids)
+    rows = features.matrix[:len(ids)] if own else [np.asarray(features[i], float) for i in ids]
     width = rows[0].size if width is None else width
     for row in rows:
         if row.shape != (width,):
             raise ComposerError(f"dimension mismatch: target has length {width}, "
                                 f"candidate has length {row.size}")
-    base = rows[0].base  # the array that owns the memory of a view
-    own = (isinstance(base, np.ndarray) and base.dtype == float and base.flags.c_contiguous
-           and base.shape[1:] == (width,) and len(base) >= len(rows)
-           and all(row.flags.c_contiguous and row.ctypes.data == base.ctypes.data + k * row.nbytes
-                   for k, row in enumerate(rows)))
-    matrix = base[:len(rows)] if own else np.stack(rows)
+    matrix = np.asarray(rows)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ComposerError(f"feature vector of {ids[int(np.argmin(finite))]!r} "

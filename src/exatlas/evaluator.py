@@ -93,11 +93,11 @@ def loo_run(archive: Archive, features: Mapping[str, np.ndarray],
     """Assess each experiment of ``ids`` (every member by default) against the
     rest of the archive; an id given more than once is assessed once.
 
-    The targets are assessed over one shared :class:`FeatureStore` of the
-    archive's features in archive order, whose Gram matrix holds the
-    targets' rows alone, with the same results as ``assess`` over a
-    per-target pool, whichever other targets are assessed. Results come back
-    sorted by target id.
+    The targets are assessed over one shared :class:`FeatureStore` of
+    ``features`` (:class:`~exatlas.composer.Features` or any mapping) in
+    archive order, whose Gram matrix holds the targets' rows alone, with the
+    same results as ``assess`` over a per-target pool, whichever other
+    targets are assessed. Results come back sorted by target id.
     """
     if len(archive) < 2:
         raise EvaluatorError("leave-one-out needs at least 2 experiments")

@@ -356,11 +356,11 @@ def bridge_loop(target: Experiment, archive: Archive,
     over every archive member: the target's gate (its decision, and its
     candidates for the literature) and the round's entry of the trace, the
     archive-wide isolated ratio, come from that pass. Hypothetical nodes
-    carry no observed effect and are not counted in the ratio. One store
-    grows by each round's proposals, and its memo skips the solve for every
-    target whose candidates a round leaves unchanged: a residual is taken
-    only where its bracket cannot settle rho <= lambda, and no composition
-    is built.
+    carry no observed effect and are not counted in the ratio. One store of
+    ``features`` (:class:`~exatlas.composer.Features` or any mapping) grows
+    by each round's proposals, and its memo skips the solve for every target
+    whose candidates a round leaves unchanged: a residual is taken only
+    where its bracket cannot settle rho <= lambda, and no composition is built.
     """
     check_max_rounds(max_rounds)
     store = FeatureStore.from_features(features, archive.ids())

@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import os
+import shutil
 import threading
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import forks
 from .archive import Archive, jsonl_records
+from .composer import Features
 from .remote import post_json, requests_transport
 
 ENV_EMBED_KEY = "EXATLAS_EMBED_KEY"
@@ -94,7 +96,7 @@ class VectorFileProvider:
         self.vectors = read_vector_file(self.path)
         if not self.vectors:
             raise EmbeddingError(f"vector file {self.path} is empty")
-        self.dimension = len(next(iter(self.vectors.values())))
+        self.dimension = self.vectors.matrix.shape[1]
 
     def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
         out = []
@@ -268,13 +270,8 @@ class FeatureMatrix:
     still prefer whichever enriched field exists but are flagged False.
     """
 
-    features: dict[str, np.ndarray]
+    features: Features
     used_enrichment: dict[str, bool]
-    embedding_dim: int
-
-    @property
-    def feature_dim(self) -> int:
-        return 3 * self.embedding_dim
 
 
 def embedding_texts(exp) -> tuple[str, str, bool]:
@@ -286,8 +283,8 @@ def embedding_texts(exp) -> tuple[str, str, bool]:
 
 
 def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatrix:
-    """Build one feature vector per experiment; results are keyed by id, each
-    a view of its row of one matrix in archive order.
+    """Build one feature vector per experiment, as the rows of one matrix in
+    archive order.
 
     The distinct texts are embedded once each, in archive order, by one
     :func:`embed_texts` call, so a remote provider batches its requests. An
@@ -309,10 +306,8 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
     matrix = np.empty((len(picked), 3 * provider.dimension))
     for row, (_, t, o, _) in zip(matrix, picked):
         row[:] = build_feature(by_text[t], by_text[o])
-    return FeatureMatrix(
-        {exp_id: row for row, (exp_id, _, _, _) in zip(matrix, picked)},
-        {exp_id: enriched for exp_id, _, _, enriched in picked},
-        provider.dimension)
+    return FeatureMatrix(Features(archive.ids(), matrix),
+                         {exp_id: enriched for exp_id, *_, enriched in picked})
 
 
 # A vector file is read or written in ranges of at least this many bytes of
@@ -323,10 +318,10 @@ SPLIT_BYTES = 1 << 20
 _VALUE_BYTES = 20
 
 
-def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
+def read_vector_file(path: str | Path) -> Features:
     """Read a ``{id, values}``-per-line vector file, enforcing one dimension
-    and one line per id. A count of the file's newlines sizes one matrix,
-    whose rows the vectors are views of, then its lines are read by
+    and one line per id, as :class:`Features` in the file's order. A count
+    of the file's newlines sizes their matrix, then its lines are read by
     :func:`~exatlas.archive.jsonl_records`, in one contiguous range of lines
     per process where the file is large enough (:func:`_read_ranges`), and
     again in one process where a range does not arrive whole or ranges
@@ -379,7 +374,7 @@ def _lines(fh: BinaryIO, start: int, end: int | None) -> Iterator[bytes]:
 
 
 def _read_ranges(path: Path, fh: BinaryIO, rows: int,
-                 starts: list[int]) -> dict[str, np.ndarray] | None:
+                 starts: list[int]) -> Features | None:
     """:func:`read_vector_file`'s vectors of ``fh``, the file ``path`` of at
     most ``rows`` lines, read in one range of lines from each of ``starts``
     to the next, the last to the end of the file. This process reads the
@@ -395,30 +390,26 @@ def _read_ranges(path: Path, fh: BinaryIO, rows: int,
         for start, end in ranges[1:]:
             children.fork(functools.partial(_range_rows, path, start, end, rows))
         try:
-            matrix, first = _parse_rows(path, _lines(fh, *ranges[0]), rows)
+            ids, matrix = _parse_rows(path, _lines(fh, *ranges[0]), rows)
         except EmbeddingError:
             return None
-        row_of = {key: row for key, (row, _) in first.items()}
 
         def receive(head: tuple, pipe: BinaryIO) -> bool:
             """Read a later range's vectors into place; False where they disagree."""
             nonlocal matrix
             keys, width = head
-            if not keys:
-                return True
-            if matrix is None:
+            if not ids:
                 matrix = np.empty((rows, width))
-            at = len(row_of)
-            if (width != matrix.shape[1] or at + len(keys) > rows
-                    or not row_of.keys().isdisjoint(keys)):
+            if keys and (width != matrix.shape[1] or len(ids) + len(keys) > rows):
                 return False
-            pipe.readinto(matrix[at:at + len(keys)])  # short only if the child died
-            row_of.update(zip(keys, range(at, at + len(keys))))
+            pipe.readinto(matrix[len(ids):len(ids) + len(keys)])  # short only if the child died
+            ids.extend(keys)
             return True
 
-        if not all(children.collect(k, receive) for k in range(len(ranges) - 1)):
+        if not all(children.collect(k, receive) for k in range(len(ranges) - 1)) \
+                or len(set(ids)) < len(ids):
             return None
-    return {key: matrix[row] for key, row in row_of.items()}
+    return Features(ids, matrix[:len(ids)])
 
 
 def _range_rows(path: Path, start: int, end: int | None,
@@ -428,29 +419,27 @@ def _range_rows(path: Path, start: int, end: int | None,
     fails raises. The file is opened anew, so that no other process moves
     its offset."""
     with path.open("rb", buffering=_BLOCK) as fh:
-        matrix, first = _parse_rows(path, _lines(fh, start, end), rows)
-    width = 0 if matrix is None else matrix.shape[1]
-    return (list(first), width), (matrix[:len(first)],) if first else ()
+        ids, matrix = _parse_rows(path, _lines(fh, start, end), rows)
+    return (ids, matrix.shape[1]), (matrix[:len(ids)],) if ids else ()
 
 
 def _parse_vector_lines(path: Path, lines: Iterable[bytes], rows: int,
-                        repeats: bool = False) -> dict[str, np.ndarray]:
-    """The vectors of ``lines``, binary lines of ``path``, as row views of one
+                        repeats: bool = False) -> Features:
+    """The vectors of ``lines``, binary lines of ``path``, read into one
     matrix of ``rows`` rows, doubled whenever the lines hold more. A repeated
     id is an error, or with ``repeats`` set replaces the earlier vector."""
-    matrix, first = _parse_rows(path, lines, rows, repeats)
-    return {key: matrix[row] for key, (row, _) in first.items()}
+    ids, matrix = _parse_rows(path, lines, rows, repeats)
+    return Features(ids, matrix[:len(ids)])
 
 
 def _parse_rows(path: Path, lines: Iterable[bytes], rows: int, repeats: bool = False,
-                ) -> tuple[np.ndarray | None, dict[str, tuple[int, int]]]:
-    """:func:`_parse_vector_lines`' matrix (None where ``lines`` hold no
-    vector) and each id's (row, first line), in the order of the rows."""
-    matrix: np.ndarray | None = None
+                ) -> tuple[list[str], np.ndarray]:
+    """:func:`_parse_vector_lines`' ids and a matrix whose first rows are theirs."""
+    matrix = np.empty((0, 0))
     first: dict[str, tuple[int, int]] = {}  # id -> (row, line)
     for line_no, rec in jsonl_records(path, lines, EmbeddingError, _vector_record):
         vec = _record_values(path, line_no, rec)
-        if matrix is None:
+        if not first:
             matrix = np.empty((max(rows, 1), vec.size))
         elif vec.size != matrix.shape[1]:
             raise EmbeddingError(f"{path}:{line_no}: dimension mismatch: "
@@ -462,7 +451,7 @@ def _parse_rows(path: Path, lines: Iterable[bytes], rows: int, repeats: bool = F
         if row == len(matrix):
             matrix = np.concatenate((matrix, np.empty_like(matrix)))
         matrix[row] = vec
-    return matrix, first
+    return list(first), matrix
 
 
 def _vector_record(raw: bytes) -> dict | None:
@@ -502,13 +491,13 @@ def _record_values(path: Path, line_no: int, rec: dict) -> np.ndarray:
 
 
 def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:
-    """Write ``vectors`` one line each, in order (:func:`_vector_lines`), in
-    one contiguous range of them per process where they are many enough:
-    each forked child formats its range and sends the text, which this
-    process copies to the file after its own range, in order and in
-    bounded chunks. A range that does not arrive whole is formatted here,
-    so an error is raised where one process would raise it, after the
-    lines before it are written."""
+    """Write ``vectors``, any mapping such as :class:`Features`, one line
+    each, in order (:func:`_vector_lines`), in one contiguous range of them
+    per process where they are many enough: each forked child formats its
+    range and sends the text, which this process copies to the file after
+    its own range, in order and in bounded chunks. A range that does not
+    arrive whole is formatted here, so an error is raised where one process
+    would raise it, after the lines before it are written."""
     path = Path(path)
     items = list(vectors.items())
     values = sum(vec.size for _, vec in items if isinstance(vec, np.ndarray))
@@ -520,17 +509,11 @@ def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> No
         fh.writelines(_vector_lines(ranges[0]))
         for k, part in enumerate(ranges[1:]):
             start = fh.tell()
-            if children.collect(k, lambda _, pipe: _copy(pipe, fh)) is None:
+            if children.collect(k, lambda _, pipe: shutil.copyfileobj(pipe, fh, _BLOCK)
+                                or True) is None:
                 fh.seek(start)
                 fh.truncate()
                 fh.writelines(_vector_lines(part))
-
-
-def _copy(source: BinaryIO, target: BinaryIO) -> bool:
-    """Copy ``source`` to its end into ``target``, 1 MB at a time; True."""
-    while block := source.read(_BLOCK):
-        target.write(block)
-    return True
 
 
 def append_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:

@@ -983,6 +983,89 @@ class TestBridgeCommand:
         assert list((tmp_path / "bridge" / "audit").iterdir()) == []  # no chat call
 
 
+def toy_bridge_transcript(path: Path, vec: Path, target_id: str) -> None:
+    """A one-round transcript for bridge on the toy archive: its reply to the
+    round-1 prompt of ``target_id``, whose literature is its nearest real
+    candidates under the vectors of ``vec``."""
+    arc, features = load_archive(TOY), read_vector_file(vec)
+    target = arc.get(target_id)
+    pool = {i: features[i] for i in arc.ids() if i != target_id}
+    comp = assess(target, features[target_id], pool, None, ComposerConfig())
+    literature = [arc.get(c) for c in comp.neighborhood.candidate_ids[:5]]
+    prompt = build_bridge_prompt(target, literature, known=[]).prompt
+    path.write_text(json.dumps({
+        "prompt_hash": prompt_hash(prompt),
+        "response": "a weekly reminder increases attendance; a shorter form increases uptake",
+    }) + "\n", encoding="utf-8")
+
+
+def command_outputs(tmp_path: Path, capsys, argv: list[str]) -> dict[str, bytes]:
+    """The stdout and every file under --out of one command that must succeed."""
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 0
+    blobs = {"stdout": capsys.readouterr().out.encode()}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            blobs[str(path.relative_to(out))] = path.read_bytes()
+    path_free = {k: v.replace(str(tmp_path).encode(), b"TMP") for k, v in blobs.items()}
+    for path in sorted(out.rglob("*"), reverse=True):
+        path.unlink() if path.is_file() else path.rmdir()
+    return path_free
+
+
+class TestVectorLayout:
+    def test_vector_file_layout_changes_no_output_byte(self, tmp_path, capsys, monkeypatch):
+        """evaluate, atlas and bridge write the same stdout and files from a
+        --vectors file in archive order, reversed, and with two ids outside
+        the archive among its lines, at one process and at two, where every
+        pass (in blocks of 4 targets) and every vector read splits."""
+        from exatlas import composer as composer_mod
+        from exatlas import forks as forks_mod
+
+        vec = tmp_path / "archive-order.jsonl"
+        run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1", "--out", str(vec))
+        lines = vec.read_bytes().splitlines(keepends=True)
+        extra = [b'{"id": "extra-%d", "values": [%s]}\n' % (k, b", ".join([b"0.5"] * 24))
+                 for k in (1, 2)]
+        layouts = {"archive-order": vec, "reversed": tmp_path / "reversed.jsonl",
+                   "interleaved": tmp_path / "interleaved.jsonl"}
+        layouts["reversed"].write_bytes(b"".join(reversed(lines)))
+        layouts["interleaved"].write_bytes(
+            b"".join([*lines[:3], extra[0], *lines[3:8], extra[1], *lines[8:]]))
+        transcript = tmp_path / "transcript.jsonl"
+        toy_bridge_transcript(transcript, vec, "toy-008")
+        commands = {
+            "evaluate": ["evaluate", "--archive", TOY],
+            "atlas": ["atlas", "--archive", TOY],
+            "bridge": ["bridge", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                       "--target", "toy-008", "--max-rounds", "1", "--chat", "stub",
+                       "--stub-transcript", str(transcript)],
+        }
+        monkeypatch.setattr(composer_mod, "ASSESS_BLOCK", 4)
+        monkeypatch.setattr(representation_mod, "SPLIT_BYTES", 1)
+        capsys.readouterr()
+        outputs, forked, fork = {}, [], os.fork
+
+        def counting():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        for count in (1, 2):
+            monkeypatch.setattr(forks_mod, "processes", lambda parts, count=count: min(count, parts))
+            for name, layout in layouts.items():
+                for command, argv in commands.items():
+                    before = len(forked)
+                    outputs[command, name, count] = command_outputs(
+                        tmp_path, capsys, [*argv, "--vectors", str(layout)])
+                    # A read and at least one pass split at two processes.
+                    assert (len(forked) - before >= 2) == (count == 2)
+        for (command, name, count), blobs in outputs.items():
+            assert blobs == outputs[command, "archive-order", 1], (command, name, count)
+        assert b"isolated ratio trace" in outputs["bridge", "reversed", 2]["stdout"]
+        assert "bridge.json" in outputs["bridge", "interleaved", 2]
+
+
 class TestReconcileCommand:
     def _conflict_setup(self, tmp_path):
         run("atlas", "--archive", TOY, "--provider", "stub:d=8,seed=1",

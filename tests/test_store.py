@@ -21,8 +21,8 @@ from oracles import (count_problems_solved, pass_ratio, record_exact_distances,
 
 from exatlas.archive import Archive, Experiment
 from exatlas.atlas import isolated_ratio
-from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, FeatureStore, assess,
-                              assess_rows, gate_rows)
+from exatlas.composer import (GRAM_BAND, ComposerConfig, ComposerError, Features, FeatureStore,
+                              assess, assess_rows, gate_rows)
 from exatlas.evaluator import loo_run
 from exatlas.representation import (DeterministicStubProvider, feature_matrix, read_vector_file,
                                     write_vector_file)
@@ -266,6 +266,60 @@ def test_stores_share_the_read_matrix(tmp_path, monkeypatch):
                                 vectors[ids[0]])
     embedded = feature_matrix(archive, DeterministicStubProvider(4)).features
     assert np.shares_memory(FeatureStore.from_features(embedded, ids).matrix, embedded[ids[-1]])
+
+
+def test_features_is_a_mapping_of_its_rows():
+    """Iteration, ``values`` and ``items`` follow row order; every value is
+    a view of ``matrix``; ``len``, ``in`` and ``get`` work as for a dict, and
+    the index of rows by id is built on the first lookup by id."""
+    ids = ["c", "a", "d", "b"]
+    features = Features(ids, np.asfortranarray(np.arange(12).reshape(4, 3)))
+    assert features.matrix.flags.c_contiguous and features.matrix.dtype == np.float64
+    assert list(features) == ids and len(features) == 4
+    assert "rows" not in vars(features)
+    assert [v.tolist() for v in features.values()] == features.matrix.tolist()
+    assert [k for k, _ in features.items()] == ids
+    assert all(np.shares_memory(v, features.matrix) for v in features.values())
+    assert "a" in features and "e" not in features
+    assert features["d"].tolist() == [6.0, 7.0, 8.0]
+    assert features.get("e") is None
+    with pytest.raises(KeyError):
+        features["e"]
+    assert features.rows == {"c": 0, "a": 1, "d": 2, "b": 3}
+
+
+def test_stores_from_features_in_any_layout():
+    """A store of the archive's ids from Features in archive order, from
+    Features with extra trailing ids, from permuted Features and from a dict
+    of the same vectors: the same assess_rows records and gate_rows
+    decisions, before and after extending it by Features or by a dict. Only
+    the first two hold the Features' matrix itself."""
+    base = gaussian_features(11, 40)
+    ids = tuple(base)
+    rng = np.random.default_rng(12)
+    extra = rng.standard_normal((3, 24))
+    order = rng.permutation(len(ids))
+    layouts = {
+        "in order": Features(ids, np.stack(list(base.values()))),
+        "trailing": Features([*ids, "x0", "x1", "x2"], np.vstack([*base.values(), extra])),
+        "permuted": Features([ids[k] for k in order], np.stack([base[ids[k]] for k in order])),
+        "dict": dict(base),
+    }
+    hypothetical = {"h0": extra[0] * 0.1, "h1": base[ids[3]] + 0.01}
+    effects = {i: float(k % 5) - 2.0 for k, i in enumerate(ids)}
+    cfg = ComposerConfig(max_candidates=8)
+    seen = {}
+    for name, features in layouts.items():
+        store = FeatureStore.from_features(features, ids)
+        grown = [store.extended(hypothetical),
+                 store.extended(Features(list(hypothetical), np.stack(list(hypothetical.values()))))]
+        seen[name] = ([record_bytes(c) for c in assess_rows(store, effects, cfg)],
+                      [[gate_record(s, g) for g in gate_rows(s, cfg)] for s in (store, *grown)])
+        assert seen[name] == seen["in order"], name
+        assert seen[name][1][1] == seen[name][1][2]
+        shares = isinstance(features, Features) and np.shares_memory(store.matrix, features.matrix)
+        assert shares == (name in ("in order", "trailing")), name
+        assert all(s.matrix is store.matrix for s in grown)
 
 
 def layout_outputs(features: dict[str, np.ndarray], ids: list[str],
@@ -594,6 +648,11 @@ def test_store_rejects_bad_rows():
     with pytest.raises(ValueError, match="already"):
         store.extended({"a": np.zeros(3)})
     assert store.extended({}) is store
+    with pytest.raises(ComposerError, match="^feature vector of 'b' has non-finite values$"):
+        FeatureStore.from_features(Features("ab", [[0.0, 1.0], [np.inf, 0.0]]), ["a", "b"])
+    with pytest.raises(ComposerError, match="^dimension mismatch: target has length 3, "
+                                            "candidate has length 2$"):
+        store.extended(Features(["c"], np.zeros((1, 2))))
 
 
 def test_missing_features_name_up_to_five_ids():
@@ -604,6 +663,8 @@ def test_missing_features_name_up_to_five_ids():
         FeatureStore.from_features(features, ids)
     with pytest.raises(ComposerError, match=message):
         loo_run(make_archive(ids), features, ComposerConfig())
+    with pytest.raises(ComposerError, match=message):
+        FeatureStore.from_features(Features(features, np.stack(list(features.values()))), ids)
 
 
 # The gate path: gate_rows brackets each residual from the normal equations
