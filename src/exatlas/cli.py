@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .representation import (
     EmbeddingError,
     RemoteEmbeddingProvider,
     VectorFileProvider,
+    embedding_texts,
     feature_matrix,
     read_vector_file,
     write_vector_file,
@@ -193,7 +195,16 @@ def _features_for(args, archive: Archive, provider=None) -> Features:
     ``provider`` (else one built from the arguments), in archive order."""
     if args.vectors:
         return read_vector_file(args.vectors)
-    return feature_matrix(archive, provider or _embedding_provider(args)).features
+    return feature_matrix(archive, provider or _embedding_provider(args))
+
+
+def _out_file(path: str) -> Path:
+    """The --out file, its directory made before any work so that a bad path fails first."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return out
 
 
 def _out_dir(args) -> Path | None:
@@ -229,9 +240,8 @@ def _write_jsonl(path: Path, records) -> None:
 def cmd_ingest(args) -> int:
     arc = load_archive(args.archive)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        save_archive(arc, args.out)
-    n_enriched = sum(1 for e in arc if e.enriched_treatment and e.enriched_outcome)
+        save_archive(arc, _out_file(args.out))
+    n_enriched = sum(embedding_texts(e)[2] for e in arc)
     print(f"ingested {len(arc)} records from {args.archive}")
     print(f"enriched: {n_enriched}/{len(arc)}")
     if len(arc) == 0:
@@ -243,15 +253,14 @@ def cmd_ingest(args) -> int:
 
 def cmd_embed(args) -> int:
     arc = load_archive(args.archive)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fm = feature_matrix(arc, _embedding_provider(args))
-    write_vector_file(out, fm.features)
-    print(f"wrote {len(fm.features)} feature vectors of length "
-          f"{fm.features.matrix.shape[1]} to {out}")
-    for exp_id in arc.ids():
-        if not fm.used_enrichment[exp_id]:
-            print(f"raw-fallback: {exp_id}")
+    out = _out_file(args.out)
+    features = feature_matrix(arc, _embedding_provider(args))
+    write_vector_file(out, features)
+    print(f"wrote {len(features)} feature vectors of length "
+          f"{features.matrix.shape[1]} to {out}")
+    for exp in arc:
+        if not embedding_texts(exp)[2]:
+            print(f"raw-fallback: {exp.id}")
     return 0
 
 
@@ -380,9 +389,7 @@ def cmd_reconcile(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
-    out = Path(args.out) if args.out else None
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args.out) if args.out else None
     rows = theory_lab.bound_sweep(base_seed=args.seed)
     violations = [r for r in rows if not r.report.holds]
     residual_bad = [r for r in rows if not r.residual_ok]

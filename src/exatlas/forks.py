@@ -7,9 +7,10 @@ sends a value, pickled, followed by raw bytes. The one failure signal is
 ``collect`` returning None: the fork failed, or the child raised, was killed
 or was cut off. A pass or a write then runs that range in the parent, which
 raises any error where one process would; a read reads the whole file again
-in one process. Every child is killed and reaped when the ``with`` block of
-its :class:`Children` ends, however it ends. A leave-one-out pass, and the
-reading and writing of a vector file, all split this way.
+as one range. Every child is killed and reaped when the ``with`` block of its
+:class:`Children` ends, however it ends. A leave-one-out pass, and the
+reading and writing of a vector file, all split this way, in one range, with
+no child, where one process is usable.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -261,39 +260,28 @@ def build_feature(t: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.concatenate([t, o, t * o])
 
 
-@dataclass
-class FeatureMatrix:
-    """Per-experiment feature vectors plus which records used enriched texts.
-
-    ``used_enrichment[id]`` is True only when both the treatment and outcome
-    embeddings came from enriched descriptions; partially enriched records
-    still prefer whichever enriched field exists but are flagged False.
-    """
-
-    features: Features
-    used_enrichment: dict[str, bool]
-
-
 def embedding_texts(exp) -> tuple[str, str, bool]:
-    """Pick the texts to embed for an experiment: enriched first, raw fallback."""
+    """Pick the texts to embed for an experiment: enriched first, raw fallback.
+    The flag is True only when both texts are enriched: a partly enriched
+    record still takes the enriched text it has, but is flagged False."""
     t = exp.enriched_treatment or exp.treatment_text
     o = exp.enriched_outcome or exp.outcome_text
     enriched = bool(exp.enriched_treatment) and bool(exp.enriched_outcome)
     return t, o, enriched
 
 
-def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatrix:
+def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> Features:
     """Build one feature vector per experiment, as the rows of one matrix in
-    archive order.
+    archive order, from the texts :func:`embedding_texts` picks.
 
     The distinct texts are embedded once each, in archive order, by one
     :func:`embed_texts` call, so a remote provider batches its requests. An
     error names the first experiment with the text it is about, else the
     first experiment.
     """
-    picked = [(exp.id, *embedding_texts(exp)) for exp in archive]
+    picked = [(exp.id, *embedding_texts(exp)[:2]) for exp in archive]
     owner: dict[str, str] = {}
-    for exp_id, t_text, o_text, _ in picked:
+    for exp_id, t_text, o_text in picked:
         owner.setdefault(t_text, exp_id)
         owner.setdefault(o_text, exp_id)
     texts = list(owner)
@@ -304,10 +292,9 @@ def feature_matrix(archive: Archive, provider: EmbeddingProvider) -> FeatureMatr
         raise EmbeddingError(f"experiment {exp_id!r}: {e}", e.text) from e
     by_text = dict(zip(texts, vectors))
     matrix = np.empty((len(picked), 3 * provider.dimension))
-    for row, (_, t, o, _) in zip(matrix, picked):
+    for row, (_, t, o) in zip(matrix, picked):
         row[:] = build_feature(by_text[t], by_text[o])
-    return FeatureMatrix(Features(archive.ids(), matrix),
-                         {exp_id: enriched for exp_id, *_, enriched in picked})
+    return Features(archive.ids(), matrix)
 
 
 # A vector file is read or written in ranges of at least this many bytes of
@@ -323,10 +310,10 @@ def read_vector_file(path: str | Path) -> Features:
     and one line per id, as :class:`Features` in the file's order. A count
     of the file's newlines sizes their matrix, then its lines are read by
     :func:`~exatlas.archive.jsonl_records`, in one contiguous range of lines
-    per process where the file is large enough (:func:`_read_ranges`), and
-    again in one process where a range does not arrive whole or ranges
-    disagree. A pipe is read once, into a matrix doubled as it fills. Every
-    error is an :class:`EmbeddingError` naming the file and the line."""
+    per process (:func:`_read_ranges`), one range where the file is small or
+    one CPU is usable, and again as one range where a later range fails or
+    ranges disagree. A pipe is read once, into a matrix doubled as it fills.
+    Every error is an :class:`EmbeddingError` naming the file and the line."""
     path = Path(path)
     with path.open("rb", buffering=_BLOCK) as fh:
         if not fh.seekable():
@@ -334,12 +321,8 @@ def read_vector_file(path: str | Path) -> Features:
         rows = 1 + _newlines(fh)  # at least the lines: one more than the newlines
         size = os.fstat(fh.fileno()).st_size
         parts = forks.processes(min(rows, size // SPLIT_BYTES))
-        if parts > 1:
-            vectors = _read_ranges(path, fh, rows, _line_starts(fh, size, parts))
-            if vectors is not None:
-                return vectors
-        fh.seek(0)
-        return _parse_vector_lines(path, fh, rows)
+        vectors = _read_ranges(path, fh, rows, _line_starts(fh, size, parts))
+        return vectors if vectors is not None else _read_ranges(path, fh, rows, [0])
 
 
 def _newlines(fh: BinaryIO) -> int:
@@ -373,26 +356,23 @@ def _lines(fh: BinaryIO, start: int, end: int | None) -> Iterator[bytes]:
             return
 
 
-def _read_ranges(path: Path, fh: BinaryIO, rows: int,
-                 starts: list[int]) -> Features | None:
+def _read_ranges(path: Path, fh: BinaryIO, rows: int, starts: list[int]) -> Features | None:
     """:func:`read_vector_file`'s vectors of ``fh``, the file ``path`` of at
     most ``rows`` lines, read in one range of lines from each of ``starts``
     to the next, the last to the end of the file. This process reads the
     first range into the matrix while a forked child reads each other range
     and sends its ids and raw rows, which are read straight into the
-    matrix's next rows. None where a range does not arrive whole (a line in
-    it fails, its fork fails, or its child is killed or cut off) or ranges
+    matrix's next rows. An error in the first range, the file's first, is
+    raised. None where a later range does not arrive whole (a line in it
+    fails, its fork fails, or its child is killed or cut off) or ranges
     disagree (an id in two ranges, two widths, more than ``rows`` vectors):
-    the caller then reads the file again in one process, which gives every
-    error message and line number."""
+    the caller then reads the file as one range, which gives every error
+    message and line number."""
     ranges = list(zip(starts, [*starts[1:], None]))
     with forks.Children() as children:
         for start, end in ranges[1:]:
             children.fork(functools.partial(_range_rows, path, start, end, rows))
-        try:
-            ids, matrix = _parse_rows(path, _lines(fh, *ranges[0]), rows)
-        except EmbeddingError:
-            return None
+        ids, matrix = _parse_rows(path, _lines(fh, *ranges[0]), rows)
 
         def receive(head: tuple, pipe: BinaryIO) -> bool:
             """Read a later range's vectors into place; False where they disagree."""

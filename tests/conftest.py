@@ -25,7 +25,7 @@ def stub_provider():
 
 @pytest.fixture(scope="session")
 def toy_features(toy_archive, stub_provider):
-    return feature_matrix(toy_archive, stub_provider).features
+    return feature_matrix(toy_archive, stub_provider)
 
 
 @pytest.fixture

@@ -60,6 +60,19 @@ class TestEmbed:
         assert all(v.shape == (24,) for v in vectors.values())
         assert "raw-fallback: toy-007" in capsys.readouterr().out
 
+    def test_raw_fallback_lines_name_every_record_not_fully_enriched(self, tmp_path, capsys):
+        """A record with only an enriched treatment embeds it, but is flagged."""
+        rec = {"id": "half-enriched", "treatment": "t", "outcome": "o", "context": "c",
+               "enriched_treatment": "an enriched treatment", "effect_size": 0.1}
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text(Path(TOY).read_text(encoding="utf-8") + json.dumps(rec) + "\n",
+                           encoding="utf-8")
+        assert run("embed", "--archive", str(archive), "--provider", "stub:d=8,seed=1",
+                   "--out", str(tmp_path / "v.jsonl")) == 0
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("raw-fallback:")]
+        assert flagged == ["raw-fallback: toy-007", "raw-fallback: half-enriched"]
+
     def test_rerun_is_byte_stable(self, tmp_path):
         outs = []
         for i in (1, 2):
@@ -676,8 +689,20 @@ class TestErrorsExitCleanly:
         assert run(*argv, "--chat", spec) == 2
         assert self.one_error_line(capsys.readouterr().err) == f"error: {message}"
 
+    @staticmethod
+    def unusable_out(tmp_path: Path, where: str) -> tuple[Path, str]:
+        """An --out path under a file, or an existing directory; and the
+        error line that names it."""
+        if where == "directory":
+            (tmp_path / "out").mkdir()
+            return tmp_path / "out", f"error: [Errno 21] Is a directory: '{tmp_path / 'out'}'"
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        return blocker / "out", str(blocker)
+
+    @pytest.mark.parametrize("where", ["under-a-file", "directory"])
     def test_embed_fails_on_unusable_out_before_embedding(self, tmp_path, capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, where):
         calls = []
         real = representation_mod.DeterministicStubProvider.embed
 
@@ -686,23 +711,23 @@ class TestErrorsExitCleanly:
             return real(self, text)
 
         monkeypatch.setattr(representation_mod.DeterministicStubProvider, "embed", counting)
-        blocker = tmp_path / "file"
-        blocker.write_text("", encoding="utf-8")
-        assert run("embed", "--archive", TOY, "--provider", "stub:d=8",
-                   "--out", str(blocker / "v.jsonl")) == 2
-        assert str(blocker) in self.one_error_line(capsys.readouterr().err)
+        out, names = self.unusable_out(tmp_path, where)
+        assert run("embed", "--archive", TOY, "--provider", "stub:d=8", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert names in self.one_error_line(captured.err) and captured.out == ""
         assert calls == []
 
+    @pytest.mark.parametrize("where", ["under-a-file", "directory"])
     def test_theory_check_fails_on_unusable_out_before_the_sweep(self, tmp_path, capsys,
-                                                                 monkeypatch):
+                                                                 monkeypatch, where):
         def bound_sweep(*args, **kwargs):
             raise AssertionError("bound_sweep called")
 
         monkeypatch.setattr(cli_mod.theory_lab, "bound_sweep", bound_sweep)
-        blocker = tmp_path / "file"
-        blocker.write_text("", encoding="utf-8")
-        assert run("theory-check", "--out", str(blocker / "sweep.csv")) == 2
-        assert str(blocker) in self.one_error_line(capsys.readouterr().err)
+        out, names = self.unusable_out(tmp_path, where)
+        assert run("theory-check", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert names in self.one_error_line(captured.err) and captured.out == ""
 
 
 class TestCalibrate:

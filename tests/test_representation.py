@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas.archive import Archive, Experiment
+from exatlas.composer import Features
 from exatlas.representation import (
     DeterministicStubProvider,
     EmbeddingError,
@@ -346,17 +347,23 @@ class TestFeatureMatrix:
         f = build_feature(np.zeros(p.dimension), np.zeros(p.dimension))
         assert f.shape == (2304,)
 
-    def test_raw_fallback_flagged(self, toy_archive, stub_provider):
-        fm = feature_matrix(toy_archive, stub_provider)
-        assert fm.used_enrichment["toy-007"] is False
-        assert fm.used_enrichment["toy-001"] is True
+    def test_features_in_archive_order(self, toy_archive, toy_features):
+        assert isinstance(toy_features, Features)
+        assert toy_features.ids == toy_archive.ids()
+        assert toy_features.matrix.shape == (12, 24)
 
-    def test_enriched_preferred_over_raw(self, toy_archive, stub_provider):
+    def test_raw_fallback_flagged(self, toy_archive):
+        assert embedding_texts(toy_archive.get("toy-007"))[2] is False
+        assert embedding_texts(toy_archive.get("toy-001"))[2] is True
+        partial = Experiment(id="p", treatment_text="t", outcome_text="o", effect_size=0.1,
+                             enriched_treatment="enriched t")
+        assert embedding_texts(partial) == ("enriched t", "o", False)
+
+    def test_enriched_preferred_over_raw(self, toy_archive, stub_provider, toy_features):
         exp = toy_archive.get("toy-001")
-        fm = feature_matrix(toy_archive, stub_provider)
         t = stub_provider.embed(exp.enriched_treatment)
         o = stub_provider.embed(exp.enriched_outcome)
-        np.testing.assert_array_equal(fm.features["toy-001"], build_feature(t, o))
+        np.testing.assert_array_equal(toy_features["toy-001"], build_feature(t, o))
 
     def test_error_carries_experiment_id(self, tmp_path):
         arc = Archive((Experiment(id="only", treatment_text="t", outcome_text="o",
@@ -394,9 +401,9 @@ class TestOneEmbeddingCall:
         calls = []
         real = provider.embed_many
         provider.embed_many = lambda batch: calls.append(list(batch)) or real(batch)
-        fm = feature_matrix(toy_archive, provider)
+        features = feature_matrix(toy_archive, provider)
         assert calls == [texts]
-        assert {k: v.tobytes() for k, v in fm.features.items()} == \
+        assert {k: v.tobytes() for k, v in features.items()} == \
             {k: v.tobytes() for k, v in toy_features.items()}
 
     def test_too_few_vectors_is_one_error(self):
@@ -461,7 +468,7 @@ class TestBatchedFeatureMatrix:
     def test_distinct_texts_go_in_full_batches(self):
         arc = planted_size_archive()
         sent: list = []
-        fm = feature_matrix(arc, self.remote(sent))
+        features = feature_matrix(arc, self.remote(sent))
         assert len(sent) == 15  # ceil(456 / 32)
         order = list(dict.fromkeys(t for e in arc for t in (e.treatment_text, e.outcome_text)))
         assert [t for batch in sent for t in batch] == order
@@ -469,7 +476,7 @@ class TestBatchedFeatureMatrix:
         for exp in arc:
             want = build_feature(*embed_texts(one_by_one,
                                               [exp.treatment_text, exp.outcome_text]))
-            assert fm.features[exp.id].tobytes() == want.tobytes()
+            assert features[exp.id].tobytes() == want.tobytes()
 
     def test_failed_batch_names_an_experiment_of_its_texts(self):
         arc = planted_size_archive()

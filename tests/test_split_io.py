@@ -3,10 +3,13 @@ one-process reader's vectors and errors and the ``json.dumps`` writer's
 bytes, and leave no child behind.
 
 ``read_vector_file`` and ``write_vector_file`` split a file into one
-contiguous range of lines per process. Each test pins the process count
-through ``forks.processes`` and lets a range be as short as one byte, so
-that small files split; results are held to ``oracles.reference_read_vector_file``
-and ``oracles.reference_write_vector_lines``.
+contiguous range of lines per process, one range in one process. Each test
+pins the process count through ``forks.processes`` and lets a range be as
+short as one byte, so that small files split; results are held to
+``oracles.reference_read_vector_file`` and
+``oracles.reference_write_vector_lines``. A read raises an error in its
+first range itself, and reads the whole file again as one range where a
+later range fails or ranges disagree.
 """
 
 from __future__ import annotations
@@ -59,18 +62,24 @@ def processes(monkeypatch, count: int) -> list[int]:
     return forks
 
 
-def serial_reads(monkeypatch) -> list[int]:
-    """The list that grows by one each time a whole file is read in this
-    process alone: where the file was not split, or a split read is given up."""
-    calls: list[int] = []
-    real = representation_mod._parse_vector_lines
+def range_reads(monkeypatch) -> list[list[int]]:
+    """The list of the line numbers at which each ``_read_ranges`` call's
+    ranges start: a read's first call tries the split, and each later one,
+    from line 1 alone, reads the whole file again."""
+    calls: list[list[int]] = []
+    real = representation_mod._read_ranges
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(path, fh, rows, starts):
+        calls.append(starts_as_lines(path, starts))
+        return real(path, fh, rows, starts)
 
-    monkeypatch.setattr(representation_mod, "_parse_vector_lines", counting)
+    monkeypatch.setattr(representation_mod, "_read_ranges", counting)
     return calls
+
+
+def starts_as_lines(path, starts: list[int]) -> list[int]:
+    data = path.read_bytes()
+    return [data[:s].count(b"\n") + 1 for s in starts]
 
 
 def line(vec_id: str, values) -> bytes:
@@ -85,10 +94,9 @@ def good_lines(n: int = 6, width: int = 3) -> list[bytes]:
 
 def range_starts(path, count: int) -> list[int]:
     """The line numbers at which the reader's ranges start."""
-    data = path.read_bytes()
     with path.open("rb") as fh:
-        starts = representation_mod._line_starts(fh, len(data), count)
-    return [data[:s].count(b"\n") + 1 for s in starts]
+        return starts_as_lines(path, representation_mod._line_starts(
+            fh, path.stat().st_size, count))
 
 
 # Reading
@@ -110,6 +118,16 @@ def test_read_equals_reference(tmp_path, monkeypatch, count, data):
     assert len(forks) <= count - 1
 
 
+@pytest.mark.parametrize("count", COUNTS)
+def test_every_count_reads_through_ranges(tmp_path, monkeypatch, count):
+    """One process is the split read with one range, and no child."""
+    path = new_file(tmp_path, b"".join(good_lines()))
+    forks, reads = processes(monkeypatch, count), range_reads(monkeypatch)
+    assert assert_read_as_reference(path)[0] == "ok"
+    assert reads == [range_starts(path, count)] and len(reads[0]) == count
+    assert len(forks) == count - 1
+
+
 @pytest.mark.parametrize("count", [2, 3])
 def test_blank_lines_at_a_range_boundary(tmp_path, monkeypatch, count):
     """A line and a long run of blank lines per range, then one more line:
@@ -120,9 +138,9 @@ def test_blank_lines_at_a_range_boundary(tmp_path, monkeypatch, count):
     path = new_file(tmp_path, data)
     rows = data.split(b"\n")
     assert all(not rows[s - 1].strip() for s in range_starts(path, count)[1:])
-    forks, serial = processes(monkeypatch, count), serial_reads(monkeypatch)
+    forks, reads = processes(monkeypatch, count), range_reads(monkeypatch)
     assert assert_read_as_reference(path)[0] == "ok"
-    assert len(forks) == count - 1 and not serial
+    assert len(forks) == count - 1 and len(reads) == 1
 
 
 @pytest.mark.parametrize("count", COUNTS)
@@ -155,19 +173,23 @@ BAD_LINES = {
 }
 
 
-@pytest.mark.parametrize("count", [2, 3])
-@pytest.mark.parametrize("row", [1, 5])  # in the first range, in the last
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("row", [1, 5])  # in the first range; in the last, if split
 @pytest.mark.parametrize("kind", sorted(BAD_LINES))
 def test_bad_line_in_any_range(tmp_path, monkeypatch, count, row, kind):
+    """A bad line in the first range is raised there, the file read once; one
+    in a later range has the whole file read again, once."""
     bad, reason = BAD_LINES[kind]
     lines = good_lines()
     lines[row] = bad
     path = new_file(tmp_path, b"".join(lines))
+    later = row + 1 >= [*range_starts(path, count), len(lines) + 1][1]  # past the first range
+    assert later == (count > 1 and row == 5)
     processes(monkeypatch, count)
-    serial = serial_reads(monkeypatch)
+    reads = range_reads(monkeypatch)
     got = assert_read_as_reference(path)
     assert got[0] == "error" and got[2].startswith(f"{path}:{row + 1}: {reason}")
-    assert len(serial) == 1
+    assert reads[1:] == ([[1]] if later else [])
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -177,9 +199,9 @@ def test_duplicate_id_across_ranges(tmp_path, monkeypatch, count):
     path = new_file(tmp_path, b"".join(lines))
     assert range_starts(path, count)[-1] <= 5
     processes(monkeypatch, count)
-    serial = serial_reads(monkeypatch)
+    reads = range_reads(monkeypatch)
     assert assert_read_as_reference(path)[2] == f"{path}:6: duplicate id 'v0' (first on line 1)"
-    assert len(serial) == 1
+    assert reads[1:] == [[1]]
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -192,10 +214,10 @@ def test_width_change_at_a_later_ranges_first_line(tmp_path, monkeypatch, count)
     path = new_file(tmp_path, b"".join(narrow[:first - 1] + wide[first - 1:]))
     assert range_starts(path, count)[-1] == first
     processes(monkeypatch, count)
-    serial = serial_reads(monkeypatch)
+    reads = range_reads(monkeypatch)
     assert assert_read_as_reference(path)[2] == \
         f"{path}:{first}: dimension mismatch: expected 3, got 4"
-    assert len(serial) == 1
+    assert reads[1:] == [[1]]
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -208,9 +230,9 @@ def test_failed_fork_reads_in_one_process(tmp_path, monkeypatch, count):
 
     monkeypatch.setattr(forks_mod, "processes", lambda parts: max(1, min(count, parts)))
     monkeypatch.setattr(os, "fork", no_fork)
-    serial = serial_reads(monkeypatch)
+    reads = range_reads(monkeypatch)
     assert assert_read_as_reference(new_file(tmp_path, b"".join(good_lines())))[0] == "ok"
-    assert len(calls) == count - 1 and len(serial) == 1
+    assert len(calls) == count - 1 and reads[1:] == [[1]]
 
 
 def die_in_child(monkeypatch, name: str, after: int) -> None:
@@ -231,10 +253,10 @@ def die_in_child(monkeypatch, name: str, after: int) -> None:
 def test_killed_child_range_is_read_here(tmp_path, monkeypatch, count):
     """A child killed mid-range has the whole file read again here, once."""
     path = new_file(tmp_path, b"".join(good_lines(12)))
-    forks, serial = processes(monkeypatch, count), serial_reads(monkeypatch)
+    forks, reads = processes(monkeypatch, count), range_reads(monkeypatch)
     die_in_child(monkeypatch, "_record_values", after=1)
     assert assert_read_as_reference(path)[0] == "ok"
-    assert len(forks) == count - 1 and len(serial) == 1
+    assert len(forks) == count - 1 and reads[1:] == [[1]]
 
 
 def cut_short(monkeypatch) -> None:
@@ -263,10 +285,10 @@ def test_range_cut_short_is_read_here(tmp_path, monkeypatch, count):
     range cut short has the whole file read again here, once."""
     path = tmp_path / "v.jsonl"
     write_vector_file(path, features(12, width=2000))
-    forks, serial = processes(monkeypatch, count), serial_reads(monkeypatch)
+    forks, reads = processes(monkeypatch, count), range_reads(monkeypatch)
     cut_short(monkeypatch)
     assert assert_read_as_reference(path)[0] == "ok"
-    assert len(forks) == count - 1 and len(serial) == 1
+    assert len(forks) == count - 1 and reads[1:] == [[1]]
 
 
 def test_store_shares_the_split_matrix(tmp_path, monkeypatch):

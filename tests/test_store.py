@@ -264,7 +264,7 @@ def test_stores_share_the_read_matrix(tmp_path, monkeypatch):
     assert grown.matrix is store.matrix
     assert not np.shares_memory(FeatureStore.from_features(vectors, ids[::-1]).matrix,
                                 vectors[ids[0]])
-    embedded = feature_matrix(archive, DeterministicStubProvider(4)).features
+    embedded = feature_matrix(archive, DeterministicStubProvider(4))
     assert np.shares_memory(FeatureStore.from_features(embedded, ids).matrix, embedded[ids[-1]])
 
 

@@ -158,15 +158,15 @@ def test_lines_added_after_the_count_are_read(tmp_path, monkeypatch):
     is read in full."""
     path = tmp_path / "v.jsonl"
     path.write_bytes(A + b"\n")
-    real = representation_mod._parse_vector_lines
+    real = representation_mod._read_ranges
 
-    def grow_then_parse(p, lines, rows):
-        assert rows == 2
-        with p.open("ab") as fh:
-            fh.write(B + b"\n" + b'{"id": "c", "values": [5.0, 6.0]}\n')
-        return real(p, lines, rows)
+    def grow_then_read(p, fh, rows, starts):
+        assert rows == 2 and starts == [0]
+        with p.open("ab") as out:
+            out.write(B + b"\n" + b'{"id": "c", "values": [5.0, 6.0]}\n')
+        return real(p, fh, rows, starts)
 
-    monkeypatch.setattr(representation_mod, "_parse_vector_lines", grow_then_parse)
+    monkeypatch.setattr(representation_mod, "_read_ranges", grow_then_read)
     vectors = read_vector_file(path)
     assert {k: v.tolist() for k, v in vectors.items()} == \
         {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]}
