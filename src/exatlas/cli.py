@@ -290,9 +290,12 @@ def _parse_grid(spec: str) -> Sequence[float]:
         raise CliError(f"--grid STEP must be positive, got {spec!r}")
     if hi < lo:
         raise CliError(f"--grid HI must not be below LO, got {spec!r}")
-    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+    if evaluator_mod.grid_points(lo, hi, step) > MAX_GRID_POINTS:
         raise CliError(f"--grid has more than {MAX_GRID_POINTS} points, got {spec!r}")
-    return evaluator_mod.check_grid(evaluator_mod.default_grid(lo, hi, step))
+    try:  # finite LO <= HI and STEP > 0 fail only where rounded points coincide
+        return evaluator_mod.check_grid(evaluator_mod.default_grid(lo, hi, step))
+    except ValueError as e:
+        raise CliError(f"--grid STEP is finer than 10-decimal rounding, got {spec!r}") from e
 
 
 def cmd_calibrate(args) -> int:

@@ -693,25 +693,23 @@ def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
 def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator[tuple]:
     """The rows of :func:`_block` for every block of the store's targets, in
     order, with the blocks split into contiguous ranges, one per process
-    (:mod:`exatlas.forks`). The parent runs the first range itself while
-    forked children run the others, each sending its rows and the memo
-    entries it wrote. The parent yields every range's rows in order and
-    merges a child's memo entries before its rows, so rows and the final
-    ``store.memo`` are those of a serial pass: a block's rows depend on its
-    targets alone, and no two blocks of a pass share a memo key. A range
-    that does not arrive whole (a failed fork, a child that raised or was
-    killed) is run in the parent, which raises any error where a serial
-    pass would. Every child is killed and reaped however the pass ends."""
+    (:mod:`exatlas.forks`). A forked child runs each range but the first and
+    sends its rows and the memo entries it wrote. The parent walks the ranges
+    in order and runs here each range that no child sent: the first, and one
+    that did not arrive whole (a failed fork, a child that raised or was
+    killed), so it raises any error where a serial pass would. Of a child's
+    range it merges the memo entries, then yields the rows. So rows and the
+    final ``store.memo`` are those of a serial pass: a block's rows depend on
+    its targets alone, and no two blocks of a pass share a memo key. Every
+    child is killed and reaped however the pass ends."""
     blocks = [slice(start, start + ASSESS_BLOCK)
               for start in range(0, len(store.targets), ASSESS_BLOCK)]
     ranges = forks.split(blocks, forks.processes(len(blocks)))
     with forks.Children() as children:
         for part in ranges[1:]:
             children.fork(functools.partial(_child_blocks, store, part, cfg, exact))
-        for block in ranges[0]:
-            yield from _block(store, block, cfg, exact)
-        for k, part in enumerate(ranges[1:]):
-            sent = children.collect(k)
+        for k, part in enumerate(ranges):
+            sent = children.collect(k - 1) if k else None
             if sent is None:
                 for block in part:
                     yield from _block(store, block, cfg, exact)
@@ -749,7 +747,9 @@ def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,
             by_size.setdefault(len(key[1]), []).append(r)
     for n, same in by_size.items():
         if n == 0:
-            raise ComposerError("need at least one candidate")
+            raise ComposerError(f"need at least one candidate: target "
+                                f"{store.ids[targets[same[0]]]!r} has no other row within "
+                                f"{cfg.radius_factor} times its local scale")
         # A problem's result does not depend on the stack it is solved in.
         per_stack = max(1, SOLVE_STACK_VALUES // (n * n))
         for first in range(0, len(same), per_stack):

@@ -258,8 +258,15 @@ DEFAULT_GRID = "0.05:1.50:0.005"  # calibrate's --grid LO:HI:STEP by default
 def default_grid(*bounds: float) -> tuple[float, ...]:
     """The grid of LO, HI and STEP ``bounds``, by default DEFAULT_GRID's."""
     start, stop, step = bounds or map(float, DEFAULT_GRID.split(":"))
-    count = int(round((stop - start) / step)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+    return tuple(round(start + i * step, 10) for i in range(grid_points(start, stop, step)))
+
+
+def grid_points(start: float, stop: float, step: float) -> int:
+    """How many points LO + i * STEP are at most HI, within a few ulps of the
+    bounds' rounding; over 2**63 where the count overflows a float."""
+    span = (stop - start) / step
+    span += 4 * (math.ulp(span) + (math.ulp(start) + math.ulp(stop)) / step)
+    return math.floor(min(span, 2**63)) + 1
 
 
 def check_grid(grid: Sequence[float]) -> list[float]:

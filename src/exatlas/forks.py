@@ -1,16 +1,16 @@
 """Work split across forked processes, one contiguous range per usable CPU.
 
 A caller splits its work into ranges (:func:`split`), forks a child for each
-range but the first (:meth:`Children.fork`), runs the first itself and then
-takes each child's range back in order (:meth:`Children.collect`). A child
-sends a value, pickled, followed by raw bytes. The one failure signal is
-``collect`` returning None: the fork failed, or the child raised, was killed
-or was cut off. A pass or a write then runs that range in the parent, which
-raises any error where one process would; a read reads the whole file again
-as one range. Every child is killed and reaped when the ``with`` block of its
-:class:`Children` ends, however it ends. A leave-one-out pass, and the
-reading and writing of a vector file, all split this way, in one range, with
-no child, where one process is usable.
+range but the first (:meth:`Children.fork`), then walks the ranges in order
+and takes each child's range back (:meth:`Children.collect`). A child sends a
+value, pickled, followed by raw bytes. The one failure signal is ``collect``
+returning None: the fork failed, or the child raised, was killed or was cut
+off. A pass or a write runs here each range that no child sent, the first and
+any that failed, so it raises any error where one process would; a read reads
+the whole file again where a later range fails. Every child is killed and
+reaped when the ``with`` block of its :class:`Children` ends, however it
+ends. A leave-one-out pass, and the reading and writing of a vector file,
+all split this way, in one range, with no child, where one process is usable.
 """
 
 from __future__ import annotations

@@ -473,11 +473,12 @@ def _record_values(path: Path, line_no: int, rec: dict) -> np.ndarray:
 def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:
     """Write ``vectors``, any mapping such as :class:`Features`, one line
     each, in order (:func:`_vector_lines`), in one contiguous range of them
-    per process where they are many enough: each forked child formats its
-    range and sends the text, which this process copies to the file after
-    its own range, in order and in bounded chunks. A range that does not
-    arrive whole is formatted here, so an error is raised where one process
-    would raise it, after the lines before it are written."""
+    per process where they are many enough: a forked child formats each
+    range but the first and sends the text. This process walks the ranges in
+    order, copying a child's text to the file in bounded chunks, and formats
+    here each range that no child sent: the first, and one that did not
+    arrive whole, which is cut from the file first. So an error is raised
+    where one process would raise it, after the lines before it are written."""
     path = Path(path)
     items = list(vectors.items())
     values = sum(vec.size for _, vec in items if isinstance(vec, np.ndarray))
@@ -486,11 +487,10 @@ def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> No
     with path.open("wb") as fh, forks.Children() as children:
         for part in ranges[1:]:
             children.fork(lambda part=part: (None, list(_vector_lines(part))))
-        fh.writelines(_vector_lines(ranges[0]))
-        for k, part in enumerate(ranges[1:]):
+        for k, part in enumerate(ranges):
             start = fh.tell()
-            if children.collect(k, lambda _, pipe: shutil.copyfileobj(pipe, fh, _BLOCK)
-                                or True) is None:
+            if not k or children.collect(k - 1, lambda _, pipe: shutil.copyfileobj(
+                    pipe, fh, _BLOCK) or True) is None:
                 fh.seek(start)
                 fh.truncate()
                 fh.writelines(_vector_lines(part))
@@ -509,31 +509,28 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _vector_lines(items: Iterable[tuple[str, np.ndarray]]) -> Iterator[bytes]:
     """One UTF-8 line per (id, vector), byte for byte as ``json.dumps({"id":
-    id, "values": values}, ensure_ascii=False)`` and a newline would be.
+    id, "values": values}, ensure_ascii=False)`` and a newline would be: of
+    an appended batch, or a range of :func:`write_vector_file` that a child
+    formats or, where no child sent it, the parent.
 
     orjson formats the numbers, from the vector as a C-contiguous float64
     array. Its shortest round-trip digits are those of ``float.__repr__``;
     only the layout differs. ``repr`` writes a decimal exponent below -4 or
     from 16 up in exponent form with a signed two-digit exponent (``1e-05``,
     ``1e+16``), where orjson writes ``0.00001`` and ``1e16``, and orjson
-    writes NaN and infinities as ``null``. So the positions of those values,
-    chosen by value and never by scanning the text, are re-rendered with
-    ``repr``; every other token is orjson's.
-    """
+    writes NaN and infinities as ``null``. So every row is split on its
+    commas, the positions of those values, chosen by value and never by
+    scanning the text, are re-rendered with ``repr`` (none, in a row
+    without any), and the tokens are joined by ``", "``: one path per row."""
     import orjson
 
     for vec_id, vec in items:
         arr = np.asarray(vec, dtype=float).ravel()
         mag = np.abs(arr)
         redo = np.flatnonzero((arr != 0) & ~((mag >= 1e-4) & (mag < 1e16)))
-        text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-        if redo.size:
-            tokens = text.split(b",")
-            for i, value in zip(redo.tolist(), arr[redo].tolist()):
-                token = repr(value)
-                tokens[i] = _JSON_NONFINITE.get(token, token).encode()
-            text = b", ".join(tokens)
-        else:
-            text = text.replace(b",", b", ")
+        tokens = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        for i, value in zip(redo.tolist(), arr[redo].tolist()):
+            token = repr(value)
+            tokens[i] = _JSON_NONFINITE.get(token, token).encode()
         head = f'{{"id": {json.dumps(vec_id, ensure_ascii=False)}, "values": ['
-        yield head.encode("utf-8") + text + b"]}\n"
+        yield head.encode("utf-8") + b", ".join(tokens) + b"]}\n"

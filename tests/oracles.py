@@ -216,12 +216,15 @@ def reference_assess(target_id, features, pool_ids, effects, cfg, extra=None):
     """``assess`` over a freshly built pool dict, by :func:`select_candidates`,
     :func:`reference_solve_weights` and :func:`residuals`: the per-target
     path that the feature store and the lockstep solver replace."""
-    from exatlas.composer import _composition
+    from exatlas.composer import ComposerError, _composition
 
     pool = {i: features[i] for i in pool_ids if i != target_id}
     pool.update(extra or {})
     target_x = features[target_id]
     nb = select_candidates(target_id, target_x, pool, cfg)
+    if not nb.candidate_ids:
+        raise ComposerError(f"need at least one candidate: target {target_id!r} has no "
+                            f"other row within {cfg.radius_factor} times its local scale")
     cand_vecs = [pool[c] for c in nb.candidate_ids]
     w, status = reference_solve_weights(target_x, cand_vecs, cfg.ridge)
     r, rho = residuals(target_x, cand_vecs, w, nb.local_scale)

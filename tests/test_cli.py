@@ -359,6 +359,15 @@ class TestErrorsExitCleanly:
         assert self.one_error_line(captured.err) == f"error: {message}"
         assert captured.out == ""
 
+    def test_target_without_candidates_is_named(self, capsys):
+        assert run("evaluate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--radius-factor", "0.9") == 2
+        captured = capsys.readouterr()
+        assert self.one_error_line(captured.err) == (
+            "error: need at least one candidate: target 'toy-005' has no other row "
+            "within 0.9 times its local scale")
+        assert captured.out == ""
+
     # At 6e153 each square is finite, but not their sum.
     @pytest.mark.parametrize("effect", [1e154, 1e200, 1.7e308, 6e153])
     def test_prediction_errors_that_overflow(self, tmp_path, capsys, effect):
@@ -760,11 +769,28 @@ class TestCalibrate:
         ("0:1e9:1", f"--grid has more than {MAX_GRID_POINTS} points, got '0:1e9:1'"),
         ("-1e308:1e308:1", f"--grid has more than {MAX_GRID_POINTS} points, "
                            "got '-1e308:1e308:1'"),
+        ("0.1:0.1000000001:1e-11", "--grid STEP is finer than 10-decimal rounding, "
+                                   "got '0.1:0.1000000001:1e-11'"),
     ])
     def test_bad_grid_is_rejected(self, spec, message):
         with pytest.raises(CliError) as err:
             _parse_grid(spec)
         assert str(err.value) == message
+
+    def test_grid_stops_at_hi(self):
+        """A grid ends at its last point at most HI; a STEP that divides
+        HI - LO keeps HI, whatever the quotient's rounding."""
+        assert _parse_grid("0:1:0.6") == [0.0, 0.6]
+        assert _parse_grid("0.3:0.9:0.3") == [0.3, 0.6, 0.9]
+        assert len(_parse_grid(evaluator_mod.DEFAULT_GRID)) == 291
+
+    def test_calibrate_grid_past_hi_is_not_tried(self, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert run("calibrate", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--grid", "0:1:0.6", "--out", str(out)) == 0
+        assert float(capsys.readouterr().out.split(":")[1]) <= 1
+        rows = (out / "curve.csv").read_text(encoding="utf-8").splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "0.6"]
 
     def test_grid_cap(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 5)

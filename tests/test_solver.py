@@ -239,17 +239,22 @@ def test_wide_pool_solves_within_an_address_space_limit():
 
 def test_target_without_candidates_fails_as_reference():
     """A radius below the nearest distance leaves no candidate: the error of
-    the per-target path, not a failed gather."""
+    the per-target path, naming the first such target and the radius factor,
+    not a failed gather. The solver's own check keeps its bare message."""
     features = {"a": np.array([0.0, 0.0]), "b": np.array([1.0, 0.0]),
                 "c": np.array([0.0, 5.0]), "d": np.array([9.0, 9.0])}
     ids = tuple(features)
     cfg = ComposerConfig(radius_factor=0.3)
-    with pytest.raises(ComposerError, match="^need at least one candidate$") as want:
+    message = ("^need at least one candidate: target 'c' has no other row within 0.3 "
+               "times its local scale$")
+    with pytest.raises(ComposerError, match=message) as want:
         for tid in ids:
             reference_assess(tid, features, ids, None, cfg)
-    with pytest.raises(ComposerError, match="^need at least one candidate$") as got:
+    with pytest.raises(ComposerError, match=message) as got:
         list(assess_rows(FeatureStore.from_features(features, ids), None, cfg))
     assert str(got.value) == str(want.value)
+    with pytest.raises(ComposerError, match="^need at least one candidate$"):
+        solve_weights(features["a"], [], cfg.ridge)
 
 
 @pytest.mark.filterwarnings("error")

@@ -170,6 +170,28 @@ def test_child_error_after_the_parents_rows(monkeypatch, row):
     assert here == list(range(0, row // BLOCK * BLOCK + 1, BLOCK))
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_target_without_candidates_named_as_serial(monkeypatch, count):
+    """Rows 17 and 19 (the third block) and 27 (the fourth) lie far off, so
+    none has a row within the radius. Every child range that holds one runs
+    again here, and the error names row 17, as a serial pass does."""
+    def run():
+        vectors = features()
+        for k in (17, 19, 27):
+            vectors[f"exp-{k:02d}"] = vectors[f"exp-{k:02d}"] + 100.0 * (np.arange(24) == k - 10)
+        store = FeatureStore.from_features(vectors, list(vectors))
+        cfg = ComposerConfig(max_candidates=6, radius_factor=0.9)
+        got, kind, message = rows_until_error(assess_rows(store, EFFECTS, cfg))
+        return [comp_bytes(c) for c in got], kind, message
+
+    want = serial(monkeypatch, run)
+    processes(monkeypatch, count)
+    assert run() == want
+    assert want[1:] == (ComposerError, "need at least one candidate: target 'exp-17' has "
+                                       "no other row within 0.9 times its local scale")
+    assert len(want[0]) == 2 * BLOCK
+
+
 def test_parent_error_kills_the_child(monkeypatch):
     """The child's range would take a minute; the parent's range fails at
     once, and the pass ends with the child killed and reaped."""
