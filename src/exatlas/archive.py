@@ -46,14 +46,16 @@ class Experiment:
 
         if not self.id:
             raise invalid("id", "must be non-empty")
+        texts = {"treatment": self.treatment_text, "outcome": self.outcome_text,
+                 "context": self.context_text, "enriched_treatment": self.enriched_treatment,
+                 "enriched_outcome": self.enriched_outcome}
+        for name, text in texts.items():
+            if not isinstance(text, str) and (text is not None or name in _REQUIRED_KEYS):
+                raise invalid(name, "must be a string")
         if not self.treatment_text:
             raise invalid("treatment", "must be non-empty")
         if not self.outcome_text:
             raise invalid("outcome", "must be non-empty")
-        for name, text in (("enriched_treatment", self.enriched_treatment),
-                           ("enriched_outcome", self.enriched_outcome)):
-            if text is not None and not isinstance(text, str):
-                raise invalid(name, "must be a string")
         if isinstance(self.effect_size, bool) or not isinstance(self.effect_size, (int, float)):
             raise invalid("effect_size", "must be a real number")
         try:
@@ -82,9 +84,9 @@ class Experiment:
         extra = {k: v for k, v in rec.items() if k not in _RECORD_KEYS}
         exp = cls(
             id=str(rec["id"]),
-            treatment_text=str(rec["treatment"]),
-            outcome_text=str(rec["outcome"]),
-            context_text=str(rec["context"]),
+            treatment_text=rec["treatment"],
+            outcome_text=rec["outcome"],
+            context_text=rec["context"],
             enriched_treatment=rec.get("enriched_treatment"),
             enriched_outcome=rec.get("enriched_outcome"),
             effect_size=rec["effect_size"],

@@ -420,7 +420,8 @@ class FeatureStore:
     ``id_rank`` is each id's position in sorted order, which breaks distance
     ties. Rows are finite and of one length, no squared distance between
     them overflows, and a store is not modified after it is built but for
-    ``memo``, its own record of what :func:`gate_rows` has solved on it.
+    ``memo``, where :func:`gate_rows`, its one writer, records the solve of
+    each row it yields.
     """
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray, targets: Sequence[int],
@@ -645,7 +646,7 @@ def assess_rows(store: FeatureStore, pool_effects: Mapping[str, float] | None,
     them; otherwise a caller that keeps only a summary never holds more than
     a block of them.
     """
-    for t, cols, scale, w, status, r in _pipeline(store, cfg, exact=True):
+    for (t, _), cols, scale, (w, status, _, r) in _pipeline(store, cfg, exact=True):
         nb = Neighborhood(target_id=store.ids[t],
                           candidate_ids=tuple(store.ids[j] for j in cols.tolist()),
                           local_scale=scale)
@@ -670,17 +671,19 @@ def gate_rows(store: FeatureStore, cfg: ComposerConfig) -> Iterator[Gate]:
     Both run one pipeline, which brackets each residual r from the normal
     equations of the solve. Here the exact r is taken only where the bracket
     cannot settle r / s <= lambda (or the local scale s is 0), so every
-    decision equals ``assess_rows``'. A pass reads and adds to
-    ``store.memo``, which maps (t, candidate rows) to (weights, solver
-    status, lo, hi), a bracket of r that is a point once r is taken, and
-    skips the solve where a target's candidates are those of an earlier
-    pass on this store or on one it was extended from; a held bracket is
-    decided again under the pass's scale. A residual depends on its target
-    and candidates alone, so every decision is that of a fresh store.
-    Selection is worked afresh on every pass.
+    decision equals ``assess_rows``'. A pass reads ``store.memo``, which
+    maps (t, candidate rows) to (weights, solver status, lo, hi), a bracket
+    of r that is a point once r is taken, and skips the solve where a
+    target's candidates are those of an earlier pass on this store or on one
+    it was extended from; a held bracket is decided again under the pass's
+    scale. It stores each row's entry just before it yields the row, and
+    nothing else writes the memo. A residual depends on its target and
+    candidates alone, so every decision is that of a fresh store. Selection
+    is worked afresh on every pass.
     """
-    for _, cols, scale, w, _, r in _pipeline(store, cfg, exact=False):
-        yield Gate(cols, scale, w, _normalized(r, scale) <= cfg.lambda_)
+    for key, cols, scale, entry in _pipeline(store, cfg, exact=False):
+        store.memo[key] = entry
+        yield Gate(cols, scale, entry[0], _normalized(entry[3], scale) <= cfg.lambda_)
 
 
 def _columns(store: FeatureStore, cols: np.ndarray) -> np.ndarray:
@@ -694,56 +697,46 @@ def _pipeline(store: FeatureStore, cfg: ComposerConfig, exact: bool) -> Iterator
     """The rows of :func:`_block` for every block of the store's targets, in
     order, with the blocks split into contiguous ranges, one per process
     (:mod:`exatlas.forks`). A forked child runs each range but the first and
-    sends its rows and the memo entries it wrote. The parent walks the ranges
-    in order and runs here each range that no child sent: the first, and one
-    that did not arrive whole (a failed fork, a child that raised or was
-    killed), so it raises any error where a serial pass would. Of a child's
-    range it merges the memo entries, then yields the rows. So rows and the
-    final ``store.memo`` are those of a serial pass: a block's rows depend on
-    its targets alone, and no two blocks of a pass share a memo key. Every
-    child is killed and reaped however the pass ends."""
+    sends its rows alone. The parent walks the ranges in order, yields a
+    child's rows, and runs here each range that no child sent: the first, and
+    one that did not arrive whole (a failed fork, a child that raised or was
+    killed), so it raises any error where a serial pass would. A block reads
+    the store and writes nothing to it, and its rows depend on its targets
+    alone, so the rows are those of a serial pass. Every child is killed and
+    reaped however the pass ends."""
     blocks = [slice(start, start + ASSESS_BLOCK)
               for start in range(0, len(store.targets), ASSESS_BLOCK)]
     ranges = forks.split(blocks, forks.processes(len(blocks)))
+
+    def rows(part: Sequence[slice]) -> Iterator[tuple]:
+        for block in part:
+            yield from _block(store, block, cfg, exact)
+
     with forks.Children() as children:
         for part in ranges[1:]:
-            children.fork(functools.partial(_child_blocks, store, part, cfg, exact))
+            children.fork(lambda part=part: (list(rows(part)), ()))
         for k, part in enumerate(ranges):
             sent = children.collect(k - 1) if k else None
-            if sent is None:
-                for block in part:
-                    yield from _block(store, block, cfg, exact)
-            else:
-                rows, memo = sent
-                store.memo.update(memo)
-                yield from rows
-
-
-def _child_blocks(store: FeatureStore, blocks: list[slice], cfg: ComposerConfig,
-                  exact: bool) -> tuple[tuple, tuple]:
-    """What a child of :func:`_pipeline` sends: (rows, memo entries written)
-    of ``blocks``, and no payload."""
-    held = dict(store.memo)
-    rows = [row for block in blocks for row in _block(store, block, cfg, exact)]
-    return (rows, {k: v for k, v in store.memo.items() if held.get(k) is not v}), ()
+            yield from rows(part) if sent is None else sent
 
 
 def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,
            exact: bool) -> list[tuple]:
-    """(row, candidate rows, local scale, weights, solver status, r) for each
-    of ``store.targets[block]``. r is the exact residual where ``exact`` is
-    set; otherwise it is the upper end of a bracket of the residual that
-    settles r / s <= lambda as the exact residual would. Solves go to the
-    store's memo (see :func:`gate_rows`), or on an exact pass to a dict of
-    the block's own. They are stacked by candidate count, within
-    SOLVE_STACK_VALUES."""
+    """(key, candidate rows, local scale, entry) for each of
+    ``store.targets[block]``: the key (row, candidate rows) and entry
+    (weights, solver status, lo, hi) of the store's memo (see
+    :func:`gate_rows`). [lo, hi] brackets the residual r, and lo == hi == r
+    where the exact r is taken: always where ``exact`` is set, otherwise
+    only where the bracket cannot settle r / s <= lambda as r would. A gate
+    pass reads the memo's solves; the others are stacked by candidate count,
+    within SOLVE_STACK_VALUES, and kept in a dict of the block's own."""
     targets = store.targets[block]
     picks = _select_block(store, block, cfg)
     keys = [(t, tuple(cols.tolist())) for t, (cols, _) in zip(targets.tolist(), picks)]
-    memo = {} if exact else store.memo
+    solves = {} if exact else {key: store.memo[key] for key in keys if key in store.memo}
     by_size: dict[int, list[int]] = {}
     for r, key in enumerate(keys):
-        if key not in memo:
+        if key not in solves:
             by_size.setdefault(len(key[1]), []).append(r)
     for n, same in by_size.items():
         if n == 0:
@@ -781,14 +774,13 @@ def _block(store: FeatureStore, block: slice, cfg: ComposerConfig,
             lo = np.sqrt(np.maximum(q - band, 0.0)).tolist()
             hi = np.sqrt(q + band).tolist()
             for i, r in enumerate(rows):
-                memo[keys[r]] = (*solved[i], lo[i], hi[i])
+                solves[keys[r]] = (*solved[i], lo[i], hi[i])
     out = []
     for key, (cols, scale) in zip(keys, picks):
-        w, status, lo, hi = memo[key]
+        w, status, lo, hi = solves[key]
         # Division is monotone, so r / s <= lambda is settled unless the
         # bracket's ends fall on either side of it.
         if exact or (lo < hi and (scale == 0.0 or hi / scale > cfg.lambda_ >= lo / scale)):
             lo = hi = _residual(_columns(store, cols), store.matrix[key[0]], w)
-            memo[key] = (w, status, lo, hi)
-        out.append((key[0], cols, scale, w, status, hi))
+        out.append((key, cols, scale, (w, status, lo, hi)))
     return out

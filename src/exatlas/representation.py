@@ -474,22 +474,24 @@ def write_vector_file(path: str | Path, vectors: Mapping[str, np.ndarray]) -> No
     """Write ``vectors``, any mapping such as :class:`Features`, one line
     each, in order (:func:`_vector_lines`), in one contiguous range of them
     per process where they are many enough: a forked child formats each
-    range but the first and sends the text. This process walks the ranges in
-    order, copying a child's text to the file in bounded chunks, and formats
-    here each range that no child sent: the first, and one that did not
-    arrive whole, which is cut from the file first. So an error is raised
-    where one process would raise it, after the lines before it are written."""
+    range but the first and sends the text. This process writes the first
+    range, then walks the others in order, copying a child's text to the
+    file in bounded chunks, and formats here each range that did not arrive
+    whole, which is cut from the file first. So an error is raised where one
+    process would raise it, after the lines before it are written. A target
+    that cannot seek (a FIFO, a pipe) is written in one range, here."""
     path = Path(path)
     items = list(vectors.items())
     values = sum(vec.size for _, vec in items if isinstance(vec, np.ndarray))
-    ranges = forks.split(items, forks.processes(
-        min(len(items), values * _VALUE_BYTES // SPLIT_BYTES)))
     with path.open("wb") as fh, forks.Children() as children:
+        ranges = forks.split(items, forks.processes(
+            min(len(items), values * _VALUE_BYTES // SPLIT_BYTES)) if fh.seekable() else 1)
         for part in ranges[1:]:
             children.fork(lambda part=part: (None, list(_vector_lines(part))))
-        for k, part in enumerate(ranges):
+        fh.writelines(_vector_lines(ranges[0]))
+        for k, part in enumerate(ranges[1:]):
             start = fh.tell()
-            if not k or children.collect(k - 1, lambda _, pipe: shutil.copyfileobj(
+            if children.collect(k, lambda _, pipe: shutil.copyfileobj(
                     pipe, fh, _BLOCK) or True) is None:
                 fh.seek(start)
                 fh.truncate()

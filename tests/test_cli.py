@@ -82,6 +82,32 @@ class TestEmbed:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+    @pytest.mark.parametrize("split", [False, True])
+    def test_out_through_a_pipe(self, tmp_path, monkeypatch, split):
+        """An --out FIFO, which cannot seek, gets the bytes the file gets, also
+        where the file's write splits across processes."""
+        from exatlas import forks as forks_mod
+
+        if split:
+            monkeypatch.setattr(representation_mod, "SPLIT_BYTES", 1)
+            monkeypatch.setattr(forks_mod, "processes", lambda parts: min(2, parts))
+        vec, fifo, piped = tmp_path / "v.jsonl", tmp_path / "v.fifo", tmp_path / "piped.jsonl"
+        assert run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                   "--out", str(vec)) == 0
+        os.mkfifo(fifo)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        reader = subprocess.Popen([sys.executable, "-c", copy, str(fifo), str(piped)])
+        try:
+            code = run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1",
+                       "--out", str(fifo))
+            reader.wait(timeout=60)
+        finally:
+            reader.kill()
+            reader.wait()
+        assert code == 0
+        assert piped.read_bytes() == vec.read_bytes()
+
     def test_vectors_reusable_by_evaluate(self, tmp_path, capsys):
         vec = tmp_path / "v.jsonl"
         run("embed", "--archive", TOY, "--provider", "stub:d=8,seed=1",

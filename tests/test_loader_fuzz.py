@@ -273,6 +273,14 @@ def _embedding_cache(path):
     (load_archive, ArchiveError, b"\xff\n", "not UTF-8 text: invalid start byte"),
     (load_archive, ArchiveError, _toy_line(enriched_outcome=True),
      "field 'enriched_outcome' must be a string (line 1)"),
+    (load_archive, ArchiveError, _toy_line(treatment=None),
+     "field 'treatment' must be a string (line 1)"),
+    (load_archive, ArchiveError, _toy_line(outcome=["x"]),
+     "field 'outcome' must be a string (line 1)"),
+    (load_archive, ArchiveError, _toy_line(context={"k": 1}),
+     "field 'context' must be a string (line 1)"),
+    (load_archive, ArchiveError, _toy_line(treatment=5),
+     "field 'treatment' must be a string (line 1)"),
     (load_archive, ArchiveError, _toy_line(effect_size=10**400),
      "field 'effect_size' must be finite (line 1)"),
     (read_vector_file, EmbeddingError, b'{"id": "a", "values": [1' + b"0" * 400 + b"]}\n",

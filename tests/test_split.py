@@ -119,6 +119,20 @@ def test_split_equals_serial(monkeypatch, count, n):
     assert len(forks) == 3 * (count - 1)  # three passes
 
 
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("k", [1, BLOCK + 1, 20])
+def test_memo_holds_the_rows_yielded(monkeypatch, count, k):
+    """A gate pass closed after k rows leaves in the store's memo the entries
+    of those k rows alone, whether its blocks ran here or in a child: the
+    20th row comes from the second range."""
+    processes(monkeypatch, count)
+    store = new_store()
+    gates = gate_rows(store, CFG)
+    taken = [next(gates) for _ in range(k)]
+    gates.close()
+    assert set(store.memo) == {(t, tuple(g.cols.tolist())) for t, g in enumerate(taken)}
+
+
 def failing_block(monkeypatch, row: int, error: BaseException) -> None:
     """``_select_block`` raises ``error`` for the block that holds ``row``."""
     select = composer_mod._select_block
